@@ -18,8 +18,9 @@ File formats (UTF-8, whitespace separated, blank lines ignored):
             <le|eq> a_1 ... a_q b   (one line per row)
 
 Numbers are written as the shortest decimal that round-trips binary64, so
-serialize/parse is bit-exact. Exit codes: 0 solved, 1 error, 2 iteration
-cap reached.
+serialize/parse is bit-exact. Exit codes: 0 solved, 1 error (including
+NaN or Inf from an oracle), 2 stopped unsolved (iteration cap reached or
+stalled).
 """
 
 from __future__ import annotations
@@ -218,7 +219,6 @@ class RunConfig:
     lh: float | None = None
     policy: str = "harmonic"
     cap: int = DEFAULT_CAP
-    seed: int | None = None
     trace: str | None = None
 
 
@@ -259,7 +259,7 @@ def _dispatch(config, problem, certificate):
 def run(config: RunConfig, problem, certificate=None, out=None) -> int:
     """Solve and report. Prints status, final_value, iterations and phases
     as key=value lines, writes the trace CSV when requested, and returns
-    the exit code (0 solved, 1 error, 2 iteration cap reached)."""
+    the exit code (0 solved, 1 error, 2 iteration cap reached or stalled)."""
     out = sys.stdout if out is None else out
     try:
         result = _dispatch(config, problem, certificate)

@@ -6,7 +6,9 @@ class LmiSolveError(Exception):
 
 
 class NonFiniteInput(LmiSolveError):
-    """An input matrix or vector contains NaN or Inf entries."""
+    """An input matrix or vector contains NaN or Inf entries, or an oracle
+    returned a NaN or Inf value during a solve (for example because the
+    iterates grew beyond floating-point range)."""
 
 
 class DimensionMismatch(LmiSolveError):

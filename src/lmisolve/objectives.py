@@ -16,8 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .model import LinIneqSystem, LmiProblem, constants, residual_map
+from .model import LinIneqSystem, LmiProblem, _as_vector, constants, residual_map
 from .symlinalg import SymMatrix, eig_sym, lambda_max, project_neg_semidef
 
 __all__ = [
@@ -62,15 +61,6 @@ class Oracle:
     subgrad_bound: float
 
 
-def _check_dim(x, m):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        x = x.reshape(1)
-    if x.ndim != 1 or x.shape[0] != m:
-        raise DimensionMismatch(f"point must be a vector of length {m}")
-    return x
-
-
 def eval_nonsmooth(p: LmiProblem, x) -> OracleEval:
     """max(lambda_max(A(x) - B), 0) and a subgradient.
 
@@ -78,7 +68,7 @@ def eval_nonsmooth(p: LmiProblem, x) -> OracleEval:
     top eigenvector v; at or below it (lambda_max <= 1e-12) the point is
     treated as feasible and (0, 0) is returned.
     """
-    x = _check_dim(x, p.num_vars)
+    x = _as_vector(x, p.num_vars, "point")
     s = SymMatrix(p._apply_raw(x) - p.rhs.mat)
     top, v = lambda_max(s)
     if top <= _KINK_TOL:
@@ -92,7 +82,7 @@ def eval_smooth(p: LmiProblem, x) -> OracleEval:
     The gradient is 2 A^T(residual) where residual is the positive part of
     A(x) - B; it is Lipschitz with constant 2 ||A||^2.
     """
-    x = _check_dim(x, p.num_vars)
+    x = _as_vector(x, p.num_vars, "point")
     s = SymMatrix(p._apply_raw(x) - p.rhs.mat)
     _, residual = project_neg_semidef(s)
     value = float(np.sum(residual.mat * residual.mat))
@@ -102,7 +92,7 @@ def eval_smooth(p: LmiProblem, x) -> OracleEval:
 
 def eval_linsys(sys: LinIneqSystem, x) -> OracleEval:
     """0.5 ||e(Ax - b)||^2 with gradient A^T e(Ax - b)."""
-    x = _check_dim(x, sys.num_vars)
+    x = _as_vector(x, sys.num_vars, "point")
     e = residual_map(sys, sys.rows @ x - sys.rhs)
     return OracleEval(0.5 * float(e @ e), sys.rows.T @ e)
 

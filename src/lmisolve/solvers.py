@@ -1,6 +1,6 @@
 """Restarted first-order solvers.
 
-Four drivers share two inner engines and one restart loop:
+Four drivers share three inner engines and one restart loop:
 
 - solve_nonsmooth: projected subgradient phases of K = ceil(4 M^2 mu^2)
   steps, step length mu f(x_phase_start) / (M sqrt(K));
@@ -14,6 +14,12 @@ Each phase halves the objective on instances where the error-bound modulus
 mu (or the Hoffman constant L_H) is valid, which yields linear convergence;
 over-estimating mu or L_H only lengthens phases and preserves halving.
 
+A solve ends Solved once f <= eps, IterationCapReached once the cap on
+inner iterations runs out, or Stalled once a completed phase ends no lower
+than it started: a phase is a deterministic function of its start, so
+every later phase would repeat it. An oracle value that is NaN or Inf
+raises NonFiniteInput.
+
 The accelerated scheme is fixed as: theta_t = 2/(t+1),
 y = (1-theta) xbar + theta z, xbar <- y - grad/L, z <- z - (t+1)/(2L) grad,
 with z_0 = xbar_0 = x_0. It satisfies
@@ -24,6 +30,7 @@ budgets here are sized against.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -64,6 +71,18 @@ __all__ = [
 DEFAULT_CAP = 10_000_000
 
 
+def _count(name, value):
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidParameter(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _positive(name, value):
+    if not value > 0.0:
+        raise InvalidParameter(f"{name} must be positive, got {value}")
+    return float(value)
+
+
 # ---------------------------------------------------------------------------
 # stepsize policies
 
@@ -93,10 +112,8 @@ def stepsize_schedule(policy: StepsizePolicy):
     """Generator of (alpha_t, Gamma_t) for t = 1, 2, ... in O(1) per step."""
     _check_policy(policy)
     if policy.kind == "harmonic":
-        t = 1
-        while True:
+        for t in itertools.count(1):
             yield 2.0 / (t + 1.0), 2.0 / (t * (t + 1.0))
-            t += 1
     else:
         yield 1.0, 1.0
         gamma = 1.0
@@ -108,22 +125,15 @@ def stepsize_schedule(policy: StepsizePolicy):
 
 
 def stepsizes(policy: StepsizePolicy, t: int) -> tuple[float, float]:
-    """(alpha_t, Gamma_t) for a single index t >= 1.
+    """(alpha_t, Gamma_t) for a single index t >= 1: the t-th item of
+    stepsize_schedule(policy), so the cost is O(t).
 
-    HARMONIC has the closed form alpha_t = 2/(t+1), Gamma_t = 2/(t(t+1));
-    RECURSIVE sets alpha_1 = Gamma_1 = 1 and then alpha_t as the positive
-    root of alpha^2 + Gamma_{t-1} alpha - Gamma_{t-1} = 0 with
-    Gamma_t = alpha_t^2, so the cost is O(t).
+    HARMONIC gives alpha_t = 2/(t+1), Gamma_t = 2/(t(t+1)); RECURSIVE sets
+    alpha_1 = Gamma_1 = 1 and then alpha_t as the positive root of
+    alpha^2 + Gamma_{t-1} alpha - Gamma_{t-1} = 0 with Gamma_t = alpha_t^2.
     """
-    if not isinstance(t, (int, np.integer)) or t < 1:
-        raise InvalidParameter(f"t must be a positive integer, got {t!r}")
-    if policy.kind == "harmonic":
-        _check_policy(policy)
-        return 2.0 / (t + 1.0), 2.0 / (t * (t + 1.0))
-    sched = stepsize_schedule(policy)
-    for _ in range(t - 1):
-        next(sched)
-    return next(sched)
+    t = _count("t", t)
+    return next(itertools.islice(stepsize_schedule(policy), t - 1, None))
 
 
 # ---------------------------------------------------------------------------
@@ -167,6 +177,7 @@ class SolveTrace:
 class SolveStatus(enum.Enum):
     SOLVED = "Solved"
     ITERATION_CAP = "IterationCapReached"
+    STALLED = "Stalled"
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,17 +190,39 @@ class SolveResult:
     status: SolveStatus
 
 
-class _Recorder:
-    """Collects trace rows against a global iteration cap."""
+@dataclass(frozen=True)
+class _Outcome:
+    """What an inner engine returns: its candidate point, the candidate's
+    value when the engine already knows it, and whether the phase ran to its
+    budget or halving target. Bundle phases add their instrumentation."""
 
-    __slots__ = ("cap", "rows", "phases", "total", "t0")
+    point: np.ndarray
+    value: float | None
+    completed: bool
+    prox_travel: float | None = None
+    level_violation: float | None = None
 
-    def __init__(self, cap):
+
+class _Run:
+    """One solve's oracle, stopping tolerance eps and trace rows, counted
+    against a global iteration cap."""
+
+    __slots__ = ("_evaluate", "eps", "cap", "rows", "phases", "total", "t0")
+
+    def __init__(self, oracle, eps, cap):
+        self._evaluate = oracle.evaluate
+        self.eps = eps
         self.cap = cap
         self.rows = []
         self.phases = []
         self.total = 0
         self.t0 = time.perf_counter()
+
+    def evaluate(self, x):
+        ev = self._evaluate(x)
+        if not math.isfinite(ev.value):
+            raise NonFiniteInput(f"oracle returned the non-finite value {ev.value}")
+        return ev
 
     def remaining(self):
         return self.cap - self.total
@@ -214,13 +247,6 @@ def _point(x, dim):
     return v.copy()
 
 
-def _check_params(eps, cap):
-    if not eps > 0.0:
-        raise InvalidParameter(f"eps must be positive, got {eps}")
-    if not isinstance(cap, (int, np.integer)) or cap < 1:
-        raise InvalidParameter(f"cap must be a positive integer, got {cap!r}")
-
-
 def _budget(value):
     """Restart length: ceiling, clamped to at least one step."""
     return max(1, math.ceil(value))
@@ -230,47 +256,43 @@ def _budget(value):
 # inner engines
 
 
-def _subgradient_steps(oracle, x, K, gamma, eps, rec, phase):
+def _subgradient_steps(run, x, K, gamma, phase):
     """K constant-step subgradient steps; best of the new iterates."""
     step = gamma / math.sqrt(K)
     cur = x
-    g = oracle.evaluate(cur).gradient
-    best = None
+    g = run.evaluate(cur).gradient
+    best = x
     best_f = math.inf
-    for i in range(1, K + 1):
-        if rec.remaining() <= 0:
-            return (x if best is None else best), best_f, False, None, None
+    for i in range(1, min(K, run.remaining()) + 1):
         cur = cur - step * g
-        ev = oracle.evaluate(cur)
-        rec.row(phase, i, ev.value)
+        ev = run.evaluate(cur)
+        run.row(phase, i, ev.value)
         if ev.value < best_f:
             best, best_f = cur, float(ev.value)
         g = ev.gradient
-        if eps is not None and ev.value <= eps:
-            return best, best_f, i == K, None, None
-    return best, best_f, True, None, None
+        if ev.value <= run.eps:
+            break
+    return _Outcome(best, best_f, i == K)
 
 
-def _accelerated_steps(oracle, lip, x, K, eps, rec, phase):
+def _accelerated_steps(run, lip, x, K, phase):
     """K accelerated-gradient steps from x; returns the last xbar, or the
     probe point y_t if its value already meets eps."""
     xbar = x
     z = x
-    for t in range(1, K + 1):
-        if rec.remaining() <= 0:
-            return xbar, None, False, None, None
+    for t in range(1, min(K, run.remaining()) + 1):
         theta = 2.0 / (t + 1.0)
         y = (1.0 - theta) * xbar + theta * z
-        ev = oracle.evaluate(y)
-        rec.row(phase, t, ev.value)
-        if eps is not None and ev.value <= eps:
-            return y, float(ev.value), t == K, None, None
+        ev = run.evaluate(y)
+        run.row(phase, t, ev.value)
+        if ev.value <= run.eps:
+            return _Outcome(y, float(ev.value), t == K)
         xbar = y - ev.gradient / lip
         z = z - ((t + 1.0) / (2.0 * lip)) * ev.gradient
-    return xbar, None, True, None, None
+    return _Outcome(xbar, None, t == K)
 
 
-def _gap_reduction_steps(oracle, x0u, fbar0, level, policy, eps, rec, phase):
+def _gap_reduction_steps(run, x0u, fbar0, level, policy, phase):
     """Bundle-level gap reduction: run until the upper bound halves."""
     x_prev = x0u
     xu = x0u
@@ -279,37 +301,25 @@ def _gap_reduction_steps(oracle, x0u, fbar0, level, policy, eps, rec, phase):
     travel = 0.0
     viol = 0.0
     sched = stepsize_schedule(policy)
-    t = 0
-    while True:
-        if rec.remaining() <= 0:
-            return xu, fbar, fbar <= target, travel, viol
-        t += 1
+    for t in range(1, run.remaining() + 1):
         alpha, _ = next(sched)
         xl = (1.0 - alpha) * xu + alpha * x_prev
-        evl = oracle.evaluate(xl)
+        evl = run.evaluate(xl)
         g = evl.gradient
-        h_prev = evl.value + float(g @ (x_prev - xl))
-        if h_prev > level:
-            gg = float(g @ g)
-            if gg == 0.0:
-                raise InfeasibleLevel(
-                    "cutting model sits above the level with zero subgradient"
-                )
-            x_new = x_prev - ((h_prev - level) / gg) * g
-            d = x_new - x_prev
-            travel += float(d @ d)
-            viol = max(viol, evl.value + float(g @ (x_new - xl)) - level)
-        else:
-            x_new = x_prev
+        x_new = level_project(x_prev, xl, evl.value, g, level)
+        d = x_new - x_prev
+        travel += float(d @ d)
+        viol = max(viol, evl.value + float(g @ (x_new - xl)) - level)
         xtilde = alpha * x_new + (1.0 - alpha) * xu
-        evu = oracle.evaluate(xtilde)
+        evu = run.evaluate(xtilde)
         if evu.value <= fbar:
             xu = xtilde
             fbar = float(evu.value)
-        rec.row(phase, t, fbar)
+        run.row(phase, t, fbar)
         x_prev = x_new
-        if fbar <= target or (eps is not None and fbar <= eps):
-            return xu, fbar, fbar <= target, travel, viol
+        if fbar <= target or fbar <= run.eps:
+            break
+    return _Outcome(xu, fbar, fbar <= target, travel, viol)
 
 
 # ---------------------------------------------------------------------------
@@ -319,27 +329,20 @@ def _gap_reduction_steps(oracle, x0u, fbar0, level, policy, eps, rec, phase):
 def subgradient_phase(oracle: Oracle, x0, K: int, gamma: float):
     """Run K constant-step subgradient iterations x <- x - (gamma/sqrt(K)) g
     and return (best_point, best_value) over the K new iterates."""
-    if not isinstance(K, (int, np.integer)) or K < 1:
-        raise InvalidParameter(f"K must be a positive integer, got {K!r}")
-    if not gamma > 0.0:
-        raise InvalidParameter(f"gamma must be positive, got {gamma}")
+    K = _count("K", K)
+    gamma = _positive("gamma", gamma)
     x = _point(x0, oracle.dim)
-    best, best_f, _, _, _ = _subgradient_steps(
-        oracle, x, int(K), float(gamma), None, _Recorder(int(K)), 1
-    )
-    return best, best_f
+    out = _subgradient_steps(_Run(oracle, -math.inf, K), x, K, gamma, 1)
+    return out.point, out.value
 
 
 def accelerated_phase(oracle: Oracle, L: float, x0, K: int):
     """Run K accelerated-gradient iterations from x0 and return the final
     point, which satisfies f(x_K) - f* <= 2 L d^2(x0, X*) / (K (K+1))."""
-    if not L > 0.0:
-        raise InvalidParameter(f"L must be positive, got {L}")
-    if not isinstance(K, (int, np.integer)) or K < 1:
-        raise InvalidParameter(f"K must be a positive integer, got {K!r}")
+    L = _positive("L", L)
+    K = _count("K", K)
     x = _point(x0, oracle.dim)
-    out, _, _, _, _ = _accelerated_steps(oracle, float(L), x, int(K), None, _Recorder(int(K)), 1)
-    return out
+    return _accelerated_steps(_Run(oracle, -math.inf, K), L, x, K, 1).point
 
 
 def level_project(x_prev, z, fz, g, level):
@@ -373,17 +376,14 @@ def gap_reduction(oracle: Oracle, x0u, level: float, policy: StepsizePolicy,
     model minimum).
     """
     _check_policy(policy)
-    if not isinstance(cap, (int, np.integer)) or cap < 1:
-        raise InvalidParameter(f"cap must be a positive integer, got {cap!r}")
+    cap = _count("cap", cap)
     x = _point(x0u, oracle.dim)
-    rec = _Recorder(int(cap))
-    f0 = float(oracle.evaluate(x).value)
-    xbar, _, completed, _, _ = _gap_reduction_steps(
-        oracle, x, f0, float(level), policy, None, rec, 1
-    )
-    if not completed:
+    run = _Run(oracle, -math.inf, cap)
+    f0 = float(run.evaluate(x).value)
+    out = _gap_reduction_steps(run, x, f0, float(level), policy, 1)
+    if not out.completed:
         raise IterationCapReached(f"gap reduction exhausted the cap of {cap} iterations")
-    return xbar, rec.total
+    return out.point, run.total
 
 
 # ---------------------------------------------------------------------------
@@ -391,35 +391,37 @@ def gap_reduction(oracle: Oracle, x0u, level: float, policy: StepsizePolicy,
 
 
 def _restart(oracle, x0, eps, cap, phase_fn):
+    """The restart loop: phase_fn(run, x, f(x), phase_index) runs one phase
+    and returns an _Outcome; the solve restarts from its point only when
+    that point is lower. A phase starts only with at least one iteration
+    left, so every engine takes at least one step."""
+    _positive("eps", eps)
+    run = _Run(oracle, eps, _count("cap", cap))
     x = _point(x0, oracle.dim)
-    rec = _Recorder(int(cap))
-    fx = float(oracle.evaluate(x).value)
+    fx = float(run.evaluate(x).value)
     status = SolveStatus.SOLVED
     while fx > eps:
-        if rec.remaining() <= 0:
-            status = SolveStatus.ITERATION_CAP
-            break
-        idx = len(rec.phases) + 1
-        before = rec.total
+        idx = len(run.phases) + 1
+        before = run.total
         start = x.copy()
-        cand, cand_f, completed, travel, viol = phase_fn(x, fx, rec, idx)
-        if cand_f is None:
-            cand_f = float(oracle.evaluate(cand).value)
-        rec.phases.append(
-            PhaseRecord(idx, fx, cand_f, rec.total - before, completed, start, travel, viol)
-        )
-        # restart from the candidate only if it actually improved
-        if cand_f < fx:
-            x, fx = cand, cand_f
-        if fx > eps and rec.remaining() <= 0:
+        out = phase_fn(run, x, fx, idx)
+        f_end = float(run.evaluate(out.point).value) if out.value is None else out.value
+        run.phases.append(PhaseRecord(idx, fx, f_end, run.total - before, out.completed,
+                                      start, out.prox_travel, out.level_violation))
+        if f_end < fx:
+            x, fx = out.point, f_end
+        elif out.completed:
+            status = SolveStatus.STALLED
+            break
+        if fx > eps and run.remaining() <= 0:
             status = SolveStatus.ITERATION_CAP
             break
     return SolveResult(
         solution=x,
         value=fx,
-        iterations=rec.total,
-        phases=len(rec.phases),
-        trace=SolveTrace(rec.rows, rec.phases),
+        iterations=run.total,
+        phases=len(run.phases),
+        trace=SolveTrace(run.rows, run.phases),
         status=status,
     )
 
@@ -433,18 +435,16 @@ def solve_nonsmooth(p: LmiProblem, mu: float, eps: float, cap: int = DEFAULT_CAP
     and restarts from the best iterate; each completed phase halves the
     objective when mu is a valid error-bound modulus.
     """
-    if not mu > 0.0:
-        raise InvalidParameter(f"mu must be positive, got {mu}")
-    _check_params(eps, cap)
+    _positive("mu", mu)
     oracle = nonsmooth_oracle(p)
     m_bound = oracle.subgrad_bound
     K = _budget(4.0 * m_bound * m_bound * mu * mu)
 
-    def phase(x, fx, rec, idx):
+    def phase(run, x, fx, idx):
         if m_bound <= 0.0:
             raise InvalidParameter("all coefficient matrices are zero; the objective is constant")
         gamma = mu * fx / m_bound
-        return _subgradient_steps(oracle, x, K, gamma, eps, rec, idx)
+        return _subgradient_steps(run, x, K, gamma, idx)
 
     return _restart(oracle, x0, eps, cap, phase)
 
@@ -456,17 +456,15 @@ def solve_smooth(p: LmiProblem, mu: float, eps: float, cap: int = DEFAULT_CAP,
     Each phase runs K = ceil(4 mu ||A||) accelerated steps with
     L = 2 ||A||^2 and restarts from the final point.
     """
-    if not mu > 0.0:
-        raise InvalidParameter(f"mu must be positive, got {mu}")
-    _check_params(eps, cap)
+    _positive("mu", mu)
     oracle = smooth_oracle(p)
     opnorm = constants(p).opnorm
     K = _budget(4.0 * mu * opnorm)
 
-    def phase(x, fx, rec, idx):
+    def phase(run, x, fx, idx):
         if oracle.grad_lipschitz <= 0.0:
             raise InvalidParameter("all coefficient matrices are zero; the objective is constant")
-        return _accelerated_steps(oracle, oracle.grad_lipschitz, x, K, eps, rec, idx)
+        return _accelerated_steps(run, oracle.grad_lipschitz, x, K, idx)
 
     return _restart(oracle, x0, eps, cap, phase)
 
@@ -476,11 +474,10 @@ def solve_bundle(oracle: Oracle, p0, eps: float, policy: StepsizePolicy = HARMON
     """Restarted bundle-level method: repeat gap reduction (level 0) until
     the upper bound reaches eps. Needs no smoothness or error-bound input;
     stepsizes reset to alpha_1 = 1 at the start of every phase."""
-    _check_params(eps, cap)
     _check_policy(policy)
 
-    def phase(x, fx, rec, idx):
-        return _gap_reduction_steps(oracle, x, fx, 0.0, policy, eps, rec, idx)
+    def phase(run, x, fx, idx):
+        return _gap_reduction_steps(run, x, fx, 0.0, policy, idx)
 
     return _restart(oracle, p0, eps, cap, phase)
 
@@ -492,16 +489,14 @@ def solve_linsys(sys: LinIneqSystem, LH: float, eps: float, cap: int = DEFAULT_C
     Each phase runs K = ceil(sqrt(8 ||A||^2 L_H^2)) steps with L = ||A||^2;
     halving per phase holds when L_H is a valid Hoffman constant.
     """
-    if not LH > 0.0:
-        raise InvalidParameter(f"LH must be positive, got {LH}")
-    _check_params(eps, cap)
+    _positive("LH", LH)
     oracle = linsys_oracle(sys)
     lip = oracle.grad_lipschitz
     K = _budget(math.sqrt(8.0 * lip) * LH)
 
-    def phase(x, fx, rec, idx):
+    def phase(run, x, fx, idx):
         if lip <= 0.0:
             raise InvalidParameter("system matrix is zero; the objective is constant")
-        return _accelerated_steps(oracle, lip, x, K, eps, rec, idx)
+        return _accelerated_steps(run, lip, x, K, idx)
 
     return _restart(oracle, x0, eps, cap, phase)

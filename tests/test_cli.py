@@ -7,6 +7,7 @@ from lmisolve import (
     LinIneqSystem,
     LmiProblem,
     ParseError,
+    apply_operator,
     gen_linsys,
     gen_lmi,
     mu_of,
@@ -152,6 +153,31 @@ class TestSolveCommand:
         code = main(["solve", "--method", "nonsmooth", "--mu", "1.2", "--cap", "1", path])
         assert code == 2
         assert "status=IterationCapReached" in capsys.readouterr().out
+
+    def test_nonfinite_start_exit_one(self, tmp_path, capsys):
+        # f(0) = 2 (1e200)^2 overflows to inf, and the gradient at 0 is zero
+        text = "lmi 2 1\nB\n-1e200 0.0\n0.0 -1e200\nA 1\n1.0 0.0\n0.0 -1.0\n"
+        path = write(tmp_path, "huge.lmi", text)
+        code = main(["solve", "--method", "smooth", "--mu", "1.0", "--cap", "50", path])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "status=" not in captured.out
+        assert "non-finite" in captured.err
+
+    def test_stalled_exit_two(self, tmp_path, capsys):
+        # the instance shifted so that x = 0 here is x = 3 d there; at
+        # eps = 1e-300 the values bottom out and a phase stops improving
+        inst = gen_lmi(6, 3, 1.0, 0)
+        p = inst.problem
+        shifted = LmiProblem(p.coeffs, p.rhs.mat - apply_operator(p, 3.0 * inst.witness).mat)
+        path = write(tmp_path, "shifted.lmi", serialize_lmi(shifted))
+        mu = repr(mu_of(inst.certificate))
+        argv = ["solve", "--method", "smooth", "--mu", mu, "--eps", "1e-300", "--cap", "600", path]
+        assert main(argv) == 2
+        out = capsys.readouterr().out
+        assert "status=Stalled" in out
+        iters = int(next(l for l in out.splitlines() if l.startswith("iterations=")).split("=")[1])
+        assert iters < 600
 
     def test_trace_rows_match_iterations(self, tmp_path, capsys):
         trace = tmp_path / "trace.csv"

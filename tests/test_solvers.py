@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmisolve import (
     HARMONIC,
@@ -13,6 +15,7 @@ from lmisolve import (
     IterationCapReached,
     LinIneqSystem,
     LmiProblem,
+    NonFiniteInput,
     Oracle,
     OracleEval,
     SolveStatus,
@@ -25,6 +28,7 @@ from lmisolve import (
     hoffman_eq,
     level_project,
     linsys_oracle,
+    mu_of,
     nonsmooth_oracle,
     smooth_oracle,
     solve_bundle,
@@ -101,8 +105,9 @@ class TestStepsizes:
                 assert gamma * math.sqrt(ratio_sq) <= policy.c3 / math.sqrt(t) + 1e-9
 
     def test_invalid_index(self):
-        with pytest.raises(InvalidParameter):
-            stepsizes(HARMONIC, 0)
+        for policy, t in ((HARMONIC, 0), ("harmonic", 3), (None, 2)):
+            with pytest.raises(InvalidParameter):
+                stepsizes(policy, t)
 
     def test_constants_attached(self):
         assert (HARMONIC.c1, HARMONIC.c2) == (2.0, 2.0)
@@ -456,3 +461,80 @@ class TestTraceAccounting:
         inst = gen_lmi(4, 3, 1.0, 778)
         res = solve_nonsmooth(inst.problem, 1.5, 1e-8, x0=2.0 * inst.witness)
         assert [p.index for p in res.trace.phases] == list(range(1, res.phases + 1))
+
+
+def reference_restarts(oracle, x, K, cap):
+    """The accelerated restart loop with no stall exit and no eps test:
+    phases of K steps, the last one cut at the cap, each restarting from
+    its end point only when that point is lower."""
+    fx = oracle.evaluate(x).value
+    used = 0
+    while used < cap:
+        k = min(K, cap - used)
+        cand = accelerated_phase(oracle, oracle.grad_lipschitz, x, k)
+        used += k
+        fc = oracle.evaluate(cand).value
+        if fc < fx:
+            x, fx = cand, fc
+    return x, fx
+
+
+class TestSolveExits:
+    def test_nan_oracle_raises(self):
+        def ev(x):
+            return OracleEval(math.nan, np.ones_like(x))
+
+        orc = Oracle(evaluate=ev, dim=2, grad_lipschitz=0.0, subgrad_bound=1.0)
+        with pytest.raises(NonFiniteInput):
+            solve_bundle(orc, [1.0, 1.0], 1e-8)
+
+    def test_overflowing_start_raises(self):
+        inst = gen_lmi(10, 4, 1.0, 3)
+        with pytest.raises(NonFiniteInput):
+            solve_smooth(inst.problem, mu_of(inst.certificate), 1e-8, cap=200,
+                         x0=1e200 * np.ones(4))
+
+    def test_stall_ends_early_with_the_capped_answer(self):
+        # at eps = 1e-300 the values bottom out near 1e-31, a phase stops
+        # improving, and every later phase would repeat it exactly
+        inst = gen_lmi(6, 3, 1.0, 0)
+        mu = mu_of(inst.certificate)
+        x0 = 3.0 * inst.witness
+        res = solve_smooth(inst.problem, mu, 1e-300, cap=600, x0=x0)
+        assert res.status is SolveStatus.STALLED
+        assert res.iterations < 600
+        last = res.trace.phases[-1]
+        assert last.completed and last.f_end >= last.f_start
+        K = max(1, math.ceil(4.0 * mu * constants(inst.problem).opnorm))
+        ref_x, ref_f = reference_restarts(smooth_oracle(inst.problem), x0, K, 600)
+        assert res.value == ref_f
+        assert res.solution.tobytes() == ref_x.tobytes()
+
+
+class TestRestartProperties:
+    @settings(derandomize=True, max_examples=50, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        m=st.integers(1, 3),
+        seed=st.integers(0, 10_000),
+        scale=st.floats(1.5, 6.0),
+        smooth=st.booleans(),
+        cap=st.integers(1, 400),
+        eps_exp=st.integers(4, 300),
+    )
+    def test_halving_and_exits(self, n, m, seed, scale, smooth, cap, eps_exp):
+        inst = gen_lmi(n, m, 1.0, seed)
+        mu = mu_of(inst.certificate)
+        eps = 10.0**-eps_exp
+        solve = solve_smooth if smooth else solve_nonsmooth
+        res = solve(inst.problem, mu, eps, cap=cap, x0=scale * inst.witness)
+        assert completed_phases_halve(res)
+        assert res.iterations <= cap
+        assert (res.status is SolveStatus.SOLVED) == (res.value <= eps)
+        if res.status is SolveStatus.ITERATION_CAP:
+            assert res.iterations == cap
+        elif res.status is SolveStatus.STALLED:
+            last = res.trace.phases[-1]
+            assert last.completed and last.f_end >= last.f_start
+        with pytest.raises(NonFiniteInput):
+            solve_smooth(inst.problem, mu, eps, cap=cap, x0=1e200 * scale * inst.witness)
