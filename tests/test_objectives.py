@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from lmisolve import objectives
 from lmisolve import (
     DimensionMismatch,
     LinIneqSystem,
@@ -16,8 +17,10 @@ from lmisolve import (
     gen_linsys,
     gen_lmi,
     linsys_oracle,
+    mu_of,
     nonsmooth_oracle,
     smooth_oracle,
+    solve_smooth,
 )
 
 
@@ -231,3 +234,23 @@ class TestFiniteDifferences:
             fd = fd_gradient(orc, x, 1e-6)
             rel = np.linalg.norm(fd - np.asarray(ev.gradient)) / max(1e-8, np.linalg.norm(ev.gradient))
             assert rel <= 1e-4
+
+
+class TestConstantsOnce:
+    def test_computed_once_per_problem(self, monkeypatch):
+        inst = gen_lmi(6, 3, 1.0, 21)
+        p = inst.problem
+        expected = constants(p)
+        calls = []
+
+        def counted(q):
+            calls.append(q)
+            return constants(q)
+
+        monkeypatch.setattr(objectives, "constants", counted)
+        ns, sm = nonsmooth_oracle(p), smooth_oracle(p)
+        for _ in range(2):
+            solve_smooth(p, mu_of(inst.certificate), 1e-6, x0=3.0 * inst.witness)
+        assert calls == [p]
+        assert ns.subgrad_bound == expected.subgrad_bound
+        assert sm.grad_lipschitz == expected.grad_lipschitz

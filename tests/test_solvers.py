@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lmisolve import objectives
 from lmisolve import (
     HARMONIC,
     RECURSIVE,
@@ -538,3 +539,40 @@ class TestRestartProperties:
             assert last.completed and last.f_end >= last.f_start
         with pytest.raises(NonFiniteInput):
             solve_smooth(inst.problem, mu, eps, cap=cap, x0=1e200 * scale * inst.witness)
+
+
+def repeat_free_solves():
+    """Solves of every driver that each take several phases; mu = 0.3, below
+    the certificate's 1.28, keeps the restarted phases short."""
+    inst = gen_lmi(6, 3, 1.0, 778)
+    p, mu, x0 = inst.problem, 0.3, 3.0 * inst.witness
+    sys_, witness = gen_linsys(20, 10, 606, kinds="eq")
+    lh = hoffman_eq(np.array(sys_.rows))
+    return {
+        "nonsmooth": lambda: solve_nonsmooth(p, mu, 1e-8, x0=x0),
+        "smooth": lambda: solve_smooth(p, mu, 1e-8, x0=x0),
+        "bundle-harmonic": lambda: solve_bundle(nonsmooth_oracle(p), x0, 1e-8, HARMONIC),
+        "bundle-recursive": lambda: solve_bundle(smooth_oracle(p), x0, 1e-8, RECURSIVE),
+        "linsys": lambda: solve_linsys(sys_, lh, 1e-8, x0=witness + 1.0),
+    }
+
+
+class TestOracleCalls:
+    @pytest.fixture
+    def points(self, monkeypatch):
+        """Bytes of every point an oracle built here is evaluated at, in order."""
+        seen = []
+        for name in ("eval_nonsmooth", "eval_smooth", "eval_linsys"):
+            def recorded(p, x, fn=getattr(objectives, name)):
+                seen.append(np.asarray(x).tobytes())
+                return fn(p, x)
+
+            monkeypatch.setattr(objectives, name, recorded)
+        return seen
+
+    @pytest.mark.parametrize("label", sorted(repeat_free_solves()))
+    def test_no_consecutive_calls_at_one_point(self, points, label):
+        res = repeat_free_solves()[label]()
+        assert res.status is SolveStatus.SOLVED
+        assert res.phases >= 3
+        assert all(a != b for a, b in zip(points, points[1:]))
