@@ -6,6 +6,10 @@ the operator and its adjoint, the constants every iteration budget is built
 from, Slater certificates and the error-bound modulus mu, combination of
 several LMI systems into one, the primal-dual SDP reduction to a single
 LMI, and the linear-inequality system model.
+
+A problem is stored as the diagonal blocks of A(x) - B (see LmiProblem);
+the private helpers `_residuals`, `_adjoint` and `_top_subgradient` are how
+the oracles work on it one block at a time.
 """
 
 from __future__ import annotations
@@ -43,16 +47,50 @@ def _as_vector(x, length, what="x"):
     return v
 
 
+class _Block(NamedTuple):
+    """A diagonal block of A(x) - B: rows and columns `at`, the variables
+    `vars` that appear in it, and its part `rhs` of B. `coeffs` is their
+    (k_b, n_b, n_b) coefficient stack and `mats` the same matrices as
+    SymMatrix values. Both are None for a symmetric-matrix variable:
+    variable t is then the entry (upper[0][t], upper[1][t]) and its mirror
+    image. `_from_pieces` fills in `rhs` and `upper`."""
+
+    at: slice
+    vars: slice
+    coeffs: np.ndarray | None = None
+    mats: tuple | None = None
+    rhs: np.ndarray | None = None
+    upper: tuple | None = None
+
+
+class _Scalars(NamedTuple):
+    """All 1 x 1 blocks of A(x) - B (possibly none): their ascending
+    positions `rows`, their (num_vars, len(rows)) coefficients and their
+    part `rhs` of B's diagonal."""
+
+    rows: np.ndarray
+    coeffs: np.ndarray
+    rhs: np.ndarray
+
+
 class LmiProblem:
     """Coefficients A_1..A_m and right-hand side B of A(x) - B <= 0.
 
-    The coefficient stack is cached as an (m, n, n) array so oracles can
-    evaluate A(x) and the adjoint with single tensor contractions. The
-    problem is immutable, so `_constants` holds constants(p) once an oracle
-    or a solver first needs it.
+    The operator is stored block by block. A problem built here is a single
+    dense block: its (m, n, n) coefficient stack, so A(x) and the adjoint
+    are single tensor contractions. `stack` and `reduce_primal_dual` build
+    their results from the layout they know instead: a block of size > 1
+    keeps only the variables that appear in it, and all 1 x 1 blocks share
+    one (m, rows) array that the oracles evaluate in closed form. Storage is
+    then O(sum k_b n_b^2) for k_b variables in an n_b x n_b block, and their
+    `coeffs` (the dense A_1..A_m) are built on first access only. `rhs` is
+    always dense.
+
+    The problem is immutable, so `_constants` holds constants(p) once an
+    oracle or a solver first needs it.
     """
 
-    __slots__ = ("coeffs", "rhs", "num_vars", "dim", "_tensor", "_constants")
+    __slots__ = ("_coeffs", "rhs", "num_vars", "dim", "_blocks", "_scalars", "_constants")
 
     def __init__(self, coeffs, rhs):
         mats = tuple(c if isinstance(c, SymMatrix) else SymMatrix(c) for c in coeffs)
@@ -65,18 +103,24 @@ class LmiProblem:
                 raise DimensionMismatch(
                     f"coefficient {i + 1} has dimension {c.dim}, rhs has {n}"
                 )
-        self.coeffs = mats
-        self.rhs = b
-        self.num_vars = len(mats)
-        self.dim = n
+        m = len(mats)
         tensor = np.stack([c.mat for c in mats])
         tensor.flags.writeable = False
-        self._tensor = tensor
+        self._coeffs = mats
+        self.rhs = b
+        self.num_vars = m
+        self.dim = n
+        self._blocks = (_Block(slice(0, n), slice(0, m), tensor, mats, b.mat),)
+        self._scalars = _Scalars(np.zeros(0, dtype=int), np.zeros((m, 0)), np.zeros(0))
         self._constants = None
 
-    def _apply_raw(self, x):
-        """Sum x_i A_i as a plain ndarray, no validation (hot path)."""
-        return np.tensordot(x, self._tensor, axes=1)
+    @property
+    def coeffs(self):
+        """A_1..A_m as dense SymMatrix values (built on first access for a
+        problem from `stack` or `reduce_primal_dual`)."""
+        if self._coeffs is None:
+            self._coeffs = tuple(SymMatrix(a) for a in _dense_coeffs(self))
+        return self._coeffs
 
     def __eq__(self, other):
         if not isinstance(other, LmiProblem):
@@ -90,6 +134,127 @@ class LmiProblem:
 
     def __repr__(self):
         return f"LmiProblem(n={self.dim}, m={self.num_vars})"
+
+
+def _from_pieces(rhs, num_vars, pieces) -> LmiProblem:
+    """The problem with dense right-hand side `rhs` whose operator is laid out
+    as `pieces`, one _Block per diagonal block. The 1 x 1 pieces become the
+    scalar rows."""
+    b = SymMatrix(rhs)
+    blocks, rows, cols = [], [], []
+    for blk in sorted(pieces, key=lambda piece: piece.at.start):
+        size = blk.at.stop - blk.at.start
+        if size == 1:
+            col = np.zeros(num_vars)
+            col[blk.vars] = 1.0 if blk.coeffs is None else blk.coeffs[:, 0, 0]
+            rows.append(blk.at.start)
+            cols.append(col)
+        else:
+            upper = None if blk.coeffs is not None else np.triu_indices(size)
+            blocks.append(blk._replace(rhs=b.mat[blk.at, blk.at], upper=upper))
+    rows = np.array(rows, dtype=int)
+    table = np.stack(cols, axis=1) if cols else np.zeros((num_vars, 0))
+    table.flags.writeable = False
+    p = object.__new__(LmiProblem)
+    p._coeffs = None
+    p.rhs = b
+    p.num_vars = num_vars
+    p.dim = b.dim
+    p._blocks = tuple(blocks)
+    p._scalars = _Scalars(rows, table, b.mat[rows, rows])
+    p._constants = None
+    return p
+
+
+def _pieces(p: LmiProblem, offset=0) -> list:
+    """p's layout as _from_pieces takes it, moved down by `offset` rows."""
+    out = [blk._replace(at=slice(blk.at.start + offset, blk.at.stop + offset))
+           for blk in p._blocks]
+    every = slice(0, p.num_vars)
+    for row, col in zip(p._scalars.rows.tolist(), p._scalars.coeffs.T):
+        out.append(_Block(slice(row + offset, row + offset + 1), every, col[:, None, None]))
+    return out
+
+
+def _dense_coeffs(p: LmiProblem) -> np.ndarray:
+    """The dense (m, n, n) array of A_1..A_m."""
+    out = np.zeros((p.num_vars, p.dim, p.dim))
+    for blk in p._blocks:
+        part = out[blk.vars, blk.at, blk.at]
+        if blk.coeffs is not None:
+            part[...] = blk.coeffs
+        else:
+            i, j = blk.upper
+            t = np.arange(i.size)
+            part[t, i, j] = 1.0
+            part[t, j, i] = 1.0
+    rows = p._scalars.rows
+    out[:, rows, rows] = p._scalars.coeffs
+    return out
+
+
+def _block_apply(blk: _Block, x) -> np.ndarray:
+    """A(x) on one block, as a plain ndarray (hot path)."""
+    xs = x[blk.vars]
+    if blk.coeffs is not None:
+        return np.tensordot(xs, blk.coeffs, axes=1)
+    out = np.zeros(blk.rhs.shape)
+    out[blk.upper] = xs
+    out[blk.upper[::-1]] = xs
+    return out
+
+
+def _block_adjoint(blk: _Block, z) -> np.ndarray:
+    """<A_i, Z> for the variables of one block, z a symmetric ndarray."""
+    if blk.coeffs is not None:
+        return np.tensordot(blk.coeffs, z, axes=([1, 2], [0, 1]))
+    i, j = blk.upper
+    # <E_ii, Z> = Z_ii and <E_ij + E_ji, Z> = 2 Z_ij
+    return np.where(i == j, 1.0, 2.0) * z[i, j]
+
+
+def _residuals(p: LmiProblem, x) -> tuple[list, np.ndarray]:
+    """A(x) - B at a checked point x, block by block: a SymMatrix per block
+    of size > 1 in row order, and the values of the 1 x 1 rows. Raises
+    NonFiniteInput if any entry is NaN or Inf."""
+    mats = [SymMatrix(_block_apply(blk, x) - blk.rhs) for blk in p._blocks]
+    vals = x @ p._scalars.coeffs - p._scalars.rhs
+    if not np.isfinite(vals).all():
+        raise NonFiniteInput("A(x) - B contains NaN or Inf entries")
+    return mats, vals
+
+
+def _adjoint(p: LmiProblem, parts, scalars) -> np.ndarray:
+    """A^T(Z) for the block-diagonal Z with the ndarrays `parts` on the blocks
+    (in row order) and the values `scalars` on the 1 x 1 rows."""
+    # -0.0 + a == a for every float a, so a variable in one block gets that
+    # block's contraction bit for bit, signed zeros included
+    g = np.full(p.num_vars, -0.0)
+    for blk, z in zip(p._blocks, parts):
+        g[blk.vars] += _block_adjoint(blk, z)
+    if scalars.size:
+        g += p._scalars.coeffs @ scalars
+    return g
+
+
+def _top_subgradient(p: LmiProblem, eigs, scalars) -> tuple[float, np.ndarray]:
+    """lambda_max(A(x) - B) from each block's (lambda_max, unit eigenvector)
+    in `eigs` and the values `scalars` of the 1 x 1 rows, and the subgradient
+    A^T(v v^T) for its eigenvector v. A tie goes to the block that comes
+    first in the matrix."""
+    found = [(top, blk.at.start, blk, v) for (top, v), blk in zip(eigs, p._blocks)]
+    if scalars.size:
+        k = int(np.argmax(scalars))  # the first of equal rows, since rows ascend
+        found.append((float(scalars[k]), int(p._scalars.rows[k]), None, k))
+    top, _, blk, v = max(found, key=lambda f: (f[0], -f[1]))
+    grad = np.zeros(p.num_vars)
+    if blk is None:
+        grad[:] = p._scalars.coeffs[:, v]
+    elif blk.coeffs is None:
+        grad[blk.vars] = _block_adjoint(blk, np.outer(v, v))
+    else:
+        grad[blk.vars] = (blk.coeffs @ v) @ v
+    return top, grad
 
 
 class SlaterCertificate:
@@ -216,7 +381,12 @@ class OperatorConstants(NamedTuple):
 def apply_operator(p: LmiProblem, x) -> SymMatrix:
     """A(x) = sum_i x_i A_i."""
     v = _as_vector(x, p.num_vars)
-    return SymMatrix(p._apply_raw(v))
+    out = np.zeros((p.dim, p.dim))
+    for blk in p._blocks:
+        out[blk.at, blk.at] = _block_apply(blk, v)
+    rows = p._scalars.rows
+    out[rows, rows] = v @ p._scalars.coeffs
+    return SymMatrix(out)
 
 
 def adjoint_apply(p: LmiProblem, z: SymMatrix) -> np.ndarray:
@@ -225,19 +395,39 @@ def adjoint_apply(p: LmiProblem, z: SymMatrix) -> np.ndarray:
         z = SymMatrix(z)
     if z.dim != p.dim:
         raise DimensionMismatch(f"Z has dimension {z.dim}, problem has {p.dim}")
-    return np.tensordot(p._tensor, z.mat, axes=([1, 2], [0, 1]))
+    rows = p._scalars.rows
+    return _adjoint(p, [z.mat[blk.at, blk.at] for blk in p._blocks], z.mat[rows, rows])
 
 
 def constants(p: LmiProblem) -> OperatorConstants:
-    """Subgradient bound M, operator norm ||A||, and L = 2 ||A||^2."""
-    spec_sq = 0.0
-    fro_sq = 0.0
-    for c in p.coeffs:
-        fro, spec = norms(c)
-        spec_sq += spec * spec
-        fro_sq += fro * fro
-    opnorm = float(np.sqrt(fro_sq))
-    return OperatorConstants(float(np.sqrt(spec_sq)), opnorm, 2.0 * fro_sq)
+    """Subgradient bound M, operator norm ||A||, and L = 2 ||A||^2.
+
+    Computed block by block: ||A_i||_2 is the largest of A_i's block norms
+    and ||A_i||_F^2 the sum of theirs, so the dense A_i are never built."""
+    spec = np.zeros(p.num_vars)
+    fro_sq = np.zeros(p.num_vars)
+    for blk in p._blocks:
+        if blk.coeffs is None:
+            # E_ii has both norms 1; E_ij + E_ji has spectral norm 1 and
+            # squared Frobenius norm 2
+            i, j = blk.upper
+            spec[blk.vars] = np.maximum(spec[blk.vars], 1.0)
+            fro_sq[blk.vars] += np.where(i == j, 1.0, 2.0)
+            continue
+        for k, c in zip(range(blk.vars.start, blk.vars.stop), blk.mats):
+            fro, s = norms(c)
+            spec[k] = max(spec[k], s)
+            fro_sq[k] += fro * fro
+    table = p._scalars.coeffs
+    spec = np.maximum(spec, np.abs(table).max(axis=1, initial=0.0))
+    fro_sq += np.sum(table * table, axis=1)
+    # summed in variable order, as a dense problem's constants always were
+    spec_total = fro_total = 0.0
+    for s, f in zip(spec.tolist(), fro_sq.tolist()):
+        spec_total += s * s
+        fro_total += f
+    opnorm = float(np.sqrt(fro_total))
+    return OperatorConstants(float(np.sqrt(spec_total)), opnorm, 2.0 * fro_total)
 
 
 def mu_of(cert: SlaterCertificate) -> float:
@@ -248,14 +438,19 @@ def mu_of(cert: SlaterCertificate) -> float:
 def validate_certificate(p: LmiProblem, cert: SlaterCertificate, tol: float = 1e-9) -> bool:
     """True when lambda_max(A(d) - B) <= -sigma + tol."""
     d = _as_vector(cert.point, p.num_vars, "certificate point")
-    top, _ = lambda_max(SymMatrix(p._apply_raw(d) - p.rhs.mat))
+    mats, scalars = _residuals(p, d)
+    top = max([lambda_max(s)[0] for s in mats] + scalars.tolist())
     return top <= -cert.margin + tol
 
 
 def stack(problems) -> LmiProblem:
     """Combine LMI systems over the same variable vector into one problem
     by block-diagonal concatenation; x is feasible for the stack iff it is
-    feasible for every input."""
+    feasible for every input.
+
+    The result keeps the inputs' blocks (sharing their coefficient arrays),
+    so it takes O(sum k_b n_b^2) memory; its dense `coeffs` are built only
+    when first read."""
     probs = list(problems)
     if not probs:
         raise InvalidParameter("need at least one problem to stack")
@@ -265,19 +460,15 @@ def stack(problems) -> LmiProblem:
             raise DimensionMismatch("stacked problems must share the variable count")
     if len(probs) == 1:
         return probs[0]
-    dims = [p.dim for p in probs]
-    total = sum(dims)
-    offsets = np.cumsum([0] + dims[:-1])
-    coeffs = []
-    for i in range(m):
-        big = np.zeros((total, total))
-        for p, o in zip(probs, offsets):
-            big[o:o + p.dim, o:o + p.dim] = p.coeffs[i].mat
-        coeffs.append(big)
+    total = sum(p.dim for p in probs)
     rhs = np.zeros((total, total))
-    for p, o in zip(probs, offsets):
-        rhs[o:o + p.dim, o:o + p.dim] = p.rhs.mat
-    return LmiProblem(coeffs, rhs)
+    pieces = []
+    offset = 0
+    for p in probs:
+        rhs[offset:offset + p.dim, offset:offset + p.dim] = p.rhs.mat
+        pieces += _pieces(p, offset)
+        offset += p.dim
+    return _from_pieces(rhs, m, pieces)
 
 
 def reduce_primal_dual(pair: SdpPair) -> LmiProblem:
@@ -288,6 +479,12 @@ def reduce_primal_dual(pair: SdpPair) -> LmiProblem:
     <A_i,y> - c_i <= 0 and c_i - <A_i,y> <= 0 (2m blocks of size 1); y <= 0
     (size n); <c,x> - <B,y> <= 0 (size 1). Total block size 2n + 2m + 1.
 
+    The result is stored as those blocks: the pair's own blocks for x, the y
+    block as the map from y's entries to a symmetric matrix, and all 1 x 1
+    rows in one (m + n(n+1)/2, rows) array, so memory is O(m n^2).
+    The dense coefficient tensor, (m + n(n+1)/2) (2n + 2m + 1)^2 numbers, is
+    built only if `coeffs` is read.
+
     The y-equalities destroy strict feasibility, so no Slater certificate
     can be attached to the result; solvers need an explicitly supplied mu.
     """
@@ -296,35 +493,28 @@ def reduce_primal_dual(pair: SdpPair) -> LmiProblem:
     c = pair.objective
     bmat = prob.rhs.mat
     size = 2 * n + 2 * m + 1
-    yoff = n + 2 * m
-    gap = size - 1
+    ny = n * (n + 1) // 2
+    y = slice(m, m + ny)
+    upper = np.triu_indices(n)
+    # coefficient of y_jk in <A_i, y> and <B, y>: 1 on the diagonal, 2 off it
+    weight = np.where(upper[0] == upper[1], 1.0, 2.0)
+    eq = _dense_coeffs(prob)[:, upper[0], upper[1]] * weight
 
-    coeffs = []
+    pieces = _pieces(prob)
     for i in range(m):
-        mat = np.zeros((size, size))
-        mat[:n, :n] = prob.coeffs[i].mat
-        mat[gap, gap] = c[i]
-        coeffs.append(mat)
-    for j in range(n):
-        for k in range(j, n):
-            mat = np.zeros((size, size))
-            for i in range(m):
-                aij = prob.coeffs[i].mat
-                # <A_i, E_jk + E_kj> = 2 A_i[j,k] off the diagonal
-                val = aij[j, j] if j == k else 2.0 * aij[j, k]
-                mat[n + 2 * i, n + 2 * i] = val
-                mat[n + 2 * i + 1, n + 2 * i + 1] = -val
-            mat[yoff + j, yoff + k] = 1.0
-            mat[yoff + k, yoff + j] = 1.0
-            mat[gap, gap] = -(bmat[j, j] if j == k else 2.0 * bmat[j, k])
-            coeffs.append(mat)
+        row = eq[i][:, None, None]
+        pieces += [_Block(slice(n + 2 * i, n + 2 * i + 1), y, row),
+                   _Block(slice(n + 2 * i + 1, n + 2 * i + 2), y, -row)]
+    pieces.append(_Block(slice(n + 2 * m, 2 * n + 2 * m), y))
+    gap = np.concatenate([c, -(bmat[upper] * weight)])
+    pieces.append(_Block(slice(size - 1, size), slice(0, m + ny), gap[:, None, None]))
 
     rhs = np.zeros((size, size))
     rhs[:n, :n] = bmat
     for i in range(m):
         rhs[n + 2 * i, n + 2 * i] = c[i]
         rhs[n + 2 * i + 1, n + 2 * i + 1] = -c[i]
-    return LmiProblem(coeffs, rhs)
+    return _from_pieces(rhs, m + ny, pieces)
 
 
 def residual_map(sys: LinIneqSystem, y) -> np.ndarray:

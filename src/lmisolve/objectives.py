@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .model import LinIneqSystem, LmiProblem, OperatorConstants, _as_vector, constants, residual_map
+from .model import (LinIneqSystem, LmiProblem, OperatorConstants, _adjoint, _as_vector,
+                    _residuals, _top_subgradient, constants, residual_map)
 from .symlinalg import SymMatrix, eig_sym, lambda_max, project_neg_semidef
 
 __all__ = [
@@ -68,29 +69,36 @@ def eval_nonsmooth(p: LmiProblem, x) -> OracleEval:
     """max(lambda_max(A(x) - B), 0) and a subgradient.
 
     Above the kink the subgradient is A^T(v v^T) = (v^T A_i v)_i for a unit
-    top eigenvector v; at or below it (lambda_max <= 1e-12) the point is
-    treated as feasible and (0, 0) is returned.
+    top eigenvector v, taken from the first block (in row order) that holds
+    the top eigenvalue; at or below it (lambda_max <= 1e-12) the point is
+    treated as feasible and (0, 0) is returned. The 1 x 1 blocks of a
+    stacked or reduced problem are one vector, and their top is its max.
     """
     x = _as_vector(x, p.num_vars, "point")
-    s = SymMatrix(p._apply_raw(x) - p.rhs.mat)
-    top, v = lambda_max(s)
+    mats, scalars = _residuals(p, x)
+    top, grad = _top_subgradient(p, [lambda_max(s) for s in mats], scalars)
     if top <= _KINK_TOL:
         return OracleEval(0.0, np.zeros(p.num_vars))
-    return OracleEval(top, (p._tensor @ v) @ v)
+    return OracleEval(top, grad)
 
 
 def eval_smooth(p: LmiProblem, x) -> OracleEval:
     """Squared distance of A(x) - B to the negative-semidefinite cone.
 
     The gradient is 2 A^T(residual) where residual is the positive part of
-    A(x) - B; it is Lipschitz with constant 2 ||A||^2.
+    A(x) - B; it is Lipschitz with constant 2 ||A||^2. Each block is
+    projected on its own; the positive part of a 1 x 1 block is its value
+    clipped at 0.
     """
     x = _as_vector(x, p.num_vars, "point")
-    s = SymMatrix(p._apply_raw(x) - p.rhs.mat)
-    _, residual = project_neg_semidef(s)
-    value = float(np.sum(residual.mat * residual.mat))
-    grad = 2.0 * np.tensordot(p._tensor, residual.mat, axes=([1, 2], [0, 1]))
-    return OracleEval(value, grad)
+    mats, scalars = _residuals(p, x)
+    parts = [project_neg_semidef(s)[1].mat for s in mats]
+    pos = np.maximum(scalars, 0.0)
+    value = 0.0
+    for r in parts:
+        value += float(np.sum(r * r))
+    value += float(pos @ pos)
+    return OracleEval(value, 2.0 * _adjoint(p, parts, pos))
 
 
 def eval_linsys(sys: LinIneqSystem, x) -> OracleEval:

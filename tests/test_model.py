@@ -1,9 +1,12 @@
 """LMI data model: operator maps, constants, certificates, reductions."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmisolve import (
     DimensionMismatch,
@@ -18,6 +21,7 @@ from lmisolve import (
     apply_operator,
     constants,
     eval_nonsmooth,
+    eval_smooth,
     gen_lmi,
     mu_of,
     reduce_primal_dual,
@@ -272,3 +276,259 @@ class TestLinIneqSystem:
         sys_ = LinIneqSystem([[1.0]], [0.0], ["le"])
         with pytest.raises(DimensionMismatch):
             residual_map(sys_, [1.0, 2.0])
+
+
+# ---------------------------------------------------------------------------
+# Block layout of stacked and reduced problems
+
+
+def dense_stack(problems):
+    """Dense coefficients and rhs of stack(problems), built entry by entry."""
+    m = problems[0].num_vars
+    dims = [p.dim for p in problems]
+    total = sum(dims)
+    offsets = np.cumsum([0] + dims[:-1])
+    coeffs = []
+    for i in range(m):
+        big = np.zeros((total, total))
+        for p, o in zip(problems, offsets):
+            big[o:o + p.dim, o:o + p.dim] = p.coeffs[i].mat
+        coeffs.append(big)
+    rhs = np.zeros((total, total))
+    for p, o in zip(problems, offsets):
+        rhs[o:o + p.dim, o:o + p.dim] = p.rhs.mat
+    return coeffs, rhs
+
+
+def dense_reduction(pair):
+    """Dense coefficients and rhs of reduce_primal_dual(pair), built entry by entry."""
+    prob = pair.problem
+    n, m = prob.dim, prob.num_vars
+    c = pair.objective
+    bmat = prob.rhs.mat
+    size = 2 * n + 2 * m + 1
+    yoff = n + 2 * m
+    gap = size - 1
+    coeffs = []
+    for i in range(m):
+        mat = np.zeros((size, size))
+        mat[:n, :n] = prob.coeffs[i].mat
+        mat[gap, gap] = c[i]
+        coeffs.append(mat)
+    for j in range(n):
+        for k in range(j, n):
+            mat = np.zeros((size, size))
+            for i in range(m):
+                aij = prob.coeffs[i].mat
+                val = aij[j, j] if j == k else 2.0 * aij[j, k]
+                mat[n + 2 * i, n + 2 * i] = val
+                mat[n + 2 * i + 1, n + 2 * i + 1] = -val
+            mat[yoff + j, yoff + k] = 1.0
+            mat[yoff + k, yoff + j] = 1.0
+            mat[gap, gap] = -(bmat[j, j] if j == k else 2.0 * bmat[j, k])
+            coeffs.append(mat)
+    rhs = np.zeros((size, size))
+    rhs[:n, :n] = bmat
+    for i in range(m):
+        rhs[n + 2 * i, n + 2 * i] = c[i]
+        rhs[n + 2 * i + 1, n + 2 * i + 1] = -c[i]
+    return coeffs, rhs
+
+
+def random_problem(rng, n, m):
+    a = rng.standard_normal((m, n, n))
+    b = rng.standard_normal((n, n))
+    return LmiProblem(list(a + np.swapaxes(a, 1, 2)), b + b.T)
+
+
+def random_pair(rng, n, m):
+    p = random_problem(rng, n, m)
+    return SdpPair(rng.standard_normal(m), p.coeffs, p.rhs)
+
+
+def structured(kind, rng, n, m):
+    """A problem built by stack / reduce_primal_dual, and the dense
+    (coeffs, rhs) that the same construction gives entry by entry."""
+    if kind == "stack":
+        parts = [random_problem(rng, d, m) for d in rng.integers(1, 4, size=3)]
+        return stack(parts), dense_stack(parts)
+    if kind == "reduction":
+        pair = random_pair(rng, n, m)
+        return reduce_primal_dual(pair), dense_reduction(pair)
+    if kind == "stack of reductions":
+        reductions = [reduce_primal_dual(random_pair(rng, n, m)) for _ in range(2)]
+        return stack(reductions), dense_stack(reductions)
+    stacked = stack([random_problem(rng, n, m), random_problem(rng, 1, m),
+                     random_problem(rng, 2, m)])
+    pair = SdpPair(rng.standard_normal(m), stacked.coeffs, stacked.rhs)
+    if kind == "reduction of a stacked pair (stacked layout)":
+        pair.problem = stacked
+    return reduce_primal_dual(pair), dense_reduction(pair)
+
+
+STRUCTURES = [
+    "stack",
+    "reduction",
+    "stack of reductions",
+    "reduction of a stacked pair",
+    "reduction of a stacked pair (stacked layout)",
+]
+
+
+def assert_close(got, want, scale):
+    """Equal to 1e-12 relative, measured against the size of the inputs."""
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+class TestBlockLayout:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(STRUCTURES),
+        n=st.integers(1, 3),
+        m=st.integers(1, 3),
+        seed=st.integers(0, 10_000),
+    )
+    def test_matches_dense_problem(self, kind, n, m, seed):
+        rng = np.random.default_rng(seed)
+        p, (ref_coeffs, ref_rhs) = structured(kind, rng, n, m)
+        assert [c.mat.tobytes() for c in p.coeffs] == [
+            SymMatrix(c).mat.tobytes() for c in ref_coeffs
+        ]
+        assert p.rhs.mat.tobytes() == SymMatrix(ref_rhs).mat.tobytes()
+        dense = LmiProblem(p.coeffs, p.rhs)
+        coeff_scale = max(np.abs(c.mat).sum() for c in dense.coeffs)
+
+        got, want = constants(p), constants(dense)
+        np.testing.assert_allclose(got, want, rtol=1e-12)
+        for _ in range(3):
+            x = rng.standard_normal(p.num_vars)
+            z = SymMatrix(rng.standard_normal((p.dim, p.dim)))
+            resid = apply_operator(dense, x).mat - dense.rhs.mat
+            size = np.abs(resid).sum() + np.abs(x).sum() * coeff_scale
+            assert_close(apply_operator(p, x).mat, apply_operator(dense, x).mat, size)
+            assert_close(adjoint_apply(p, z), adjoint_apply(dense, z),
+                         coeff_scale * np.abs(z.mat).sum())
+            got, want = eval_smooth(p, x), eval_smooth(dense, x)
+            assert_close(got.value, want.value, size**2)
+            assert_close(got.gradient, want.gradient, size * coeff_scale)
+            assert_close(eval_nonsmooth(p, x).value, eval_nonsmooth(dense, x).value, size)
+
+    def test_one_block_constants_unchanged(self):
+        # a problem from the constructor sums its norms in variable order,
+        # exactly as the constants were always computed
+        for seed in range(4):
+            p = gen_lmi(5, 4, 1.0, seed).problem
+            spec_sq = fro_sq = 0.0
+            for c in p.coeffs:
+                fro, spec = np.linalg.norm(c.mat), np.abs(np.linalg.eigvalsh(c.mat)).max()
+                spec_sq += float(spec) * float(spec)
+                fro_sq += float(fro) * float(fro)
+            assert constants(p) == (math.sqrt(spec_sq), math.sqrt(fro_sq), 2.0 * fro_sq)
+
+    def test_all_scalar_reduction(self):
+        # a 1 x 1 pair reduces to five 1 x 1 rows: x, the two equalities, y, the gap
+        pair = SdpPair([-1.0], [SymMatrix([[1.0]])], SymMatrix([[0.0]]))
+        reduced = reduce_primal_dual(pair)
+        assert reduced.dim == 5
+        np.testing.assert_array_equal(
+            apply_operator(reduced, [2.0, 3.0]).mat, np.diag([2.0, 3.0, -3.0, 3.0, -2.0])
+        )
+        ev = eval_smooth(reduced, [1.0, 1.0])
+        # rows read 1, 2, -2, 1, -1 against the rhs diag(0, -1, 1, 0, 0)
+        assert ev.value == pytest.approx(1.0 + 4.0 + 1.0)
+        np.testing.assert_allclose(ev.gradient, [2.0, 2.0 * (2.0 + 1.0)])
+
+    def test_coeffs_built_on_first_access(self):
+        pair = SdpPair([1.0, 2.0], [SymMatrix(np.eye(3)), SymMatrix(np.ones((3, 3)))],
+                       SymMatrix(np.eye(3)))
+        reduced = reduce_primal_dual(pair)
+        eval_smooth(reduced, np.ones(reduced.num_vars))
+        assert reduced._coeffs is None
+        assert len(reduced.coeffs) == reduced.num_vars
+        assert reduced.coeffs is reduced.coeffs
+
+    def test_reduction_memory(self):
+        # the dense coefficient tensor of this reduction is 840 x 121 x 121
+        # doubles, about 98 MB
+        rng = np.random.default_rng(3)
+        n, m = 40, 20
+        a = rng.standard_normal((m, n, n))
+        pair = SdpPair(rng.standard_normal(m), list(a + np.swapaxes(a, 1, 2)), np.eye(n))
+        tracemalloc.start()
+        try:
+            reduced = reduce_primal_dual(pair)
+            eval_smooth(reduced, np.ones(reduced.num_vars))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (reduced.num_vars, reduced.dim) == (840, 121)
+        assert peak < 10_000_000
+
+
+def bad_points(num_vars):
+    for bad in (np.nan, np.inf, -np.inf):
+        for at in (0, num_vars - 1):
+            x = np.ones(num_vars)
+            x[at] = bad
+            yield x
+
+
+def one_d_problem_m(m):
+    """x_1 + 2 x_2 + ... + m x_m <= 0 as a 1 x 1 LMI."""
+    return LmiProblem([SymMatrix([[float(i + 1)]]) for i in range(m)], SymMatrix([[0.0]]))
+
+
+NONFINITE_CASES = {
+    "stack": lambda: stack([gen_lmi(3, 2, 1.0, 5).problem, one_d_problem_m(2),
+                            gen_lmi(2, 2, 1.0, 6).problem]),
+    "reduction": lambda: reduce_primal_dual(random_pair(np.random.default_rng(1), 3, 2)),
+    "all-scalar reduction": lambda: reduce_primal_dual(
+        SdpPair([-1.0], [SymMatrix([[1.0]])], SymMatrix([[0.0]]))),
+    "stack of scalars": lambda: stack([one_d_problem(), one_d_problem(a=-1.0, b=1.0)]),
+}
+
+
+class TestBlockOracles:
+    # Inf times a zero coefficient is NaN, which numpy reports while forming
+    # the matrix that is then rejected
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("label", sorted(NONFINITE_CASES))
+    def test_nonfinite_point_raises(self, label):
+        p = NONFINITE_CASES[label]()
+        dense = LmiProblem(p.coeffs, p.rhs)
+        for x in bad_points(p.num_vars):
+            for q in (p, dense):
+                for fn in (eval_nonsmooth, eval_smooth, apply_operator):
+                    with pytest.raises(NonFiniteInput):
+                        fn(q, x)
+
+    def test_tie_goes_to_first_row(self):
+        # x <= 0 and 2x <= 1 both read 1 at x = 1; the subgradient is the
+        # coefficient of whichever row comes first
+        first = one_d_problem(a=1.0, b=0.0)
+        second = one_d_problem(a=2.0, b=1.0)
+        ev = eval_nonsmooth(stack([first, second]), [1.0])
+        assert ev.value == 1.0
+        np.testing.assert_array_equal(ev.gradient, [1.0])
+        ev = eval_nonsmooth(stack([second, first]), [1.0])
+        assert ev.value == 1.0
+        np.testing.assert_array_equal(ev.gradient, [2.0])
+
+    def test_tie_between_block_and_row(self):
+        # diag(x, 0) <= 0 has top 1 at x = 1 with subgradient 1; the row
+        # 2x <= 1 also reads 1 there, with subgradient 2
+        block = LmiProblem([SymMatrix(np.diag([1.0, 0.0]))], SymMatrix(np.zeros((2, 2))))
+        row = one_d_problem(a=2.0, b=1.0)
+        for parts, grad in (([block, row], 1.0), ([row, block], 2.0)):
+            ev = eval_nonsmooth(stack(parts), [1.0])
+            assert ev.value == 1.0
+            np.testing.assert_allclose(ev.gradient, [grad])
+
+    def test_kink_rule(self):
+        # the top row reads 1e-13 <= 1e-12: feasible, value and subgradient 0
+        block = LmiProblem([SymMatrix(np.diag([-1.0, -2.0]))], SymMatrix(np.eye(2)))
+        p = stack([one_d_problem(a=1.0, b=0.0), block, one_d_problem(a=-1.0, b=1.0)])
+        ev = eval_nonsmooth(p, [1e-13])
+        assert ev.value == 0.0
+        np.testing.assert_array_equal(ev.gradient, [0.0])
+        assert eval_nonsmooth(p, [1e-11]).value == pytest.approx(1e-11)
