@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 from .errors import InvalidParameter, LmiSolveError, ParseError
 from .model import LinIneqSystem, LmiProblem, SlaterCertificate, mu_of, validate_certificate
@@ -45,11 +44,9 @@ from .solvers import (
 from .testbench import gen_lmi
 
 __all__ = [
-    "RunConfig",
     "parse_problem",
     "serialize_lmi",
     "serialize_linsys",
-    "run",
     "main",
     "entry",
 ]
@@ -211,73 +208,35 @@ def serialize_linsys(sys_: LinIneqSystem) -> str:
 # running
 
 
-@dataclass
-class RunConfig:
-    method: str = "bundle-nonsmooth"
-    eps: float = 1e-8
-    mu: float | None = None
-    lh: float | None = None
-    policy: str = "harmonic"
-    cap: int = DEFAULT_CAP
-    trace: str | None = None
-
-
-def _resolve_mu(config, certificate):
-    if config.mu is not None:
-        return config.mu
+def _resolve_mu(ns, certificate):
+    if ns.mu is not None:
+        return ns.mu
     if certificate is not None:
         return mu_of(certificate)
     raise InvalidParameter(
-        f"method {config.method!r} needs an error-bound modulus: pass --mu or use a "
+        f"method {ns.method!r} needs an error-bound modulus: pass --mu or use a "
         "problem file with a slater certificate"
     )
 
 
-def _dispatch(config, problem, certificate):
-    if config.policy not in ("harmonic", "recursive"):
-        raise InvalidParameter(f"unknown policy {config.policy!r}")
-    policy = HARMONIC if config.policy == "harmonic" else RECURSIVE
-    method = config.method
-    if method not in _METHODS:
-        raise InvalidParameter(f"unknown method {method!r}")
+def _dispatch(ns, problem, certificate):
+    """Run the solver that the parsed `solve` options `ns` select."""
+    method = ns.method
     if method == "linsys":
         if not isinstance(problem, LinIneqSystem):
             raise InvalidParameter("method 'linsys' needs a linear system (.lis) file")
-        if config.lh is None:
+        if ns.lh is None:
             raise InvalidParameter("method 'linsys' needs --lh (a Hoffman constant)")
-        return solve_linsys(problem, config.lh, config.eps, config.cap)
+        return solve_linsys(problem, ns.lh, ns.eps, ns.cap)
     if not isinstance(problem, LmiProblem):
         raise InvalidParameter(f"method {method!r} needs an LMI (.lmi) file")
     if method == "nonsmooth":
-        return solve_nonsmooth(problem, _resolve_mu(config, certificate), config.eps, config.cap)
+        return solve_nonsmooth(problem, _resolve_mu(ns, certificate), ns.eps, ns.cap)
     if method == "smooth":
-        return solve_smooth(problem, _resolve_mu(config, certificate), config.eps, config.cap)
+        return solve_smooth(problem, _resolve_mu(ns, certificate), ns.eps, ns.cap)
     oracle = nonsmooth_oracle(problem) if method == "bundle-nonsmooth" else smooth_oracle(problem)
-    return solve_bundle(oracle, None, config.eps, policy, config.cap)
-
-
-def run(config: RunConfig, problem, certificate=None, out=None) -> int:
-    """Solve and report. Prints status, final_value, iterations and phases
-    as key=value lines, writes the trace CSV when requested, and returns
-    the exit code (0 solved, 1 error, 2 iteration cap reached or stalled)."""
-    out = sys.stdout if out is None else out
-    try:
-        result = _dispatch(config, problem, certificate)
-        if config.trace is not None:
-            with open(config.trace, "w", encoding="utf-8") as fh:
-                fh.write("phase,iter,total_iter,f_value,elapsed_ms\n")
-                for r in result.trace.rows:
-                    fh.write(
-                        f"{r.phase},{r.iter},{r.total_iter},{_fmt(r.f_value)},{_fmt(r.elapsed_ms)}\n"
-                    )
-    except (LmiSolveError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    print(f"status={result.status.value}", file=out)
-    print(f"final_value={_fmt(result.value)}", file=out)
-    print(f"iterations={result.iterations}", file=out)
-    print(f"phases={result.phases}", file=out)
-    return 0 if result.status is SolveStatus.SOLVED else 2
+    policy = HARMONIC if ns.policy == "harmonic" else RECURSIVE
+    return solve_bundle(oracle, None, ns.eps, policy, ns.cap)
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +274,8 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
+    """Run one `lmisolve` command; `solve` prints status, final_value,
+    iterations and phases as key=value lines. Returns the exit code."""
     try:
         ns = _build_parser().parse_args(argv)
         if ns.command == "gen":
@@ -325,16 +286,20 @@ def main(argv=None) -> int:
             text = fh.read()
         problem, certificate = parse_problem(text)
         if ns.command == "solve":
-            config = RunConfig(
-                method=ns.method,
-                eps=ns.eps,
-                mu=ns.mu,
-                lh=ns.lh,
-                policy=ns.policy,
-                cap=ns.cap,
-                trace=ns.trace,
-            )
-            return run(config, problem, certificate)
+            result = _dispatch(ns, problem, certificate)
+            if ns.trace is not None:
+                # f_value round-trips exactly; elapsed_ms has a fixed width,
+                # so equal work writes files of equal size
+                with open(ns.trace, "w", encoding="utf-8") as fh:
+                    fh.write("phase,iter,total_iter,f_value,elapsed_ms\n")
+                    for r in result.trace.rows:
+                        fh.write(f"{r.phase},{r.iter},{r.total_iter},{_fmt(r.f_value)},"
+                                 f"{r.elapsed_ms:.6e}\n")
+            print(f"status={result.status.value}")
+            print(f"final_value={_fmt(result.value)}")
+            print(f"iterations={result.iterations}")
+            print(f"phases={result.phases}")
+            return 0 if result.status is SolveStatus.SOLVED else 2
         # check
         if isinstance(problem, LmiProblem):
             print("kind=lmi")

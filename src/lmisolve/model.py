@@ -47,18 +47,28 @@ def _as_vector(x, length, what="x"):
     return v
 
 
+def _count(name, value):
+    if not isinstance(value, (int, np.integer)) or value < 1:
+        raise InvalidParameter(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _positive(name, value):
+    if not value > 0.0:
+        raise InvalidParameter(f"{name} must be positive, got {value}")
+    return float(value)
+
+
 class _Block(NamedTuple):
     """A diagonal block of A(x) - B: rows and columns `at`, the variables
     `vars` that appear in it, and its part `rhs` of B. `coeffs` is their
-    (k_b, n_b, n_b) coefficient stack and `mats` the same matrices as
-    SymMatrix values. Both are None for a symmetric-matrix variable:
-    variable t is then the entry (upper[0][t], upper[1][t]) and its mirror
-    image. `_from_pieces` fills in `rhs` and `upper`."""
+    (k_b, n_b, n_b) coefficient stack, or None for a symmetric-matrix
+    variable: variable t is then the entry (upper[0][t], upper[1][t]) and
+    its mirror image. `_from_pieces` fills in `rhs` and `upper`."""
 
     at: slice
     vars: slice
     coeffs: np.ndarray | None = None
-    mats: tuple | None = None
     rhs: np.ndarray | None = None
     upper: tuple | None = None
 
@@ -82,9 +92,10 @@ class LmiProblem:
     their results from the layout they know instead: a block of size > 1
     keeps only the variables that appear in it, and all 1 x 1 blocks share
     one (m, rows) array that the oracles evaluate in closed form. Storage is
-    then O(sum k_b n_b^2) for k_b variables in an n_b x n_b block, and their
-    `coeffs` (the dense A_1..A_m) are built on first access only. `rhs` is
-    always dense.
+    then O(sum k_b n_b^2) for k_b variables in an n_b x n_b block. Each
+    coefficient is stored once, in its block; `coeffs` (the dense A_1..A_m
+    as SymMatrix values) is built on first access only. `rhs` is always
+    dense.
 
     The problem is immutable, so `_constants` holds constants(p) once an
     oracle or a solver first needs it.
@@ -93,31 +104,32 @@ class LmiProblem:
     __slots__ = ("_coeffs", "rhs", "num_vars", "dim", "_blocks", "_scalars", "_constants")
 
     def __init__(self, coeffs, rhs):
-        mats = tuple(c if isinstance(c, SymMatrix) else SymMatrix(c) for c in coeffs)
-        if not mats:
+        coeffs = list(coeffs)
+        if not coeffs:
             raise InvalidParameter("need at least one coefficient matrix")
         b = rhs if isinstance(rhs, SymMatrix) else SymMatrix(rhs)
         n = b.dim
-        for i, c in enumerate(mats):
+        m = len(coeffs)
+        tensor = np.empty((m, n, n))
+        for i, c in enumerate(coeffs):
+            c = c if isinstance(c, SymMatrix) else SymMatrix(c)
             if c.dim != n:
                 raise DimensionMismatch(
                     f"coefficient {i + 1} has dimension {c.dim}, rhs has {n}"
                 )
-        m = len(mats)
-        tensor = np.stack([c.mat for c in mats])
+            tensor[i] = c.mat
         tensor.flags.writeable = False
-        self._coeffs = mats
+        self._coeffs = None
         self.rhs = b
         self.num_vars = m
         self.dim = n
-        self._blocks = (_Block(slice(0, n), slice(0, m), tensor, mats, b.mat),)
+        self._blocks = (_Block(slice(0, n), slice(0, m), tensor, b.mat),)
         self._scalars = _Scalars(np.zeros(0, dtype=int), np.zeros((m, 0)), np.zeros(0))
         self._constants = None
 
     @property
     def coeffs(self):
-        """A_1..A_m as dense SymMatrix values (built on first access for a
-        problem from `stack` or `reduce_primal_dual`)."""
+        """A_1..A_m as dense SymMatrix values (built on first access)."""
         if self._coeffs is None:
             self._coeffs = tuple(SymMatrix(a) for a in _dense_coeffs(self))
         return self._coeffs
@@ -268,9 +280,7 @@ class SlaterCertificate:
     __slots__ = ("point", "margin")
 
     def __init__(self, point, margin):
-        margin = float(margin)
-        if not margin > 0.0:
-            raise InvalidParameter(f"margin must be positive, got {margin}")
+        margin = _positive("margin", float(margin))
         d = np.asarray(point, dtype=float)
         if d.ndim == 0:
             d = d.reshape(1)
@@ -356,14 +366,6 @@ class SdpPair:
         c.flags.writeable = False
         self.objective = c
 
-    @property
-    def coeffs(self):
-        return self.problem.coeffs
-
-    @property
-    def rhs(self):
-        return self.problem.rhs
-
     def __repr__(self):
         return f"SdpPair(n={self.problem.dim}, m={self.problem.num_vars})"
 
@@ -414,8 +416,8 @@ def constants(p: LmiProblem) -> OperatorConstants:
             spec[blk.vars] = np.maximum(spec[blk.vars], 1.0)
             fro_sq[blk.vars] += np.where(i == j, 1.0, 2.0)
             continue
-        for k, c in zip(range(blk.vars.start, blk.vars.stop), blk.mats):
-            fro, s = norms(c)
+        for k, c in zip(range(blk.vars.start, blk.vars.stop), blk.coeffs):
+            fro, s = norms(SymMatrix(c))
             spec[k] = max(spec[k], s)
             fro_sq[k] += fro * fro
     table = p._scalars.coeffs

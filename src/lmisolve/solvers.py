@@ -47,7 +47,7 @@ from .errors import (
     IterationCapReached,
     NonFiniteInput,
 )
-from .model import LinIneqSystem, LmiProblem, constants  # noqa: F401 (perfbench traces it)
+from .model import LinIneqSystem, LmiProblem, _count, _positive, constants  # noqa: F401 (perfbench traces constants)
 from .objectives import Oracle, _constants_of, linsys_oracle, nonsmooth_oracle, smooth_oracle
 
 __all__ = [
@@ -73,18 +73,6 @@ __all__ = [
 ]
 
 DEFAULT_CAP = 10_000_000
-
-
-def _count(name, value):
-    if not isinstance(value, (int, np.integer)) or value < 1:
-        raise InvalidParameter(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
-
-
-def _positive(name, value):
-    if not value > 0.0:
-        raise InvalidParameter(f"{name} must be positive, got {value}")
-    return float(value)
 
 
 # ---------------------------------------------------------------------------

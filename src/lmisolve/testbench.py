@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, LmiSolveError, ZeroMatrix
-from .model import LinIneqSystem, LmiProblem, SlaterCertificate, validate_certificate
+from .model import (LinIneqSystem, LmiProblem, SlaterCertificate, _count, _positive,
+                    validate_certificate)
 from .objectives import Oracle, eval_nonsmooth
 from .symlinalg import SymMatrix, eig_sym
 
@@ -100,13 +101,9 @@ def gen_lmi(n: int, m: int, sigma: float, seed: int) -> CertifiedInstance:
     uniform in [-1, 1), redrawn as a whole until ||d|| >= 0.5), then a full
     n x n matrix R for the PSD perturbation Q proportional to R^T R.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise InvalidParameter(f"n must be a positive integer, got {n!r}")
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise InvalidParameter(f"m must be a positive integer, got {m!r}")
-    sigma = float(sigma)
-    if not sigma > 0.0:
-        raise InvalidParameter(f"sigma must be positive, got {sigma}")
+    _count("n", n)
+    _count("m", m)
+    sigma = _positive("sigma", float(sigma))
 
     rng = Lcg64(seed)
     scale = sigma / (m * np.sqrt(n))
@@ -151,10 +148,8 @@ def gen_linsys(p: int, q: int, seed: int, kinds=None):
 
     Returns (system, x_star).
     """
-    if not isinstance(p, (int, np.integer)) or p < 1:
-        raise InvalidParameter(f"p must be a positive integer, got {p!r}")
-    if not isinstance(q, (int, np.integer)) or q < 1:
-        raise InvalidParameter(f"q must be a positive integer, got {q!r}")
+    _count("p", p)
+    _count("q", q)
     if kinds is None or kinds == "mixed":
         tags = tuple("eq" if i % 2 == 0 else "le" for i in range(p))
     elif kinds == "eq" or kinds == "le":
@@ -163,9 +158,6 @@ def gen_linsys(p: int, q: int, seed: int, kinds=None):
         tags = tuple(str(k).lower() for k in kinds)
         if len(tags) != p:
             raise InvalidParameter(f"kinds must have length {p}")
-    for k in tags:
-        if k not in ("le", "eq"):
-            raise InvalidParameter(f"row kind must be 'le' or 'eq', got {k!r}")
 
     rng = Lcg64(seed)
     a = np.array([[rng.uniform(-1.0, 1.0) for _ in range(q)] for _ in range(p)])
@@ -211,8 +203,7 @@ def distance_to_solutions(a, b, x) -> float:
 
 def fd_gradient(oracle: Oracle, x, h: float) -> np.ndarray:
     """Central finite differences (f(x + h e_i) - f(x - h e_i)) / (2h)."""
-    if not h > 0.0:
-        raise InvalidParameter(f"h must be positive, got {h}")
+    _positive("h", h)
     x = np.asarray(x, dtype=float)
     out = np.zeros(x.shape[0])
     for i in range(x.shape[0]):

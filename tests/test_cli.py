@@ -190,6 +190,18 @@ class TestSolveCommand:
         assert lines[0] == "phase,iter,total_iter,f_value,elapsed_ms"
         assert len(lines) == iters + 1
 
+    def test_trace_elapsed_fixed_width(self, tmp_path):
+        # equal work writes a trace of equal size
+        trace = tmp_path / "trace.csv"
+        sys_, _ = gen_linsys(4, 6, 9, kinds="eq")
+        path = write(tmp_path, "s.lis", serialize_linsys(sys_))
+        argv = ["solve", "--method", "linsys", "--lh", "5.0", "--eps", "1e-12",
+                "--trace", str(trace), path]
+        assert main(argv) == 0
+        rows = trace.read_text().splitlines()[1:]
+        assert len(rows) > 50
+        assert len({len(row.split(",")[4]) for row in rows}) == 1
+
     def test_linsys_method(self, tmp_path, capsys):
         sys_, _ = gen_linsys(4, 6, 9, kinds="eq")
         path = write(tmp_path, "s.lis", serialize_linsys(sys_))

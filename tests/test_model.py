@@ -348,7 +348,11 @@ def random_pair(rng, n, m):
 
 def structured(kind, rng, n, m):
     """A problem built by stack / reduce_primal_dual, and the dense
-    (coeffs, rhs) that the same construction gives entry by entry."""
+    (coeffs, rhs) that the same construction gives entry by entry (for the
+    constructor, its own inputs)."""
+    if kind == "dense":
+        a, b = rng.standard_normal((m, n, n)), rng.standard_normal((n, n))
+        return LmiProblem(list(a), b), (list(a), b)
     if kind == "stack":
         parts = [random_problem(rng, d, m) for d in rng.integers(1, 4, size=3)]
         return stack(parts), dense_stack(parts)
@@ -367,6 +371,7 @@ def structured(kind, rng, n, m):
 
 
 STRUCTURES = [
+    "dense",
     "stack",
     "reduction",
     "stack of reductions",
@@ -463,6 +468,24 @@ class TestBlockLayout:
             tracemalloc.stop()
         assert (reduced.num_vars, reduced.dim) == (840, 121)
         assert peak < 10_000_000
+
+    def test_coefficients_stored_once(self):
+        # the constructor copies the coefficients into one (m, n, n) array
+        # and keeps no other copy of them
+        rng = np.random.default_rng(4)
+        m, n = 10, 200
+        a = rng.standard_normal((m, n, n))
+        coeffs = list(a + np.swapaxes(a, 1, 2))
+        tensor_bytes = m * n * n * 8
+        tracemalloc.start()
+        try:
+            p = LmiProblem(coeffs, np.eye(n))
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert p.num_vars == m
+        assert held <= 1.25 * tensor_bytes
+        assert peak <= 1.5 * tensor_bytes
 
 
 def bad_points(num_vars):
