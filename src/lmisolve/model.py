@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NonFiniteInput
-from .symlinalg import SymMatrix, lambda_max, norms
+from .symlinalg import SymMatrix, _top_eigpair, lambda_max, norms  # noqa: F401 (perfbench traces lambda_max)
 
 __all__ = [
     "LmiProblem",
@@ -94,14 +94,14 @@ class LmiProblem:
     one (m, rows) array that the oracles evaluate in closed form. Storage is
     then O(sum k_b n_b^2) for k_b variables in an n_b x n_b block. Each
     coefficient is stored once, in its block; `coeffs` (the dense A_1..A_m
-    as SymMatrix values) is built on first access only. `rhs` is always
+    as SymMatrix values) is built on each read and not kept. `rhs` is always
     dense.
 
     The problem is immutable, so `_constants` holds constants(p) once an
     oracle or a solver first needs it.
     """
 
-    __slots__ = ("_coeffs", "rhs", "num_vars", "dim", "_blocks", "_scalars", "_constants")
+    __slots__ = ("rhs", "num_vars", "dim", "_blocks", "_scalars", "_constants")
 
     def __init__(self, coeffs, rhs):
         coeffs = list(coeffs)
@@ -119,7 +119,6 @@ class LmiProblem:
                 )
             tensor[i] = c.mat
         tensor.flags.writeable = False
-        self._coeffs = None
         self.rhs = b
         self.num_vars = m
         self.dim = n
@@ -129,10 +128,8 @@ class LmiProblem:
 
     @property
     def coeffs(self):
-        """A_1..A_m as dense SymMatrix values (built on first access)."""
-        if self._coeffs is None:
-            self._coeffs = tuple(SymMatrix(a) for a in _dense_coeffs(self))
-        return self._coeffs
+        """A_1..A_m as dense SymMatrix values, built anew on each read."""
+        return tuple(SymMatrix(a) for a in _dense_coeffs(self))
 
     def __eq__(self, other):
         if not isinstance(other, LmiProblem):
@@ -168,7 +165,6 @@ def _from_pieces(rhs, num_vars, pieces) -> LmiProblem:
     table = np.stack(cols, axis=1) if cols else np.zeros((num_vars, 0))
     table.flags.writeable = False
     p = object.__new__(LmiProblem)
-    p._coeffs = None
     p.rhs = b
     p.num_vars = num_vars
     p.dim = b.dim
@@ -225,13 +221,22 @@ def _block_adjoint(blk: _Block, z) -> np.ndarray:
     return np.where(i == j, 1.0, 2.0) * z[i, j]
 
 
+def _finite(x):
+    """x, once it is checked to hold no NaN or Inf (before A(x) is formed,
+    where Inf times a zero coefficient would make NaN)."""
+    if not np.isfinite(x).all():
+        raise NonFiniteInput("point contains NaN or Inf")
+    return x
+
+
 def _residuals(p: LmiProblem, x) -> tuple[list, np.ndarray]:
-    """A(x) - B at a checked point x, block by block: a SymMatrix per block
-    of size > 1 in row order, and the values of the 1 x 1 rows. Raises
-    NonFiniteInput if any entry is NaN or Inf."""
-    mats = [SymMatrix(_block_apply(blk, x) - blk.rhs) for blk in p._blocks]
+    """A(x) - B at a point x of length num_vars, block by block: an exactly
+    symmetric ndarray per block of size > 1 in row order, and the values of
+    the 1 x 1 rows. Raises NonFiniteInput if x or any entry is NaN or Inf."""
+    _finite(x)
+    mats = [_block_apply(blk, x) - blk.rhs for blk in p._blocks]
     vals = x @ p._scalars.coeffs - p._scalars.rhs
-    if not np.isfinite(vals).all():
+    if not (np.isfinite(vals).all() and all(np.isfinite(s).all() for s in mats)):
         raise NonFiniteInput("A(x) - B contains NaN or Inf entries")
     return mats, vals
 
@@ -249,20 +254,30 @@ def _adjoint(p: LmiProblem, parts, scalars) -> np.ndarray:
     return g
 
 
-def _top_subgradient(p: LmiProblem, eigs, scalars) -> tuple[float, np.ndarray]:
-    """lambda_max(A(x) - B) from each block's (lambda_max, unit eigenvector)
-    in `eigs` and the values `scalars` of the 1 x 1 rows, and the subgradient
-    A^T(v v^T) for its eigenvector v. A tie goes to the block that comes
-    first in the matrix."""
-    found = [(top, blk.at.start, blk, v) for (top, v), blk in zip(eigs, p._blocks)]
+def _top_subgradient(p: LmiProblem, mats, scalars, kink) -> tuple[float, np.ndarray | None]:
+    """lambda_max(A(x) - B) from the blocks `mats` and the values `scalars`
+    of the 1 x 1 rows of A(x) - B, and, when it is above `kink`, the
+    subgradient A^T(v v^T) for a unit top eigenvector v (else None).
+
+    Each block's eigenvalues come from `eigvalsh`; an eigenvector is found
+    only for the block that holds the top. A tie goes to the block that
+    comes first in the matrix."""
+    found = []
+    for s, blk in zip(mats, p._blocks):
+        w = np.linalg.eigvalsh(s)
+        found.append((float(w[-1]), blk.at.start, blk, (s, w)))
     if scalars.size:
         k = int(np.argmax(scalars))  # the first of equal rows, since rows ascend
         found.append((float(scalars[k]), int(p._scalars.rows[k]), None, k))
-    top, _, blk, v = max(found, key=lambda f: (f[0], -f[1]))
+    top, _, blk, where = max(found, key=lambda f: (f[0], -f[1]))
+    if top <= kink:
+        return top, None
     grad = np.zeros(p.num_vars)
     if blk is None:
-        grad[:] = p._scalars.coeffs[:, v]
-    elif blk.coeffs is None:
+        grad[:] = p._scalars.coeffs[:, where]
+        return top, grad
+    v = _top_eigpair(*where)[1]
+    if blk.coeffs is None:
         grad[blk.vars] = _block_adjoint(blk, np.outer(v, v))
     else:
         grad[blk.vars] = (blk.coeffs @ v) @ v
@@ -382,7 +397,7 @@ class OperatorConstants(NamedTuple):
 
 def apply_operator(p: LmiProblem, x) -> SymMatrix:
     """A(x) = sum_i x_i A_i."""
-    v = _as_vector(x, p.num_vars)
+    v = _finite(_as_vector(x, p.num_vars))
     out = np.zeros((p.dim, p.dim))
     for blk in p._blocks:
         out[blk.at, blk.at] = _block_apply(blk, v)
@@ -438,10 +453,9 @@ def mu_of(cert: SlaterCertificate) -> float:
 
 
 def validate_certificate(p: LmiProblem, cert: SlaterCertificate, tol: float = 1e-9) -> bool:
-    """True when lambda_max(A(d) - B) <= -sigma + tol."""
+    """True when lambda_max(A(d) - B) <= -sigma + tol (from eigenvalues only)."""
     d = _as_vector(cert.point, p.num_vars, "certificate point")
-    mats, scalars = _residuals(p, d)
-    top = max([lambda_max(s)[0] for s in mats] + scalars.tolist())
+    top, _ = _top_subgradient(p, *_residuals(p, d), kink=np.inf)
     return top <= -cert.margin + tol
 
 
@@ -452,7 +466,7 @@ def stack(problems) -> LmiProblem:
 
     The result keeps the inputs' blocks (sharing their coefficient arrays),
     so it takes O(sum k_b n_b^2) memory; its dense `coeffs` are built only
-    when first read."""
+    when read."""
     probs = list(problems)
     if not probs:
         raise InvalidParameter("need at least one problem to stack")
@@ -485,7 +499,7 @@ def reduce_primal_dual(pair: SdpPair) -> LmiProblem:
     block as the map from y's entries to a symmetric matrix, and all 1 x 1
     rows in one (m + n(n+1)/2, rows) array, so memory is O(m n^2).
     The dense coefficient tensor, (m + n(n+1)/2) (2n + 2m + 1)^2 numbers, is
-    built only if `coeffs` is read.
+    built only when `coeffs` is read.
 
     The y-equalities destroy strict feasibility, so no Slater certificate
     can be attached to the result; solvers need an explicitly supplied mu.

@@ -18,7 +18,9 @@ import numpy as np
 
 from .model import (LinIneqSystem, LmiProblem, OperatorConstants, _adjoint, _as_vector,
                     _residuals, _top_subgradient, constants, residual_map)
-from .symlinalg import SymMatrix, eig_sym, lambda_max, project_neg_semidef
+# lambda_max and project_neg_semidef stay importable here for perfbench's tracer
+from .symlinalg import (SymMatrix, _positive_part, eig_sym, lambda_max,  # noqa: F401
+                        project_neg_semidef)
 
 __all__ = [
     "OracleEval",
@@ -71,13 +73,14 @@ def eval_nonsmooth(p: LmiProblem, x) -> OracleEval:
     Above the kink the subgradient is A^T(v v^T) = (v^T A_i v)_i for a unit
     top eigenvector v, taken from the first block (in row order) that holds
     the top eigenvalue; at or below it (lambda_max <= 1e-12) the point is
-    treated as feasible and (0, 0) is returned. The 1 x 1 blocks of a
-    stacked or reduced problem are one vector, and their top is its max.
+    treated as feasible and (0, 0) is returned. Only eigenvalues are
+    computed for the other blocks, and no eigenvector at or below the kink.
+    The 1 x 1 blocks of a stacked or reduced problem are one vector, and
+    their top is its max.
     """
     x = _as_vector(x, p.num_vars, "point")
-    mats, scalars = _residuals(p, x)
-    top, grad = _top_subgradient(p, [lambda_max(s) for s in mats], scalars)
-    if top <= _KINK_TOL:
+    top, grad = _top_subgradient(p, *_residuals(p, x), _KINK_TOL)
+    if grad is None:
         return OracleEval(0.0, np.zeros(p.num_vars))
     return OracleEval(top, grad)
 
@@ -88,16 +91,21 @@ def eval_smooth(p: LmiProblem, x) -> OracleEval:
     The gradient is 2 A^T(residual) where residual is the positive part of
     A(x) - B; it is Lipschitz with constant 2 ||A||^2. Each block is
     projected on its own; the positive part of a 1 x 1 block is its value
-    clipped at 0.
+    clipped at 0. The value is the sum of the squared positive eigenvalues
+    and clipped rows, in Python floats, so it overflows to inf silently.
     """
     x = _as_vector(x, p.num_vars, "point")
     mats, scalars = _residuals(p, x)
-    parts = [project_neg_semidef(s)[1].mat for s in mats]
     pos = np.maximum(scalars, 0.0)
+    parts = []
     value = 0.0
-    for r in parts:
-        value += float(np.sum(r * r))
-    value += float(pos @ pos)
+    for s in mats:
+        w, part = _positive_part(s)
+        parts.append(part)
+        for e in w.tolist():
+            value += e * e
+    for e in pos.tolist():
+        value += e * e
     return OracleEval(value, 2.0 * _adjoint(p, parts, pos))
 
 

@@ -14,6 +14,7 @@ from lmisolve import (
     parse_problem,
     serialize_linsys,
     serialize_lmi,
+    stack,
 )
 from lmisolve.cli import main
 
@@ -165,10 +166,12 @@ class TestSolveCommand:
         assert "non-finite" in captured.err
 
     def test_stalled_exit_two(self, tmp_path, capsys):
-        # the instance shifted so that x = 0 here is x = 3 d there; at
-        # eps = 1e-300 the values bottom out and a phase stops improving
+        # A(x) - B <= 0 stacked with A(x) - B >= I, which no point meets,
+        # shifted so that x = 0 here is x = 3 d there; the values bottom out
+        # and a phase stops improving
         inst = gen_lmi(6, 3, 1.0, 0)
         p = inst.problem
+        p = stack([p, LmiProblem([-a.mat for a in p.coeffs], -(p.rhs.mat + np.eye(p.dim)))])
         shifted = LmiProblem(p.coeffs, p.rhs.mat - apply_operator(p, 3.0 * inst.witness).mat)
         path = write(tmp_path, "shifted.lmi", serialize_lmi(shifted))
         mu = repr(mu_of(inst.certificate))

@@ -26,6 +26,7 @@ from lmisolve import (
     mu_of,
     reduce_primal_dual,
     residual_map,
+    serialize_lmi,
     stack,
     validate_certificate,
 )
@@ -443,14 +444,15 @@ class TestBlockLayout:
         assert ev.value == pytest.approx(1.0 + 4.0 + 1.0)
         np.testing.assert_allclose(ev.gradient, [2.0, 2.0 * (2.0 + 1.0)])
 
-    def test_coeffs_built_on_first_access(self):
+    def test_coeffs_built_on_each_read(self):
         pair = SdpPair([1.0, 2.0], [SymMatrix(np.eye(3)), SymMatrix(np.ones((3, 3)))],
                        SymMatrix(np.eye(3)))
         reduced = reduce_primal_dual(pair)
         eval_smooth(reduced, np.ones(reduced.num_vars))
-        assert reduced._coeffs is None
-        assert len(reduced.coeffs) == reduced.num_vars
-        assert reduced.coeffs is reduced.coeffs
+        first = reduced.coeffs
+        assert len(first) == reduced.num_vars
+        assert reduced.coeffs == first
+        assert reduced.coeffs is not first
 
     def test_reduction_memory(self):
         # the dense coefficient tensor of this reduction is 840 x 121 x 121
@@ -471,7 +473,7 @@ class TestBlockLayout:
 
     def test_coefficients_stored_once(self):
         # the constructor copies the coefficients into one (m, n, n) array
-        # and keeps no other copy of them
+        # and keeps no other copy of them, not even after `coeffs` is read
         rng = np.random.default_rng(4)
         m, n = 10, 200
         a = rng.standard_normal((m, n, n))
@@ -481,11 +483,14 @@ class TestBlockLayout:
         try:
             p = LmiProblem(coeffs, np.eye(n))
             held, peak = tracemalloc.get_traced_memory()
+            serialize_lmi(p)
+            held_after_read, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert p.num_vars == m
         assert held <= 1.25 * tensor_bytes
         assert peak <= 1.5 * tensor_bytes
+        assert held_after_read <= 1.25 * tensor_bytes
 
 
 def bad_points(num_vars):
@@ -512,9 +517,6 @@ NONFINITE_CASES = {
 
 
 class TestBlockOracles:
-    # Inf times a zero coefficient is NaN, which numpy reports while forming
-    # the matrix that is then rejected
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("label", sorted(NONFINITE_CASES))
     def test_nonfinite_point_raises(self, label):
         p = NONFINITE_CASES[label]()

@@ -254,3 +254,36 @@ class TestConstantsOnce:
         assert calls == [p]
         assert ns.subgrad_bound == expected.subgrad_bound
         assert sm.grad_lipschitz == expected.grad_lipschitz
+
+
+class TestLargeBlocks:
+    """Above the inverse-iteration crossover, both oracles agree with values
+    and gradients built from one `np.linalg.eigh` of A(x) - B."""
+
+    def test_match_eigh_reference(self):
+        rng = np.random.default_rng(90)
+        inst = gen_lmi(48, 4, 0.5, 91)
+        p = inst.problem
+        coeffs = np.stack([a.mat for a in p.coeffs])
+        for _ in range(4):
+            x = 3.0 * inst.witness + rng.uniform(-1.0, 1.0, size=4)
+            s = np.tensordot(x, coeffs, axes=1) - p.rhs.mat
+            w, v = np.linalg.eigh(s)
+            top = v[:, -1]
+            scale = float(np.abs(w).max())
+            ns = eval_nonsmooth(p, x)
+            assert w[-1] > 1e-3
+            assert ns.value == pytest.approx(w[-1], rel=1e-13)
+            want = np.einsum("i,kij,j->k", top, coeffs, top)
+            np.testing.assert_allclose(ns.gradient, want, atol=1e-9 * scale)
+            part = (v * np.maximum(w, 0.0)) @ v.T
+            sm = eval_smooth(p, x)
+            assert sm.value == pytest.approx(float(np.sum(part * part)), rel=1e-12)
+            np.testing.assert_allclose(sm.gradient, 2.0 * np.tensordot(coeffs, part, axes=2),
+                                       atol=1e-10 * scale)
+
+    def test_feasible_point_exact_zero(self):
+        inst = gen_lmi(48, 4, 0.5, 91)
+        ev = eval_smooth(inst.problem, inst.witness)
+        assert ev.value == 0.0
+        np.testing.assert_array_equal(ev.gradient, np.zeros(4))

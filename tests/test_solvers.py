@@ -36,6 +36,7 @@ from lmisolve import (
     solve_linsys,
     solve_nonsmooth,
     solve_smooth,
+    stack,
     stepsize_schedule,
     stepsizes,
     subgradient_phase,
@@ -480,6 +481,12 @@ def reference_restarts(oracle, x, K, cap):
     return x, fx
 
 
+def clashing_stack(p):
+    """p stacked with its reverse, A(x) - B >= I: no point is feasible."""
+    reverse = LmiProblem([-a.mat for a in p.coeffs], -(p.rhs.mat + np.eye(p.dim)))
+    return stack([p, reverse])
+
+
 class TestSolveExits:
     def test_nan_oracle_raises(self):
         def ev(x):
@@ -496,20 +503,31 @@ class TestSolveExits:
                          x0=1e200 * np.ones(4))
 
     def test_stall_ends_early_with_the_capped_answer(self):
-        # at eps = 1e-300 the values bottom out near 1e-31, a phase stops
-        # improving, and every later phase would repeat it exactly
+        # A(x) - B <= 0 stacked with A(x) - B >= I has no solution: the
+        # values bottom out near 4.6, a phase stops improving, and every
+        # later phase would repeat it exactly
         inst = gen_lmi(6, 3, 1.0, 0)
+        p = clashing_stack(inst.problem)
         mu = mu_of(inst.certificate)
         x0 = 3.0 * inst.witness
-        res = solve_smooth(inst.problem, mu, 1e-300, cap=600, x0=x0)
+        res = solve_smooth(p, mu, 1e-300, cap=600, x0=x0)
         assert res.status is SolveStatus.STALLED
         assert res.iterations < 600
         last = res.trace.phases[-1]
         assert last.completed and last.f_end >= last.f_start
-        K = max(1, math.ceil(4.0 * mu * constants(inst.problem).opnorm))
-        ref_x, ref_f = reference_restarts(smooth_oracle(inst.problem), x0, K, 600)
+        K = max(1, math.ceil(4.0 * mu * constants(p).opnorm))
+        ref_x, ref_f = reference_restarts(smooth_oracle(p), x0, K, 600)
         assert res.value == ref_f
         assert res.solution.tobytes() == ref_x.tobytes()
+
+    def test_feasible_instance_reaches_exact_zero(self):
+        # the positive part is exactly 0 once no eigenvalue is positive, so
+        # even eps = 1e-300 is met on a feasible instance
+        inst = gen_lmi(6, 3, 1.0, 0)
+        res = solve_smooth(inst.problem, mu_of(inst.certificate), 1e-300, cap=600,
+                           x0=3.0 * inst.witness)
+        assert res.status is SolveStatus.SOLVED
+        assert res.value == 0.0
 
 
 class TestRestartProperties:

@@ -14,6 +14,7 @@ from lmisolve import (
     norms,
     project_neg_semidef,
 )
+from lmisolve import symlinalg
 
 RT2 = math.sqrt(2.0)
 
@@ -191,3 +192,144 @@ class TestNorms:
             s = rand_sym(rng, int(rng.integers(1, 25)))
             fro, spec = norms(s)
             assert spec <= fro + 1e-12
+
+
+def with_spectrum(rng, w):
+    """Q diag(w) Q^T for a random orthogonal Q, exactly symmetric."""
+    q, _ = np.linalg.qr(rng.standard_normal((len(w), len(w))))
+    s = (q * np.asarray(w, dtype=float)) @ q.T
+    return 0.5 * (s + s.T)
+
+
+def top_space(s, tol):
+    """Reference eigenvectors (from np.linalg.eigh) of the eigenvalues within
+    tol of the largest."""
+    w, v = np.linalg.eigh(s)
+    return v[:, w >= w[-1] - tol]
+
+
+class TestTopEigpair:
+    """`_top_eigpair` against an `np.linalg.eigh` reference, on both sides of
+    the size where inverse iteration takes over."""
+
+    SIZES = (5, symlinalg._INVIT_MIN_DIM - 1, symlinalg._INVIT_MIN_DIM, 60, 150)
+
+    def check(self, s, gap_tol):
+        w = np.linalg.eigvalsh(s)
+        radius = max(np.abs(w).max(), 1e-300)
+        top, v = symlinalg._top_eigpair(s, w)
+        assert top == w[-1]
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+        assert np.linalg.norm(s @ v - top * v) <= symlinalg._INVIT_RESIDUAL * radius
+        # v lies in the reference eigenspace of the top eigenvalue(s)
+        assert np.linalg.norm(top_space(s, gap_tol).T @ v) == pytest.approx(1.0, abs=1e-9)
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(11)
+        for n in self.SIZES:
+            for scale in (1e-3, 1.0, 1e4):
+                s = rand_sym(rng, n, scale).mat
+                self.check(s, 0.0)
+                # the public function agrees up to its canonical sign
+                val, vec = lambda_max(SymMatrix(s))
+                assert val == pytest.approx(np.linalg.eigvalsh(s)[-1], rel=1e-14)
+                assert abs(float(vec @ symlinalg._top_eigpair(s)[1])) == pytest.approx(1.0)
+
+    def test_inverse_iteration_runs_above_crossover(self):
+        rng = np.random.default_rng(12)
+        s = rand_sym(rng, symlinalg._INVIT_MIN_DIM).mat
+        assert symlinalg._inverse_iteration(s, np.linalg.eigvalsh(s)) is not None
+
+    def test_top_gap_1e10(self):
+        rng = np.random.default_rng(13)
+        for n in self.SIZES:
+            rest = rng.uniform(-1.0, 0.9, n - 2)
+            s = with_spectrum(rng, np.concatenate([[1.0, 1.0 - 1e-10], rest]))
+            self.check(s, 1e-9)
+            if n >= symlinalg._INVIT_MIN_DIM:
+                assert symlinalg._inverse_iteration(s, np.linalg.eigvalsh(s)) is not None
+
+    def test_repeated_top(self):
+        rng = np.random.default_rng(14)
+        for n in self.SIZES:
+            rest = rng.uniform(-1.0, 0.9, n - 2)
+            self.check(with_spectrum(rng, np.concatenate([[1.0, 1.0], rest])), 1e-9)
+            # exactly equal in eigvalsh: the first tied column of eigh, as in
+            # the canonical order
+            s = np.diag(np.concatenate([rest, [1.0, 1.0]]))
+            top, v = symlinalg._top_eigpair(s, np.linalg.eigvalsh(s))
+            w_ref, v_ref = np.linalg.eigh(s)
+            assert top == 1.0
+            assert v.tobytes() == v_ref[:, np.flatnonzero(w_ref == 1.0)[0]].tobytes()
+
+    def test_zero_matrix(self):
+        for n in self.SIZES:
+            z = np.zeros((n, n))
+            for w in (None, np.linalg.eigvalsh(z)):
+                top, v = symlinalg._top_eigpair(z, w)
+                assert top == 0.0
+                np.testing.assert_array_equal(np.abs(v), np.eye(n)[0])
+            val, vec = lambda_max(SymMatrix(z))
+            assert val == 0.0
+            np.testing.assert_array_equal(vec, np.eye(n)[0])
+
+    def test_forced_fallback(self, monkeypatch):
+        # no inverse-iteration vector passes a negative bound, so each call
+        # takes the column of one full eigh
+        monkeypatch.setattr(symlinalg, "_INVIT_RESIDUAL", -1.0)
+        rng = np.random.default_rng(15)
+        for n in self.SIZES:
+            s = rand_sym(rng, n).mat
+            top, v = symlinalg._top_eigpair(s, np.linalg.eigvalsh(s))
+            assert v.tobytes() == np.linalg.eigh(s)[1][:, -1].tobytes()
+
+    def test_repeat_calls_byte_equal(self):
+        rng = np.random.default_rng(16)
+        for n in self.SIZES:
+            s = rand_sym(rng, n).mat
+            w = np.linalg.eigvalsh(s)
+            first, again = symlinalg._top_eigpair(s, w), symlinalg._top_eigpair(s.copy(), w.copy())
+            assert first[0] == again[0]
+            assert first[1].tobytes() == again[1].tobytes()
+
+
+class TestPositivePart:
+    """`_positive_part` against V diag(max(w, 0)) V^T from `np.linalg.eigh`."""
+
+    def check(self, s):
+        w_ref, v_ref = np.linalg.eigh(s)
+        pos, part = symlinalg._positive_part(s)
+        np.testing.assert_allclose(pos, w_ref[w_ref > 0.0], rtol=1e-13)
+        want = (v_ref * np.maximum(w_ref, 0.0)) @ v_ref.T
+        scale = max(float(np.abs(w_ref).max()), 1e-300)
+        np.testing.assert_allclose(part, want, atol=1e-12 * scale)
+        return pos, part
+
+    def test_few_and_many_positive(self):
+        rng = np.random.default_rng(21)
+        for n in (4, 9, 40, 101):
+            for k in (1, n // 2, n // 2 + 1, n - 1, n):
+                w = np.concatenate([rng.uniform(0.1, 2.0, k), -rng.uniform(0.1, 2.0, n - k)])
+                pos, _ = self.check(with_spectrum(rng, w))
+                assert pos.shape[0] == k
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(22)
+        for n in (1, 2, 7, 33, 80):
+            self.check(rand_sym(rng, n, 3.0).mat)
+
+    def test_exact_zero_on_nsd_input(self):
+        rng = np.random.default_rng(23)
+        for n in (1, 5, 40):
+            for s in (np.zeros((n, n)), with_spectrum(rng, -rng.uniform(0.0, 1.0, n))):
+                pos, part = symlinalg._positive_part(s)
+                assert pos.shape == (0,)
+                np.testing.assert_array_equal(part, np.zeros((n, n)))
+
+    def test_repeat_calls_byte_equal(self):
+        rng = np.random.default_rng(24)
+        for n in (6, 50):
+            s = rand_sym(rng, n).mat
+            a, b = symlinalg._positive_part(s), symlinalg._positive_part(s.copy())
+            assert a[0].tobytes() == b[0].tobytes()
+            assert a[1].tobytes() == b[1].tobytes()
