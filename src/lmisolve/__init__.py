@@ -4,153 +4,29 @@ The package is organized as: symmetric-matrix kernel (symlinalg), problem
 data model (model), first-order oracles (objectives), restarted solvers
 (solvers), certified instance generators (testbench), and the file-format
 front end (cli).
+
+Each module's `__all__` is its public API, stated there once. The package
+re-exports all of it, and from cli only the parse and serialize functions.
 """
 
-from .errors import (
-    DimensionMismatch,
-    InfeasibleLevel,
-    InvalidParameter,
-    IterationCapReached,
-    LmiSolveError,
-    NonFiniteInput,
-    ParseError,
-    ZeroMatrix,
-)
-from .symlinalg import (
-    EigDecomposition,
-    SymMatrix,
-    eig_sym,
-    lambda_max,
-    norms,
-    project_neg_semidef,
-)
-from .model import (
-    LinIneqSystem,
-    LmiProblem,
-    OperatorConstants,
-    SdpPair,
-    SlaterCertificate,
-    adjoint_apply,
-    apply_operator,
-    constants,
-    mu_of,
-    reduce_primal_dual,
-    residual_map,
-    stack,
-    validate_certificate,
-)
-from .objectives import (
-    Oracle,
-    OracleEval,
-    eval_linsys,
-    eval_nonsmooth,
-    eval_smooth,
-    linsys_oracle,
-    nonsmooth_oracle,
-    smooth_oracle,
-)
-from .solvers import (
-    DEFAULT_CAP,
-    HARMONIC,
-    RECURSIVE,
-    PhaseRecord,
-    SolveResult,
-    SolveStatus,
-    SolveTrace,
-    StepsizePolicy,
-    TraceRow,
-    accelerated_phase,
-    gap_reduction,
-    level_project,
-    solve_bundle,
-    solve_linsys,
-    solve_nonsmooth,
-    solve_smooth,
-    stepsize_schedule,
-    stepsizes,
-    subgradient_phase,
-)
-from .testbench import (
-    CertifiedInstance,
-    Lcg64,
-    brute_feasibility,
-    distance_to_solutions,
-    fd_gradient,
-    gen_linsys,
-    gen_lmi,
-    hoffman_eq,
-)
-from .cli import (
-    parse_problem,
-    serialize_linsys,
-    serialize_lmi,
-)
+from . import errors, model, objectives, solvers, symlinalg, testbench
+from .errors import *  # noqa: F403
+from .symlinalg import *  # noqa: F403
+from .model import *  # noqa: F403
+from .objectives import *  # noqa: F403
+from .solvers import *  # noqa: F403
+from .testbench import *  # noqa: F403
+from .cli import parse_problem, serialize_linsys, serialize_lmi
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "LmiSolveError",
-    "NonFiniteInput",
-    "DimensionMismatch",
-    "InvalidParameter",
-    "ZeroMatrix",
-    "InfeasibleLevel",
-    "IterationCapReached",
-    "ParseError",
-    "SymMatrix",
-    "EigDecomposition",
-    "eig_sym",
-    "lambda_max",
-    "project_neg_semidef",
-    "norms",
-    "LmiProblem",
-    "SlaterCertificate",
-    "LinIneqSystem",
-    "SdpPair",
-    "OperatorConstants",
-    "apply_operator",
-    "adjoint_apply",
-    "constants",
-    "mu_of",
-    "validate_certificate",
-    "stack",
-    "reduce_primal_dual",
-    "residual_map",
-    "OracleEval",
-    "Oracle",
-    "eval_nonsmooth",
-    "eval_smooth",
-    "eval_linsys",
-    "nonsmooth_oracle",
-    "smooth_oracle",
-    "linsys_oracle",
-    "DEFAULT_CAP",
-    "StepsizePolicy",
-    "HARMONIC",
-    "RECURSIVE",
-    "stepsizes",
-    "stepsize_schedule",
-    "TraceRow",
-    "PhaseRecord",
-    "SolveTrace",
-    "SolveStatus",
-    "SolveResult",
-    "subgradient_phase",
-    "accelerated_phase",
-    "level_project",
-    "gap_reduction",
-    "solve_nonsmooth",
-    "solve_smooth",
-    "solve_bundle",
-    "solve_linsys",
-    "Lcg64",
-    "CertifiedInstance",
-    "gen_lmi",
-    "gen_linsys",
-    "hoffman_eq",
-    "fd_gradient",
-    "brute_feasibility",
-    "distance_to_solutions",
+    *errors.__all__,
+    *symlinalg.__all__,
+    *model.__all__,
+    *objectives.__all__,
+    *solvers.__all__,
+    *testbench.__all__,
     "parse_problem",
     "serialize_lmi",
     "serialize_linsys",

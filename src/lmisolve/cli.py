@@ -108,6 +108,22 @@ def _positive_int(tok, lineno, what):
     return value
 
 
+def _header(tokens, lineno, names):
+    """The two positive integers of the header line '<kind> <a> <b>', where
+    `names` are (a, b)."""
+    if len(tokens) != 3:
+        raise ParseError(
+            f"line {lineno}: header must be '{tokens[0]} <{names[0]}> <{names[1]}>'")
+    return [_positive_int(tok, lineno, name) for tok, name in zip(tokens[1:], names)]
+
+
+def _end(lines, what):
+    """Reject anything left after the `what` that was parsed."""
+    if not lines.done():
+        lineno, _ = lines.take("")
+        raise ParseError(f"line {lineno}: unexpected content after the {what}")
+
+
 def _matrix(lines, n, what):
     rows = []
     first = None
@@ -130,10 +146,7 @@ def parse_problem(text: str):
     lines = _Lines(text)
     lineno, tokens = lines.take("a 'lmi' or 'lis' header")
     if tokens[0] == "lmi":
-        if len(tokens) != 3:
-            raise ParseError(f"line {lineno}: header must be 'lmi <n> <m>'")
-        n = _positive_int(tokens[1], lineno, "n")
-        m = _positive_int(tokens[2], lineno, "m")
+        n, m = _header(tokens, lineno, ("n", "m"))
         lineno, tokens = lines.take("the 'B' block")
         if tokens != ["B"]:
             raise ParseError(f"line {lineno}: expected 'B', got {' '.join(tokens)!r}")
@@ -155,15 +168,10 @@ def parse_problem(text: str):
             lineno, tokens = lines.take("the certificate point")
             point = _reals(tokens, m, lineno, "certificate point")
             cert = SlaterCertificate(point, sigma)
-        if not lines.done():
-            lineno, _ = lines.take("")
-            raise ParseError(f"line {lineno}: unexpected content after the problem")
+        _end(lines, "problem")
         return LmiProblem(coeffs, rhs), cert
     if tokens[0] == "lis":
-        if len(tokens) != 3:
-            raise ParseError(f"line {lineno}: header must be 'lis <p> <q>'")
-        p = _positive_int(tokens[1], lineno, "p")
-        q = _positive_int(tokens[2], lineno, "q")
+        p, q = _header(tokens, lineno, ("p", "q"))
         rows = []
         rhs = []
         kinds = []
@@ -175,9 +183,7 @@ def parse_problem(text: str):
             values = _reals(tokens[1:], q + 1, lineno, f"row {i + 1}")
             rows.append(values[:q])
             rhs.append(values[q])
-        if not lines.done():
-            lineno, _ = lines.take("")
-            raise ParseError(f"line {lineno}: unexpected content after the system")
+        _end(lines, "system")
         return LinIneqSystem(rows, rhs, kinds), None
     raise ParseError(f"line {lineno}: unknown header {tokens[0]!r}; expected 'lmi' or 'lis'")
 

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "LmiSolveError",
+    "NonFiniteInput",
+    "DimensionMismatch",
+    "InvalidParameter",
+    "ZeroMatrix",
+    "InfeasibleLevel",
+    "IterationCapReached",
+    "ParseError",
+]
+
 
 class LmiSolveError(Exception):
     """Base class for every error raised by this package."""

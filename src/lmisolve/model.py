@@ -60,17 +60,18 @@ def _positive(name, value):
 
 
 class _Block(NamedTuple):
-    """A diagonal block of A(x) - B: rows and columns `at`, the variables
-    `vars` that appear in it, and its part `rhs` of B. `coeffs` is their
-    (k_b, n_b, n_b) coefficient stack, or None for a symmetric-matrix
+    """A diagonal block of size > 1 of A(x) - B: rows and columns `at`, the
+    variables `vars` that appear in it, and its part `rhs` of B. `coeffs` is
+    their (k_b, n_b, n_b) coefficient stack, or None for a symmetric-matrix
     variable: variable t is then the entry (upper[0][t], upper[1][t]) and
-    its mirror image. `_from_pieces` fills in `rhs` and `upper`."""
+    its mirror image, and `upper` is None otherwise. `_lay_out` builds every
+    block, all fields set."""
 
     at: slice
     vars: slice
-    coeffs: np.ndarray | None = None
-    rhs: np.ndarray | None = None
-    upper: tuple | None = None
+    coeffs: np.ndarray | None
+    rhs: np.ndarray
+    upper: tuple | None
 
 
 class _Scalars(NamedTuple):
@@ -88,14 +89,14 @@ class LmiProblem:
 
     The operator is stored block by block. A problem built here is a single
     dense block: its (m, n, n) coefficient stack, so A(x) and the adjoint
-    are single tensor contractions. `stack` and `reduce_primal_dual` build
-    their results from the layout they know instead: a block of size > 1
-    keeps only the variables that appear in it, and all 1 x 1 blocks share
-    one (m, rows) array that the oracles evaluate in closed form. Storage is
-    then O(sum k_b n_b^2) for k_b variables in an n_b x n_b block. Each
-    coefficient is stored once, in its block; `coeffs` (the dense A_1..A_m
-    as SymMatrix values) is built on each read and not kept. `rhs` is always
-    dense.
+    are single tensor contractions (for n = 1, one scalar row). `stack` and
+    `reduce_primal_dual` build their results from the layout they know
+    instead: a block of size > 1 keeps only the variables that appear in it,
+    and all 1 x 1 blocks share one (m, rows) array that the oracles evaluate
+    in closed form. Storage is then O(sum k_b n_b^2) for k_b variables in an
+    n_b x n_b block. Each coefficient is stored once, in its block; `coeffs`
+    (the dense A_1..A_m as SymMatrix values) is built on each read and not
+    kept. `rhs` is always dense.
 
     The problem is immutable, so `_constants` holds constants(p) once an
     oracle or a solver first needs it.
@@ -119,12 +120,7 @@ class LmiProblem:
                 )
             tensor[i] = c.mat
         tensor.flags.writeable = False
-        self.rhs = b
-        self.num_vars = m
-        self.dim = n
-        self._blocks = (_Block(slice(0, n), slice(0, m), tensor, b.mat),)
-        self._scalars = _Scalars(np.zeros(0, dtype=int), np.zeros((m, 0)), np.zeros(0))
-        self._constants = None
+        _lay_out(self, b, m, [(slice(0, n), slice(0, m), tensor)])
 
     @property
     def coeffs(self):
@@ -145,26 +141,27 @@ class LmiProblem:
         return f"LmiProblem(n={self.dim}, m={self.num_vars})"
 
 
-def _from_pieces(rhs, num_vars, pieces) -> LmiProblem:
-    """The problem with dense right-hand side `rhs` whose operator is laid out
-    as `pieces`, one _Block per diagonal block. The 1 x 1 pieces become the
-    scalar rows."""
-    b = SymMatrix(rhs)
+def _lay_out(p: LmiProblem, b: SymMatrix, num_vars, pieces) -> LmiProblem:
+    """Set every field of p, the problem with right-hand side b over
+    num_vars variables whose operator is laid out as `pieces`: one
+    (at, vars, coeffs) per diagonal block, with coeffs as in _Block. The
+    1 x 1 pieces become the scalar rows; every other piece becomes a _Block
+    that holds its part of B. The constructor, `stack` and
+    `reduce_primal_dual` all build their problems here. Returns p."""
     blocks, rows, cols = [], [], []
-    for blk in sorted(pieces, key=lambda piece: piece.at.start):
-        size = blk.at.stop - blk.at.start
+    for at, variables, coeffs in sorted(pieces, key=lambda piece: piece[0].start):
+        size = at.stop - at.start
         if size == 1:
             col = np.zeros(num_vars)
-            col[blk.vars] = 1.0 if blk.coeffs is None else blk.coeffs[:, 0, 0]
-            rows.append(blk.at.start)
+            col[variables] = 1.0 if coeffs is None else coeffs[:, 0, 0]
+            rows.append(at.start)
             cols.append(col)
         else:
-            upper = None if blk.coeffs is not None else np.triu_indices(size)
-            blocks.append(blk._replace(rhs=b.mat[blk.at, blk.at], upper=upper))
+            upper = None if coeffs is not None else np.triu_indices(size)
+            blocks.append(_Block(at, variables, coeffs, b.mat[at, at], upper))
     rows = np.array(rows, dtype=int)
     table = np.stack(cols, axis=1) if cols else np.zeros((num_vars, 0))
     table.flags.writeable = False
-    p = object.__new__(LmiProblem)
     p.rhs = b
     p.num_vars = num_vars
     p.dim = b.dim
@@ -175,12 +172,12 @@ def _from_pieces(rhs, num_vars, pieces) -> LmiProblem:
 
 
 def _pieces(p: LmiProblem, offset=0) -> list:
-    """p's layout as _from_pieces takes it, moved down by `offset` rows."""
-    out = [blk._replace(at=slice(blk.at.start + offset, blk.at.stop + offset))
+    """p's layout as _lay_out takes it, moved down by `offset` rows."""
+    out = [(slice(blk.at.start + offset, blk.at.stop + offset), blk.vars, blk.coeffs)
            for blk in p._blocks]
     every = slice(0, p.num_vars)
     for row, col in zip(p._scalars.rows.tolist(), p._scalars.coeffs.T):
-        out.append(_Block(slice(row + offset, row + offset + 1), every, col[:, None, None]))
+        out.append((slice(row + offset, row + offset + 1), every, col[:, None, None]))
     return out
 
 
@@ -221,11 +218,12 @@ def _block_adjoint(blk: _Block, z) -> np.ndarray:
     return np.where(i == j, 1.0, 2.0) * z[i, j]
 
 
-def _finite(x):
+def _finite(x, what="point"):
     """x, once it is checked to hold no NaN or Inf (before A(x) is formed,
-    where Inf times a zero coefficient would make NaN)."""
+    where Inf times a zero coefficient would make NaN); `what` names x in
+    the error."""
     if not np.isfinite(x).all():
-        raise NonFiniteInput("point contains NaN or Inf")
+        raise NonFiniteInput(f"{what} contains NaN or Inf")
     return x
 
 
@@ -301,9 +299,7 @@ class SlaterCertificate:
             d = d.reshape(1)
         if d.ndim != 1:
             raise DimensionMismatch("certificate point must be a vector")
-        if not np.isfinite(d).all():
-            raise NonFiniteInput("certificate point contains NaN or Inf")
-        d = d.copy()
+        d = _finite(d, "certificate point").copy()
         d.flags.writeable = False
         self.point = d
         self.margin = margin
@@ -375,9 +371,7 @@ class SdpPair:
     def __init__(self, objective, coeffs, rhs):
         self.problem = LmiProblem(coeffs, rhs)
         c = _as_vector(objective, self.problem.num_vars, "objective")
-        c = c.copy()
-        if not np.isfinite(c).all():
-            raise NonFiniteInput("objective contains NaN or Inf")
+        c = _finite(c, "objective").copy()
         c.flags.writeable = False
         self.objective = c
 
@@ -484,7 +478,7 @@ def stack(problems) -> LmiProblem:
         rhs[offset:offset + p.dim, offset:offset + p.dim] = p.rhs.mat
         pieces += _pieces(p, offset)
         offset += p.dim
-    return _from_pieces(rhs, m, pieces)
+    return _lay_out(object.__new__(LmiProblem), SymMatrix(rhs), m, pieces)
 
 
 def reduce_primal_dual(pair: SdpPair) -> LmiProblem:
@@ -519,18 +513,18 @@ def reduce_primal_dual(pair: SdpPair) -> LmiProblem:
     pieces = _pieces(prob)
     for i in range(m):
         row = eq[i][:, None, None]
-        pieces += [_Block(slice(n + 2 * i, n + 2 * i + 1), y, row),
-                   _Block(slice(n + 2 * i + 1, n + 2 * i + 2), y, -row)]
-    pieces.append(_Block(slice(n + 2 * m, 2 * n + 2 * m), y))
+        pieces += [(slice(n + 2 * i, n + 2 * i + 1), y, row),
+                   (slice(n + 2 * i + 1, n + 2 * i + 2), y, -row)]
+    pieces.append((slice(n + 2 * m, 2 * n + 2 * m), y, None))
     gap = np.concatenate([c, -(bmat[upper] * weight)])
-    pieces.append(_Block(slice(size - 1, size), slice(0, m + ny), gap[:, None, None]))
+    pieces.append((slice(size - 1, size), slice(0, m + ny), gap[:, None, None]))
 
     rhs = np.zeros((size, size))
     rhs[:n, :n] = bmat
     for i in range(m):
         rhs[n + 2 * i, n + 2 * i] = c[i]
         rhs[n + 2 * i + 1, n + 2 * i + 1] = -c[i]
-    return _from_pieces(rhs, m + ny, pieces)
+    return _lay_out(object.__new__(LmiProblem), SymMatrix(rhs), m + ny, pieces)
 
 
 def residual_map(sys: LinIneqSystem, y) -> np.ndarray:

@@ -47,7 +47,8 @@ from .errors import (
     IterationCapReached,
     NonFiniteInput,
 )
-from .model import LinIneqSystem, LmiProblem, _count, _positive, constants  # noqa: F401 (perfbench traces constants)
+from .model import LinIneqSystem, LmiProblem, _as_vector, _count, _finite, _positive
+from .model import constants  # noqa: F401 (perfbench traces constants)
 from .objectives import Oracle, _constants_of, linsys_oracle, nonsmooth_oracle, smooth_oracle
 
 __all__ = [
@@ -239,14 +240,7 @@ class _Run:
 def _point(x, dim):
     if x is None:
         return np.zeros(dim)
-    v = np.asarray(x, dtype=float)
-    if v.ndim == 0:
-        v = v.reshape(1)
-    if v.ndim != 1 or v.shape[0] != dim:
-        raise InvalidParameter(f"starting point must be a vector of length {dim}")
-    if not np.isfinite(v).all():
-        raise NonFiniteInput("starting point contains NaN or Inf")
-    return v.copy()
+    return _finite(_as_vector(x, dim, "starting point"), "starting point").copy()
 
 
 def _budget(value):
@@ -356,9 +350,7 @@ def level_project(x_prev, z, fz, g, level):
     """
     x_prev = np.asarray(x_prev, dtype=float)
     z = np.asarray(z, dtype=float)
-    g = np.asarray(g, dtype=float)
-    if not np.isfinite(g).all():
-        raise NonFiniteInput("subgradient contains NaN or Inf")
+    g = _finite(np.asarray(g, dtype=float), "subgradient")
     h = float(fz) + float(g @ (x_prev - z))
     if h <= level:
         return x_prev.copy()

@@ -169,17 +169,27 @@ def gen_linsys(p: int, q: int, seed: int, kinds=None):
     return LinIneqSystem(a, a @ x_star + slack, tags), x_star
 
 
+def _gram_spectrum(a):
+    """Eigenvalues (descending) and eigenvectors of A^T A, and the mask of
+    the eigenvalues that count as nonzero under the relative cutoff
+    _RANK_CUTOFF; None when A is zero."""
+    dec = eig_sym(SymMatrix(a.T @ a))
+    w = dec.eigenvalues
+    lam_max = float(w[0])
+    if lam_max <= 0.0:
+        return None
+    return w, dec.eigenvectors, w > _RANK_CUTOFF * lam_max
+
+
 def hoffman_eq(a) -> float:
     """Hoffman constant of an all-equality system: the reciprocal of the
     smallest nonzero singular value of A, from the eigenvalues of A^T A
     with relative zero cutoff 1e-10."""
-    a = np.asarray(a, dtype=float)
-    w = eig_sym(SymMatrix(a.T @ a)).eigenvalues
-    lam_max = float(w[0])
-    if lam_max <= 0.0:
+    gram = _gram_spectrum(np.asarray(a, dtype=float))
+    if gram is None:
         raise ZeroMatrix("matrix is zero; no nonzero singular value exists")
-    positive = w[w > _RANK_CUTOFF * lam_max]
-    return 1.0 / float(np.sqrt(positive[-1]))
+    w, _, nonzero = gram
+    return 1.0 / float(np.sqrt(w[nonzero][-1]))
 
 
 def distance_to_solutions(a, b, x) -> float:
@@ -190,12 +200,11 @@ def distance_to_solutions(a, b, x) -> float:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     x = np.asarray(x, dtype=float)
-    dec = eig_sym(SymMatrix(a.T @ a))
-    w, v = dec.eigenvalues, dec.eigenvectors
-    lam_max = float(w[0])
-    if lam_max <= 0.0:
+    gram = _gram_spectrum(a)
+    if gram is None:
         return 0.0
-    inv = np.where(w > _RANK_CUTOFF * lam_max, 1.0 / np.where(w > 0, w, 1.0), 0.0)
+    w, v, nonzero = gram
+    inv = np.where(nonzero, 1.0 / np.where(w > 0, w, 1.0), 0.0)
     rhs = a.T @ (a @ x - b)
     delta = v @ (inv * (v.T @ rhs))
     return float(np.linalg.norm(delta))

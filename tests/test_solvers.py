@@ -11,6 +11,7 @@ from lmisolve import objectives
 from lmisolve import (
     HARMONIC,
     RECURSIVE,
+    DimensionMismatch,
     InfeasibleLevel,
     InvalidParameter,
     IterationCapReached,
@@ -528,6 +529,47 @@ class TestSolveExits:
                            x0=3.0 * inst.witness)
         assert res.status is SolveStatus.SOLVED
         assert res.value == 0.0
+
+
+# every entry point that takes a starting point, called on a one-variable
+# problem (x <= 0, or the row x <= 0 of a linear system) from x0
+START_POINT_CALLS = {
+    "solve_nonsmooth": lambda x0: solve_nonsmooth(one_d_problem(), 1.0, 1e-8, x0=x0),
+    "solve_smooth": lambda x0: solve_smooth(one_d_problem(), 1.0, 1e-8, x0=x0),
+    "solve_linsys": lambda x0: solve_linsys(LinIneqSystem([[1.0]], [0.0], ["le"]), 1.0, 1e-8,
+                                            x0=x0),
+    "solve_bundle": lambda x0: solve_bundle(nonsmooth_oracle(one_d_problem()), x0, 1e-8),
+    "subgradient_phase": lambda x0: subgradient_phase(nonsmooth_oracle(one_d_problem()), x0,
+                                                      4, 1.0),
+    "accelerated_phase": lambda x0: accelerated_phase(smooth_oracle(one_d_problem()), 2.0, x0, 4),
+    "gap_reduction": lambda x0: gap_reduction(nonsmooth_oracle(one_d_problem()), x0, 0.0,
+                                              HARMONIC),
+}
+
+
+def outcome_bytes(out):
+    """A solve's or a phase's result as bytes, for exact comparison."""
+    if hasattr(out, "solution"):
+        return out.solution.tobytes(), out.value, out.iterations, out.phases, out.status
+    parts = out if isinstance(out, tuple) else (out,)
+    return tuple(np.asarray(part).tobytes() for part in parts)
+
+
+class TestStartPoint:
+    @pytest.mark.parametrize("name", sorted(START_POINT_CALLS))
+    def test_wrong_length_raises_dimension_mismatch(self, name):
+        with pytest.raises(DimensionMismatch, match="starting point must be a vector of length 1"):
+            START_POINT_CALLS[name]([1.0, 1.0])
+
+    @pytest.mark.parametrize("name", sorted(START_POINT_CALLS))
+    def test_nan_raises_nonfinite_input(self, name):
+        with pytest.raises(NonFiniteInput, match=r"^starting point contains NaN or Inf$"):
+            START_POINT_CALLS[name]([math.nan])
+
+    @pytest.mark.parametrize("name", sorted(START_POINT_CALLS))
+    def test_zero_dim_start_is_the_one_vector(self, name):
+        call = START_POINT_CALLS[name]
+        assert outcome_bytes(call(np.array(1.0))) == outcome_bytes(call([1.0]))
 
 
 class TestRestartProperties:
