@@ -9,7 +9,11 @@ LMI, and the linear-inequality system model.
 
 A problem is stored as the diagonal blocks of A(x) - B (see LmiProblem);
 the private helpers `_residuals`, `_adjoint` and `_top_subgradient` are how
-the oracles work on it one block at a time.
+the oracles work on it one block at a time. `_lay_out`, the one layout
+builder behind the constructor, `stack` and `reduce_primal_dual`, builds
+the index maps of each symmetric-matrix variable once (see _Block), so A(x)
+and the adjoint on a block are one matrix product with its reshaped
+coefficient stack, or one gather and one product, on every evaluation.
 """
 
 from __future__ import annotations
@@ -59,19 +63,50 @@ def _positive(name, value):
     return float(value)
 
 
+class _SymMaps(NamedTuple):
+    """Where a symmetric-matrix variable sits in its n x n block, as flat
+    (row-major) indices: variable t is the entry `upper[t]` of the upper
+    triangle, taken row by row, and its mirror image; `gather[r * n + c]` is
+    the variable at entry (r, c); `weight[t]` is 1 on the diagonal and 2 off
+    it, so <E_ii, Z> = Z_ii and <E_ij + E_ji, Z> = 2 Z_ij are
+    weight * Z.flat[upper]."""
+
+    gather: np.ndarray
+    upper: np.ndarray
+    weight: np.ndarray
+
+
+def _sym_maps(n) -> _SymMaps:
+    """The _SymMaps of an n x n symmetric-matrix variable."""
+    r, c = np.divmod(np.arange(n * n), n)
+    lo, hi = np.minimum(r, c), np.maximum(r, c)
+    # rows 0..lo-1 of the upper triangle hold lo (2n + 1 - lo) / 2 entries
+    gather = lo * (2 * n + 1 - lo) // 2 + (hi - lo)
+    upper = np.flatnonzero(r <= c)
+    # the diagonal entries are the multiples of n + 1
+    maps = _SymMaps(gather, upper, np.where(upper % (n + 1) == 0, 1.0, 2.0))
+    for a in maps:
+        a.flags.writeable = False
+    return maps
+
+
 class _Block(NamedTuple):
-    """A diagonal block of size > 1 of A(x) - B: rows and columns `at`, the
-    variables `vars` that appear in it, and its part `rhs` of B. `coeffs` is
-    their (k_b, n_b, n_b) coefficient stack, or None for a symmetric-matrix
-    variable: variable t is then the entry (upper[0][t], upper[1][t]) and
-    its mirror image, and `upper` is None otherwise. `_lay_out` builds every
-    block, all fields set."""
+    """A diagonal block of size n_b > 1 of A(x) - B: rows and columns `at`,
+    the variables `vars` that appear in it, and its part `rhs` of B.
+
+    A dense block has their (k_b, n_b, n_b) coefficient stack `coeffs`:
+    A(x) on the block is `xs @ C` and the adjoint `C @ z.reshape(-1)`, with
+    C its (k_b, n_b^2) reshape view (not a copy). A symmetric-matrix
+    variable has `coeffs` None and its index maps in `sym`: A(x) is one
+    gather of xs and the adjoint one gather of Z times the weights. `sym`
+    is read only where `coeffs` is None. `_lay_out` builds every block and
+    its maps once; the hot path only reads them."""
 
     at: slice
     vars: slice
     coeffs: np.ndarray | None
     rhs: np.ndarray
-    upper: tuple | None
+    sym: _SymMaps | None
 
 
 class _Scalars(NamedTuple):
@@ -89,7 +124,7 @@ class LmiProblem:
 
     The operator is stored block by block. A problem built here is a single
     dense block: its (m, n, n) coefficient stack, so A(x) and the adjoint
-    are single tensor contractions (for n = 1, one scalar row). `stack` and
+    are single matrix-vector products (for n = 1, one scalar row). `stack` and
     `reduce_primal_dual` build their results from the layout they know
     instead: a block of size > 1 keeps only the variables that appear in it,
     and all 1 x 1 blocks share one (m, rows) array that the oracles evaluate
@@ -157,8 +192,8 @@ def _lay_out(p: LmiProblem, b: SymMatrix, num_vars, pieces) -> LmiProblem:
             rows.append(at.start)
             cols.append(col)
         else:
-            upper = None if coeffs is not None else np.triu_indices(size)
-            blocks.append(_Block(at, variables, coeffs, b.mat[at, at], upper))
+            sym = _sym_maps(size) if coeffs is None else None
+            blocks.append(_Block(at, variables, coeffs, b.mat[at, at], sym))
     rows = np.array(rows, dtype=int)
     table = np.stack(cols, axis=1) if cols else np.zeros((num_vars, 0))
     table.flags.writeable = False
@@ -189,10 +224,8 @@ def _dense_coeffs(p: LmiProblem) -> np.ndarray:
         if blk.coeffs is not None:
             part[...] = blk.coeffs
         else:
-            i, j = blk.upper
-            t = np.arange(i.size)
-            part[t, i, j] = 1.0
-            part[t, j, i] = 1.0
+            r, c = np.divmod(np.arange(blk.sym.gather.size), blk.rhs.shape[0])
+            part[blk.sym.gather, r, c] = 1.0
     rows = p._scalars.rows
     out[:, rows, rows] = p._scalars.coeffs
     return out
@@ -201,21 +234,16 @@ def _dense_coeffs(p: LmiProblem) -> np.ndarray:
 def _block_apply(blk: _Block, x) -> np.ndarray:
     """A(x) on one block, as a plain ndarray (hot path)."""
     xs = x[blk.vars]
-    if blk.coeffs is not None:
-        return np.tensordot(xs, blk.coeffs, axes=1)
-    out = np.zeros(blk.rhs.shape)
-    out[blk.upper] = xs
-    out[blk.upper[::-1]] = xs
-    return out
+    if blk.coeffs is None:
+        return xs.take(blk.sym.gather).reshape(blk.rhs.shape)
+    return (xs @ blk.coeffs.reshape(len(blk.coeffs), -1)).reshape(blk.rhs.shape)
 
 
 def _block_adjoint(blk: _Block, z) -> np.ndarray:
     """<A_i, Z> for the variables of one block, z a symmetric ndarray."""
-    if blk.coeffs is not None:
-        return np.tensordot(blk.coeffs, z, axes=([1, 2], [0, 1]))
-    i, j = blk.upper
-    # <E_ii, Z> = Z_ii and <E_ij + E_ji, Z> = 2 Z_ij
-    return np.where(i == j, 1.0, 2.0) * z[i, j]
+    if blk.coeffs is None:
+        return z.take(blk.sym.upper) * blk.sym.weight
+    return blk.coeffs.reshape(len(blk.coeffs), -1) @ z.reshape(-1)
 
 
 def _finite(x, what="point"):
@@ -420,10 +448,9 @@ def constants(p: LmiProblem) -> OperatorConstants:
     for blk in p._blocks:
         if blk.coeffs is None:
             # E_ii has both norms 1; E_ij + E_ji has spectral norm 1 and
-            # squared Frobenius norm 2
-            i, j = blk.upper
+            # squared Frobenius norm 2, its weight
             spec[blk.vars] = np.maximum(spec[blk.vars], 1.0)
-            fro_sq[blk.vars] += np.where(i == j, 1.0, 2.0)
+            fro_sq[blk.vars] += blk.sym.weight
             continue
         for k, c in zip(range(blk.vars.start, blk.vars.stop), blk.coeffs):
             fro, s = norms(SymMatrix(c))
@@ -505,10 +532,9 @@ def reduce_primal_dual(pair: SdpPair) -> LmiProblem:
     size = 2 * n + 2 * m + 1
     ny = n * (n + 1) // 2
     y = slice(m, m + ny)
-    upper = np.triu_indices(n)
+    ysym = _sym_maps(n)
     # coefficient of y_jk in <A_i, y> and <B, y>: 1 on the diagonal, 2 off it
-    weight = np.where(upper[0] == upper[1], 1.0, 2.0)
-    eq = _dense_coeffs(prob)[:, upper[0], upper[1]] * weight
+    eq = _dense_coeffs(prob).reshape(m, n * n)[:, ysym.upper] * ysym.weight
 
     pieces = _pieces(prob)
     for i in range(m):
@@ -516,7 +542,7 @@ def reduce_primal_dual(pair: SdpPair) -> LmiProblem:
         pieces += [(slice(n + 2 * i, n + 2 * i + 1), y, row),
                    (slice(n + 2 * i + 1, n + 2 * i + 2), y, -row)]
     pieces.append((slice(n + 2 * m, 2 * n + 2 * m), y, None))
-    gap = np.concatenate([c, -(bmat[upper] * weight)])
+    gap = np.concatenate([c, -(bmat.take(ysym.upper) * ysym.weight)])
     pieces.append((slice(size - 1, size), slice(0, m + ny), gap[:, None, None]))
 
     rhs = np.zeros((size, size))
@@ -527,8 +553,12 @@ def reduce_primal_dual(pair: SdpPair) -> LmiProblem:
     return _lay_out(object.__new__(LmiProblem), SymMatrix(rhs), m + ny, pieces)
 
 
+def _clip(sys: LinIneqSystem, y: np.ndarray) -> np.ndarray:
+    """e(y) for a float vector y of length num_rows (hot path, unchecked)."""
+    return np.where(sys.eq_mask, y, np.maximum(y, 0.0))
+
+
 def residual_map(sys: LinIneqSystem, y) -> np.ndarray:
     """Clipped residual e(y): component i is max(0, y_i) for "le" rows and
     y_i unchanged for "eq" rows."""
-    v = _as_vector(y, sys.num_rows, "y")
-    return np.where(sys.eq_mask, v, np.maximum(v, 0.0))
+    return _clip(sys, _as_vector(y, sys.num_rows, "y"))

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .model import (LinIneqSystem, LmiProblem, OperatorConstants, _adjoint, _as_vector,
-                    _residuals, _top_subgradient, constants, residual_map)
+                    _clip, _residuals, _top_subgradient, constants)
 # lambda_max and project_neg_semidef stay importable here for perfbench's tracer
 from .symlinalg import (SymMatrix, _positive_part, eig_sym, lambda_max,  # noqa: F401
                         project_neg_semidef)
@@ -112,7 +112,7 @@ def eval_smooth(p: LmiProblem, x) -> OracleEval:
 def eval_linsys(sys: LinIneqSystem, x) -> OracleEval:
     """0.5 ||e(Ax - b)||^2 with gradient A^T e(Ax - b)."""
     x = _as_vector(x, sys.num_vars, "point")
-    e = residual_map(sys, sys.rows @ x - sys.rhs)
+    e = _clip(sys, sys.rows @ x - sys.rhs)
     return OracleEval(0.5 * float(e @ e), sys.rows.T @ e)
 
 

@@ -30,6 +30,7 @@ from lmisolve import (
     stack,
     validate_certificate,
 )
+from lmisolve.model import _adjoint, _residuals
 
 
 def one_d_problem(a=1.0, b=0.0):
@@ -491,6 +492,47 @@ class TestBlockLayout:
         assert held <= 1.25 * tensor_bytes
         assert peak <= 1.5 * tensor_bytes
         assert held_after_read <= 1.25 * tensor_bytes
+
+
+class TestSymmetricVariableMaps:
+    """On the y block of a reduction, A(x) is a gather of x and the adjoint
+    a gather of Z times 1 or 2, so both equal, bit for bit, what
+    np.triu_indices gives entry by entry; checked at n = 20, alone and
+    between other blocks of a stack."""
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_bytes_match_triu_reference(self, stacked):
+        rng = np.random.default_rng(20)
+        n, m = 20, 3
+        p = reduce_primal_dual(random_pair(rng, n, m))
+        shift = 0
+        if stacked:
+            p = stack([random_problem(rng, 4, p.num_vars), p,
+                       random_problem(rng, 1, p.num_vars)])
+            shift = 4
+        rows = slice(shift + n + 2 * m, shift + 2 * n + 2 * m)
+        ys = slice(m, m + n * (n + 1) // 2)
+        i, j = np.triu_indices(n)
+        for _ in range(3):
+            x = rng.standard_normal(p.num_vars)
+            ref = np.zeros((n, n))
+            ref[i, j] = x[ys]
+            ref[j, i] = x[ys]
+            assert apply_operator(p, x).mat[rows, rows].tobytes() == ref.tobytes()
+            mats, _ = _residuals(p, x)
+            assert mats[-1].tobytes() == (ref - p.rhs.mat[rows, rows]).tobytes()
+
+            zy = rng.standard_normal((n, n))
+            zy = zy + zy.T
+            want = np.where(i == j, 1.0, 2.0) * zy[i, j]
+            z = np.zeros((p.dim, p.dim))
+            z[rows, rows] = zy
+            g = adjoint_apply(p, SymMatrix(z))
+            assert g[ys].tobytes() == want.tobytes()
+            assert not g[:m].any() and not g[ys.stop:].any()
+            parts = [np.zeros(s.shape) for s in mats[:-1]] + [zy]
+            g = _adjoint(p, parts, np.zeros(0))
+            assert g[ys].tobytes() == want.tobytes()
 
 
 def bad_points(num_vars):

@@ -19,6 +19,7 @@ from lmisolve import (
     linsys_oracle,
     mu_of,
     nonsmooth_oracle,
+    residual_map,
     smooth_oracle,
     solve_smooth,
 )
@@ -134,6 +135,19 @@ class TestLinsys:
         sys_ = LinIneqSystem([[1.0]], [0.0], ["le"])
         with pytest.raises(DimensionMismatch):
             eval_linsys(sys_, [1.0, 2.0])
+
+    def test_clips_as_residual_map(self):
+        # the oracle and the public map clip with one function, so the
+        # value and gradient follow from residual_map bit for bit
+        rng = np.random.default_rng(12)
+        for seed in range(4):
+            sys_, x_star = gen_linsys(9, 4, seed, kinds="mixed")
+            for _ in range(3):
+                x = x_star + rng.uniform(-3.0, 3.0, size=4)
+                e = residual_map(sys_, sys_.rows @ x - sys_.rhs)
+                ev = eval_linsys(sys_, x)
+                assert ev.value == 0.5 * (e @ e)
+                assert ev.gradient.tobytes() == (sys_.rows.T @ e).tobytes()
 
 
 class TestOracleFactories:
