@@ -23,7 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NonFiniteInput
-from .symlinalg import SymMatrix, _top_eigpair, lambda_max, norms  # noqa: F401 (perfbench traces lambda_max)
+from .symlinalg import SymMatrix, _freeze, _top_eigpair, lambda_max, norms  # noqa: F401 (perfbench traces lambda_max)
 
 __all__ = [
     "LmiProblem",
@@ -61,6 +61,17 @@ def _positive(name, value):
     if not value > 0.0:
         raise InvalidParameter(f"{name} must be positive, got {value}")
     return float(value)
+
+
+def _row_kinds(kinds, p):
+    """The p row tags of a linear system, lower-cased, each "le" or "eq"."""
+    tags = tuple(str(k).lower() for k in kinds)
+    if len(tags) != p:
+        raise DimensionMismatch(f"kinds must have length {p}")
+    for k in tags:
+        if k not in ("le", "eq"):
+            raise InvalidParameter(f"row kind must be 'le' or 'eq', got {k!r}")
+    return tags
 
 
 class _SymMaps(NamedTuple):
@@ -358,24 +369,12 @@ class LinIneqSystem:
             raise DimensionMismatch(f"rhs must have length {p}")
         if not (np.isfinite(a).all() and np.isfinite(b).all()):
             raise NonFiniteInput("system data contains NaN or Inf")
-        tags = tuple(str(k).lower() for k in kinds)
-        if len(tags) != p:
-            raise DimensionMismatch(f"kinds must have length {p}")
-        for k in tags:
-            if k not in ("le", "eq"):
-                raise InvalidParameter(f"row kind must be 'le' or 'eq', got {k!r}")
-        a = a.copy()
-        a.flags.writeable = False
-        b = b.copy()
-        b.flags.writeable = False
-        mask = np.array([k == "eq" for k in tags])
-        mask.flags.writeable = False
-        self.rows = a
-        self.rhs = b
-        self.kinds = tags
+        self.kinds = _row_kinds(kinds, p)
+        self.rows = _freeze(a.copy())
+        self.rhs = _freeze(b.copy())
         self.num_rows = p
         self.num_vars = q
-        self.eq_mask = mask
+        self.eq_mask = _freeze(np.array([k == "eq" for k in self.kinds]))
 
     def __eq__(self, other):
         if not isinstance(other, LinIneqSystem):

@@ -18,7 +18,8 @@ A solve ends Solved once f <= eps, IterationCapReached once the cap on
 inner iterations runs out, or Stalled once a completed phase ends no lower
 than it started: a phase is a deterministic function of its start, so
 every later phase would repeat it. An oracle value that is NaN or Inf
-raises NonFiniteInput.
+raises NonFiniteInput. The trace keeps each inner iteration's f and elapsed
+ms in two float64 columns, and builds its TraceRows from them on read.
 
 A solve calls the oracle once per new point: the restart loop evaluates
 each phase's start point, and the phase reuses that evaluation for its
@@ -33,11 +34,12 @@ budgets here are sized against.
 
 from __future__ import annotations
 
+import array
 import enum
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,6 +52,7 @@ from .errors import (
 from .model import LinIneqSystem, LmiProblem, _as_vector, _count, _finite, _positive
 from .model import constants  # noqa: F401 (perfbench traces constants)
 from .objectives import Oracle, _constants_of, linsys_oracle, nonsmooth_oracle, smooth_oracle
+from .symlinalg import _freeze
 
 __all__ = [
     "DEFAULT_CAP",
@@ -161,10 +164,21 @@ class PhaseRecord:
     level_violation: float | None = None
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SolveTrace:
-    rows: list = field(default_factory=list)
-    phases: list = field(default_factory=list)
+    """Each inner iteration's f and elapsed ms (read-only float64), and the phases."""
+
+    f_values: np.ndarray
+    elapsed_ms: np.ndarray
+    phases: list
+
+    @property
+    def rows(self):
+        """One TraceRow per inner iteration, built anew on each read: phase j
+        takes the next phases[j].iterations entries of the columns."""
+        cols = zip(itertools.count(1), self.f_values.tolist(), self.elapsed_ms.tolist())
+        return [TraceRow(ph.index, i, *next(cols)) for ph in self.phases
+                for i in range(1, ph.iterations + 1)]
 
 
 class SolveStatus(enum.Enum):
@@ -197,11 +211,11 @@ class _Outcome:
 
 
 class _Run:
-    """One solve's oracle, stopping tolerance eps and trace rows, counted
-    against a global iteration cap."""
+    """One solve's oracle, stopping tolerance eps, and each inner iteration's
+    f and elapsed ms in two growing float64 columns, held against a cap."""
 
-    __slots__ = ("_evaluate", "_last_key", "_last_eval", "eps", "cap", "rows", "phases",
-                 "total", "t0")
+    __slots__ = ("_evaluate", "_last_key", "_last_eval", "eps", "cap", "f_values",
+                 "elapsed_ms", "t0")
 
     def __init__(self, oracle, eps, cap):
         self._evaluate = oracle.evaluate
@@ -209,9 +223,8 @@ class _Run:
         self._last_eval = None
         self.eps = eps
         self.cap = cap
-        self.rows = []
-        self.phases = []
-        self.total = 0
+        self.f_values = array.array("d")
+        self.elapsed_ms = array.array("d")
         self.t0 = time.perf_counter()
 
     def evaluate(self, x):
@@ -228,13 +241,11 @@ class _Run:
         return ev
 
     def remaining(self):
-        return self.cap - self.total
+        return self.cap - len(self.f_values)
 
-    def row(self, phase, it, value):
-        self.total += 1
-        self.rows.append(
-            TraceRow(phase, it, self.total, float(value), (time.perf_counter() - self.t0) * 1e3)
-        )
+    def record(self, value):
+        self.f_values.append(value)
+        self.elapsed_ms.append((time.perf_counter() - self.t0) * 1e3)
 
 
 def _point(x, dim):
@@ -252,7 +263,7 @@ def _budget(value):
 # inner engines
 
 
-def _subgradient_steps(run, x, K, gamma, phase):
+def _subgradient_steps(run, x, K, gamma):
     """K constant-step subgradient steps; best of the new iterates."""
     step = gamma / math.sqrt(K)
     cur = x
@@ -262,7 +273,7 @@ def _subgradient_steps(run, x, K, gamma, phase):
     for i in range(1, min(K, run.remaining()) + 1):
         cur = cur - step * g
         ev = run.evaluate(cur)
-        run.row(phase, i, ev.value)
+        run.record(ev.value)
         if ev.value < best_f:
             best, best_f = cur, float(ev.value)
         g = ev.gradient
@@ -271,7 +282,7 @@ def _subgradient_steps(run, x, K, gamma, phase):
     return _Outcome(best, best_f, i == K)
 
 
-def _accelerated_steps(run, lip, x, K, phase):
+def _accelerated_steps(run, lip, x, K):
     """K accelerated-gradient steps from x; returns the last xbar, or the
     probe point y_t if its value already meets eps."""
     xbar = x
@@ -280,7 +291,7 @@ def _accelerated_steps(run, lip, x, K, phase):
         theta = 2.0 / (t + 1.0)
         y = (1.0 - theta) * xbar + theta * z
         ev = run.evaluate(y)
-        run.row(phase, t, ev.value)
+        run.record(ev.value)
         if ev.value <= run.eps:
             return _Outcome(y, float(ev.value), t == K)
         xbar = y - ev.gradient / lip
@@ -288,7 +299,7 @@ def _accelerated_steps(run, lip, x, K, phase):
     return _Outcome(xbar, None, t == K)
 
 
-def _gap_reduction_steps(run, x0u, fbar0, level, policy, phase):
+def _gap_reduction_steps(run, x0u, fbar0, level, policy):
     """Bundle-level gap reduction: run until the upper bound halves."""
     x_prev = x0u
     xu = x0u
@@ -311,7 +322,7 @@ def _gap_reduction_steps(run, x0u, fbar0, level, policy, phase):
         if evu.value <= fbar:
             xu = xtilde
             fbar = float(evu.value)
-        run.row(phase, t, fbar)
+        run.record(fbar)
         x_prev = x_new
         if fbar <= target or fbar <= run.eps:
             break
@@ -328,7 +339,7 @@ def subgradient_phase(oracle: Oracle, x0, K: int, gamma: float):
     K = _count("K", K)
     gamma = _positive("gamma", gamma)
     x = _point(x0, oracle.dim)
-    out = _subgradient_steps(_Run(oracle, -math.inf, K), x, K, gamma, 1)
+    out = _subgradient_steps(_Run(oracle, -math.inf, K), x, K, gamma)
     return out.point, out.value
 
 
@@ -338,7 +349,7 @@ def accelerated_phase(oracle: Oracle, L: float, x0, K: int):
     L = _positive("L", L)
     K = _count("K", K)
     x = _point(x0, oracle.dim)
-    return _accelerated_steps(_Run(oracle, -math.inf, K), L, x, K, 1).point
+    return _accelerated_steps(_Run(oracle, -math.inf, K), L, x, K).point
 
 
 def level_project(x_prev, z, fz, g, level):
@@ -374,10 +385,10 @@ def gap_reduction(oracle: Oracle, x0u, level: float, policy: StepsizePolicy,
     x = _point(x0u, oracle.dim)
     run = _Run(oracle, -math.inf, cap)
     f0 = float(run.evaluate(x).value)
-    out = _gap_reduction_steps(run, x, f0, float(level), policy, 1)
+    out = _gap_reduction_steps(run, x, f0, float(level), policy)
     if not out.completed:
         raise IterationCapReached(f"gap reduction exhausted the cap of {cap} iterations")
-    return out.point, run.total
+    return out.point, len(run.f_values)
 
 
 # ---------------------------------------------------------------------------
@@ -385,23 +396,20 @@ def gap_reduction(oracle: Oracle, x0u, level: float, policy: StepsizePolicy,
 
 
 def _restart(oracle, x0, eps, cap, phase_fn):
-    """The restart loop: phase_fn(run, x, f(x), phase_index) runs one phase
-    and returns an _Outcome; the solve restarts from its point only when
-    that point is lower. A phase starts only with at least one iteration
-    left, so every engine takes at least one step."""
+    """The restart loop: phase_fn(run, x, f(x)) runs one phase and returns an
+    _Outcome; the solve restarts from its point only when that point is lower.
+    A phase starts only while iterations remain, so every engine takes a step."""
     _positive("eps", eps)
     run = _Run(oracle, eps, _count("cap", cap))
     x = _point(x0, oracle.dim)
     fx = float(run.evaluate(x).value)
-    status = SolveStatus.SOLVED
+    phases, status = [], SolveStatus.SOLVED
     while fx > eps:
-        idx = len(run.phases) + 1
-        before = run.total
-        start = x.copy()
-        out = phase_fn(run, x, fx, idx)
+        before = len(run.f_values)
+        out = phase_fn(run, x, fx)
         f_end = float(run.evaluate(out.point).value) if out.value is None else out.value
-        run.phases.append(PhaseRecord(idx, fx, f_end, run.total - before, out.completed,
-                                      start, out.prox_travel, out.level_violation))
+        phases.append(PhaseRecord(len(phases) + 1, fx, f_end, len(run.f_values) - before,
+                                  out.completed, x.copy(), out.prox_travel, out.level_violation))
         if f_end < fx:
             x, fx = out.point, f_end
         elif out.completed:
@@ -413,9 +421,10 @@ def _restart(oracle, x0, eps, cap, phase_fn):
     return SolveResult(
         solution=x,
         value=fx,
-        iterations=run.total,
-        phases=len(run.phases),
-        trace=SolveTrace(run.rows, run.phases),
+        iterations=len(run.f_values),
+        phases=len(phases),
+        trace=SolveTrace(_freeze(np.frombuffer(run.f_values)),
+                         _freeze(np.frombuffer(run.elapsed_ms)), phases),
         status=status,
     )
 
@@ -434,11 +443,11 @@ def solve_nonsmooth(p: LmiProblem, mu: float, eps: float, cap: int = DEFAULT_CAP
     m_bound = oracle.subgrad_bound
     K = _budget(4.0 * m_bound * m_bound * mu * mu)
 
-    def phase(run, x, fx, idx):
+    def phase(run, x, fx):
         if m_bound <= 0.0:
             raise InvalidParameter("all coefficient matrices are zero; the objective is constant")
         gamma = mu * fx / m_bound
-        return _subgradient_steps(run, x, K, gamma, idx)
+        return _subgradient_steps(run, x, K, gamma)
 
     return _restart(oracle, x0, eps, cap, phase)
 
@@ -454,10 +463,10 @@ def solve_smooth(p: LmiProblem, mu: float, eps: float, cap: int = DEFAULT_CAP,
     oracle = smooth_oracle(p)
     K = _budget(4.0 * mu * _constants_of(p).opnorm)
 
-    def phase(run, x, fx, idx):
+    def phase(run, x, fx):
         if oracle.grad_lipschitz <= 0.0:
             raise InvalidParameter("all coefficient matrices are zero; the objective is constant")
-        return _accelerated_steps(run, oracle.grad_lipschitz, x, K, idx)
+        return _accelerated_steps(run, oracle.grad_lipschitz, x, K)
 
     return _restart(oracle, x0, eps, cap, phase)
 
@@ -469,8 +478,8 @@ def solve_bundle(oracle: Oracle, p0, eps: float, policy: StepsizePolicy = HARMON
     stepsizes reset to alpha_1 = 1 at the start of every phase."""
     _check_policy(policy)
 
-    def phase(run, x, fx, idx):
-        return _gap_reduction_steps(run, x, fx, 0.0, policy, idx)
+    def phase(run, x, fx):
+        return _gap_reduction_steps(run, x, fx, 0.0, policy)
 
     return _restart(oracle, p0, eps, cap, phase)
 
@@ -487,9 +496,9 @@ def solve_linsys(sys: LinIneqSystem, LH: float, eps: float, cap: int = DEFAULT_C
     lip = oracle.grad_lipschitz
     K = _budget(math.sqrt(8.0 * lip) * LH)
 
-    def phase(run, x, fx, idx):
+    def phase(run, x, fx):
         if lip <= 0.0:
             raise InvalidParameter("system matrix is zero; the objective is constant")
-        return _accelerated_steps(run, lip, x, K, idx)
+        return _accelerated_steps(run, lip, x, K)
 
     return _restart(oracle, x0, eps, cap, phase)

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InvalidParameter, LmiSolveError, ZeroMatrix
 from .model import (LinIneqSystem, LmiProblem, SlaterCertificate, _count, _positive,
-                    validate_certificate)
+                    _row_kinds, validate_certificate)
 from .objectives import Oracle, eval_nonsmooth
 from .symlinalg import SymMatrix, eig_sym
 
@@ -151,13 +151,10 @@ def gen_linsys(p: int, q: int, seed: int, kinds=None):
     _count("p", p)
     _count("q", q)
     if kinds is None or kinds == "mixed":
-        tags = tuple("eq" if i % 2 == 0 else "le" for i in range(p))
+        kinds = ["eq" if i % 2 == 0 else "le" for i in range(p)]
     elif kinds == "eq" or kinds == "le":
-        tags = (kinds,) * p
-    else:
-        tags = tuple(str(k).lower() for k in kinds)
-        if len(tags) != p:
-            raise InvalidParameter(f"kinds must have length {p}")
+        kinds = [kinds] * p
+    tags = _row_kinds(kinds, p)
 
     rng = Lcg64(seed)
     a = np.array([[rng.uniform(-1.0, 1.0) for _ in range(q)] for _ in range(p)])

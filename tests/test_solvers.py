@@ -1,6 +1,7 @@
 """Solver engines: phases, bundle machinery, restarted drivers."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -459,11 +460,36 @@ class TestTraceAccounting:
         for row in res.trace.rows:
             assert row.elapsed_ms >= 0.0
             assert row.f_value >= 0.0
+        # rows are derived from the two columns and the phase records
+        for solve in repeat_free_solves().values():
+            trace = solve().trace
+            assert len(trace.phases) >= 3
+            rows = trace.rows
+            assert [(r.phase, r.iter) for r in rows] == [
+                (ph.index, i) for ph in trace.phases for i in range(1, ph.iterations + 1)]
+            assert np.array([r.f_value for r in rows]).tobytes() == trace.f_values.tobytes()
+            assert np.array([r.elapsed_ms for r in rows]).tobytes() == trace.elapsed_ms.tobytes()
+            assert not (trace.f_values.flags.writeable or trace.elapsed_ms.flags.writeable)
 
     def test_phase_indices(self):
         inst = gen_lmi(4, 3, 1.0, 778)
         res = solve_nonsmooth(inst.problem, 1.5, 1e-8, x0=2.0 * inst.witness)
         assert [p.index for p in res.trace.phases] == list(range(1, res.phases + 1))
+
+    def test_retained_memory_is_bounded(self):
+        # the stalled bundle solve: 3000 iterations in 3 phases, of which the
+        # result must keep at most 32 B per iteration (two float64 columns)
+        oracle = smooth_oracle(clashing_stack(gen_lmi(6, 3, 1.0, 0).problem))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = solve_bundle(oracle, np.zeros(3), 1e-8, cap=3000)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert res.status is SolveStatus.ITERATION_CAP
+        assert (res.iterations, res.phases) == (3000, 3)
+        assert retained <= 32 * res.iterations
 
 
 def reference_restarts(oracle, x, K, cap):

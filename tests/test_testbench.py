@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from lmisolve import (
+    DimensionMismatch,
     InvalidParameter,
     Lcg64,
     LmiProblem,
@@ -132,7 +133,7 @@ class TestGenLinsys:
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameter):
             gen_linsys(0, 3, 1)
-        with pytest.raises(InvalidParameter):
+        with pytest.raises(DimensionMismatch):
             gen_linsys(3, 3, 1, kinds=("le", "eq"))
         with pytest.raises(InvalidParameter):
             gen_linsys(2, 3, 1, kinds=("le", "ge"))
