@@ -79,12 +79,16 @@ class _SymMaps(NamedTuple):
     (row-major) indices: variable t is the entry `upper[t]` of the upper
     triangle, taken row by row, and its mirror image; `gather[r * n + c]` is
     the variable at entry (r, c); `weight[t]` is 1 on the diagonal and 2 off
-    it, so <E_ii, Z> = Z_ii and <E_ij + E_ji, Z> = 2 Z_ij are
-    weight * Z.flat[upper]."""
+    it, so <E_ii, Z> = Z_ii and <E_ij + E_ji, Z> = 2 Z_ij make up
+    `contract(Z)`."""
 
     gather: np.ndarray
     upper: np.ndarray
     weight: np.ndarray
+
+    def contract(self, z) -> np.ndarray:
+        """weight * Z.flat[upper] for an n x n ndarray z (hot path)."""
+        return z.take(self.upper) * self.weight
 
 
 def _sym_maps(n) -> _SymMaps:
@@ -95,10 +99,8 @@ def _sym_maps(n) -> _SymMaps:
     gather = lo * (2 * n + 1 - lo) // 2 + (hi - lo)
     upper = np.flatnonzero(r <= c)
     # the diagonal entries are the multiples of n + 1
-    maps = _SymMaps(gather, upper, np.where(upper % (n + 1) == 0, 1.0, 2.0))
-    for a in maps:
-        a.flags.writeable = False
-    return maps
+    weight = np.where(upper % (n + 1) == 0, 1.0, 2.0)
+    return _SymMaps(_freeze(gather), _freeze(upper), _freeze(weight))
 
 
 class _Block(NamedTuple):
@@ -165,8 +167,7 @@ class LmiProblem:
                     f"coefficient {i + 1} has dimension {c.dim}, rhs has {n}"
                 )
             tensor[i] = c.mat
-        tensor.flags.writeable = False
-        _lay_out(self, b, m, [(slice(0, n), slice(0, m), tensor)])
+        _lay_out(self, b, m, [(slice(0, n), slice(0, m), _freeze(tensor))])
 
     @property
     def coeffs(self):
@@ -180,7 +181,7 @@ class LmiProblem:
             self.num_vars == other.num_vars
             and self.dim == other.dim
             and self.rhs == other.rhs
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
+            and np.array_equal(_dense_coeffs(self), _dense_coeffs(other))
         )
 
     def __repr__(self):
@@ -191,28 +192,24 @@ def _lay_out(p: LmiProblem, b: SymMatrix, num_vars, pieces) -> LmiProblem:
     """Set every field of p, the problem with right-hand side b over
     num_vars variables whose operator is laid out as `pieces`: one
     (at, vars, coeffs) per diagonal block, with coeffs as in _Block. The
-    1 x 1 pieces become the scalar rows; every other piece becomes a _Block
-    that holds its part of B. The constructor, `stack` and
-    `reduce_primal_dual` all build their problems here. Returns p."""
-    blocks, rows, cols = [], [], []
-    for at, variables, coeffs in sorted(pieces, key=lambda piece: piece[0].start):
-        size = at.stop - at.start
-        if size == 1:
-            col = np.zeros(num_vars)
-            col[variables] = 1.0 if coeffs is None else coeffs[:, 0, 0]
-            rows.append(at.start)
-            cols.append(col)
-        else:
-            sym = _sym_maps(size) if coeffs is None else None
-            blocks.append(_Block(at, variables, coeffs, b.mat[at, at], sym))
-    rows = np.array(rows, dtype=int)
-    table = np.stack(cols, axis=1) if cols else np.zeros((num_vars, 0))
-    table.flags.writeable = False
+    1 x 1 pieces become the columns of the scalar rows' table, written in
+    place; every other piece becomes a _Block that holds its part of B. The
+    constructor, `stack` and `reduce_primal_dual` all build their problems
+    here. Returns p."""
+    pieces = sorted(pieces, key=lambda piece: piece[0].start)
+    ones = [piece for piece in pieces if piece[0].stop - piece[0].start == 1]
+    table = np.zeros((num_vars, len(ones)))
+    for col, (_, variables, coeffs) in zip(table.T, ones):
+        col[variables] = 1.0 if coeffs is None else coeffs[:, 0, 0]
+    rows = _freeze(np.array([at.start for at, _, _ in ones], dtype=int))
     p.rhs = b
     p.num_vars = num_vars
     p.dim = b.dim
-    p._blocks = tuple(blocks)
-    p._scalars = _Scalars(rows, table, b.mat[rows, rows])
+    p._blocks = tuple(
+        _Block(at, variables, coeffs, b.mat[at, at],
+               _sym_maps(at.stop - at.start) if coeffs is None else None)
+        for at, variables, coeffs in pieces if at.stop - at.start > 1)
+    p._scalars = _Scalars(rows, _freeze(table), _freeze(b.mat[rows, rows]))
     p._constants = None
     return p
 
@@ -253,7 +250,7 @@ def _block_apply(blk: _Block, x) -> np.ndarray:
 def _block_adjoint(blk: _Block, z) -> np.ndarray:
     """<A_i, Z> for the variables of one block, z a symmetric ndarray."""
     if blk.coeffs is None:
-        return z.take(blk.sym.upper) * blk.sym.weight
+        return blk.sym.contract(z)
     return blk.coeffs.reshape(len(blk.coeffs), -1) @ z.reshape(-1)
 
 
@@ -338,9 +335,7 @@ class SlaterCertificate:
             d = d.reshape(1)
         if d.ndim != 1:
             raise DimensionMismatch("certificate point must be a vector")
-        d = _finite(d, "certificate point").copy()
-        d.flags.writeable = False
-        self.point = d
+        self.point = _freeze(_finite(d, "certificate point").copy())
         self.margin = margin
 
     def __eq__(self, other):
@@ -367,11 +362,9 @@ class LinIneqSystem:
             raise InvalidParameter("system needs at least one row and one column")
         if b.shape != (p,):
             raise DimensionMismatch(f"rhs must have length {p}")
-        if not (np.isfinite(a).all() and np.isfinite(b).all()):
-            raise NonFiniteInput("system data contains NaN or Inf")
+        self.rows = _freeze(_finite(a, "system data").copy())
+        self.rhs = _freeze(_finite(b, "system data").copy())
         self.kinds = _row_kinds(kinds, p)
-        self.rows = _freeze(a.copy())
-        self.rhs = _freeze(b.copy())
         self.num_rows = p
         self.num_vars = q
         self.eq_mask = _freeze(np.array([k == "eq" for k in self.kinds]))
@@ -398,9 +391,7 @@ class SdpPair:
     def __init__(self, objective, coeffs, rhs):
         self.problem = LmiProblem(coeffs, rhs)
         c = _as_vector(objective, self.problem.num_vars, "objective")
-        c = _finite(c, "objective").copy()
-        c.flags.writeable = False
-        self.objective = c
+        self.objective = _freeze(_finite(c, "objective").copy())
 
     def __repr__(self):
         return f"SdpPair(n={self.problem.dim}, m={self.problem.num_vars})"
@@ -532,16 +523,15 @@ def reduce_primal_dual(pair: SdpPair) -> LmiProblem:
     ny = n * (n + 1) // 2
     y = slice(m, m + ny)
     ysym = _sym_maps(n)
-    # coefficient of y_jk in <A_i, y> and <B, y>: 1 on the diagonal, 2 off it
-    eq = _dense_coeffs(prob).reshape(m, n * n)[:, ysym.upper] * ysym.weight
+    # y's coefficients in <A_i, y> and <B, y> are the contractions of A_i and B
+    eq = [ysym.contract(a)[:, None, None] for a in _dense_coeffs(prob)]
 
     pieces = _pieces(prob)
-    for i in range(m):
-        row = eq[i][:, None, None]
+    for i, row in enumerate(eq):
         pieces += [(slice(n + 2 * i, n + 2 * i + 1), y, row),
                    (slice(n + 2 * i + 1, n + 2 * i + 2), y, -row)]
     pieces.append((slice(n + 2 * m, 2 * n + 2 * m), y, None))
-    gap = np.concatenate([c, -(bmat.take(ysym.upper) * ysym.weight)])
+    gap = np.concatenate([c, -ysym.contract(bmat)])
     pieces.append((slice(size - 1, size), slice(0, m + ny), gap[:, None, None]))
 
     rhs = np.zeros((size, size))

@@ -147,12 +147,12 @@ class TraceRow:
     elapsed_ms: float
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class PhaseRecord:
-    """One restart phase. `completed` means the phase reached its planned
-    budget (restarted methods) or its halving target (bundle); phases cut
-    short by eps or by the iteration cap are not completed. prox_travel and
-    level_violation are filled by bundle phases only."""
+    """One restart phase, from its read-only start_point. `completed` means
+    the phase reached its planned budget (restarted methods) or its halving
+    target (bundle); phases cut short by eps or by the iteration cap are not
+    completed. prox_travel and level_violation are filled by bundle phases only."""
 
     index: int
     f_start: float
@@ -166,11 +166,11 @@ class PhaseRecord:
 
 @dataclass(frozen=True, eq=False)
 class SolveTrace:
-    """Each inner iteration's f and elapsed ms (read-only float64), and the phases."""
+    """Each inner iteration's f and elapsed ms (read-only float64), and the phase tuple."""
 
     f_values: np.ndarray
     elapsed_ms: np.ndarray
-    phases: list
+    phases: tuple
 
     @property
     def rows(self):
@@ -409,7 +409,8 @@ def _restart(oracle, x0, eps, cap, phase_fn):
         out = phase_fn(run, x, fx)
         f_end = float(run.evaluate(out.point).value) if out.value is None else out.value
         phases.append(PhaseRecord(len(phases) + 1, fx, f_end, len(run.f_values) - before,
-                                  out.completed, x.copy(), out.prox_travel, out.level_violation))
+                                  out.completed, _freeze(x.copy()), out.prox_travel,
+                                  out.level_violation))
         if f_end < fx:
             x, fx = out.point, f_end
         elif out.completed:
@@ -424,7 +425,7 @@ def _restart(oracle, x0, eps, cap, phase_fn):
         iterations=len(run.f_values),
         phases=len(phases),
         trace=SolveTrace(_freeze(np.frombuffer(run.f_values)),
-                         _freeze(np.frombuffer(run.elapsed_ms)), phases),
+                         _freeze(np.frombuffer(run.elapsed_ms)), tuple(phases)),
         status=status,
     )
 

@@ -51,6 +51,12 @@ _INVIT_SHIFT = 1e-12
 _INVIT_RESIDUAL = 1e-10
 
 
+def _freeze(a):
+    """a, marked read-only; every stored array of the package is made so here."""
+    a.flags.writeable = False
+    return a
+
+
 class SymMatrix:
     """Dense real symmetric n x n matrix.
 
@@ -69,8 +75,7 @@ class SymMatrix:
         s = 0.5 * (a + a.T)
         if not np.isfinite(s).all():
             raise NonFiniteInput("matrix contains NaN or Inf entries")
-        s.flags.writeable = False
-        self.mat = s
+        self.mat = _freeze(s)
         self.dim = s.shape[0]
 
     def __array__(self, dtype=None, copy=None):
@@ -92,11 +97,6 @@ class EigDecomposition:
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-
-def _freeze(a):
-    a.flags.writeable = False
-    return a
 
 
 def _canonical_signs(v):

@@ -139,17 +139,19 @@ def gen_lmi(n: int, m: int, sigma: float, seed: int) -> CertifiedInstance:
 def gen_linsys(p: int, q: int, seed: int, kinds=None):
     """Random consistent linear system and a feasible witness x_star.
 
-    kinds selects the row tags: "eq", "le", "mixed" (default; equality on
-    even row indices, inequality on odd), or an explicit length-p sequence
-    of tags. Equality rows get b_i = (A x_star)_i exactly; inequality rows
-    get slack (0.75 + 1.75 u) max(1, ||a_i||), so the witness is strictly
-    slack there. Draw order: A row-major, then x_star, then one uniform per
+    kinds selects the row tags, in any case: "eq", "le", "mixed" (default;
+    equality on even row indices, inequality on odd), or an explicit
+    length-p sequence of tags. Equality rows get b_i = (A x_star)_i
+    exactly; inequality rows get slack (0.75 + 1.75 u) max(1, ||a_i||), so
+    the witness is strictly slack there. Draw order: A row-major, then x_star, then one uniform per
     inequality row.
 
     Returns (system, x_star).
     """
     _count("p", p)
     _count("q", q)
+    if isinstance(kinds, str):
+        kinds = kinds.lower()
     if kinds is None or kinds == "mixed":
         kinds = ["eq" if i % 2 == 0 else "le" for i in range(p)]
     elif kinds == "eq" or kinds == "le":

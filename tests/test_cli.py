@@ -84,6 +84,24 @@ class TestParse:
         with pytest.raises(ParseError, match="line 2"):
             parse_problem("lis 1 1\nge 1.0 0.0\n")
 
+    @pytest.mark.parametrize("text, line, fragment", [
+        ("lmi 2 1\nB\n1.0\n0.0 1.0\n", 3, "matrix B: expected 2 values, got 1"),
+        ("lmi x 1\n", 1, "n must be an integer, got 'x'"),
+        ("lis 0 2\n", 1, "p must be >= 1, got 0"),
+        ("lmi 1\n", 1, "header must be 'lmi <n> <m>'"),
+        (MINIMAL_LMI + "slater 2.0\n-4.0\n1.0\n", 8, "unexpected content after the problem"),
+        ("lis 1 1\nle 1.0 0.0\nle 1.0 0.0\n", 3, "unexpected content after the system"),
+        ("lmi 1 1\nC\n0.0\n", 2, "expected 'B', got 'C'"),
+        ("lmi 1 1\nB\n0.0\nA 2\n1.0\n", 4, "expected 'A 1', got 'A 2'"),
+        (MINIMAL_LMI + "slater 0.0\n-4.0\n", 6, "sigma must be positive, got 0.0"),
+    ], ids=["value-count", "non-integer-size", "size-below-one", "header-tokens",
+            "after-slater", "after-lis-rows", "expected-B", "expected-A", "sigma-not-positive"])
+    def test_error_names_line_and_cause(self, text, line, fragment):
+        with pytest.raises(ParseError) as info:
+            parse_problem(text)
+        assert str(info.value).startswith(f"line {line}: ")
+        assert fragment in str(info.value)
+
 
 class TestRoundTrip:
     def test_lmi_with_certificate(self):

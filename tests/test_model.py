@@ -432,6 +432,17 @@ class TestBlockLayout:
                 fro_sq += float(fro) * float(fro)
             assert constants(p) == (math.sqrt(spec_sq), math.sqrt(fro_sq), 2.0 * fro_sq)
 
+    def test_stored_arrays_are_read_only(self):
+        # a dense problem, a stack with scalar rows, and a reduction
+        pair = SdpPair([1.0, 2.0], [SymMatrix(np.eye(3)), SymMatrix(np.ones((3, 3)))],
+                       SymMatrix(np.eye(3)))
+        for p in (pair.problem, stack([pair.problem, LmiProblem([[[1.0]], [[-1.0]]], [[1.0]])]),
+                  reduce_primal_dual(pair)):
+            arrays = [p.rhs.mat, *p._scalars]
+            for blk in p._blocks:
+                arrays += [blk.rhs, *([blk.coeffs] if blk.sym is None else blk.sym)]
+            assert not any(a.flags.writeable for a in arrays)
+
     def test_all_scalar_reduction(self):
         # a 1 x 1 pair reduces to five 1 x 1 rows: x, the two equalities, y, the gap
         pair = SdpPair([-1.0], [SymMatrix([[1.0]])], SymMatrix([[0.0]]))

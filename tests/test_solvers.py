@@ -304,13 +304,19 @@ class TestSolveNonsmooth:
         with pytest.raises(InvalidParameter):
             solve_nonsmooth(p, 1.0, 1e-8, cap=0)
 
-    def test_zero_operator_rejected(self):
-        p = LmiProblem([SymMatrix([[0.0]])], SymMatrix([[1.0]]))
-        res = solve_nonsmooth(p, 1.0, 1e-8)  # residual -B is NSD at x0 = 0
-        assert res.status is SolveStatus.SOLVED
-        infeasible = LmiProblem([SymMatrix([[0.0]])], SymMatrix([[-1.0]]))
+    @pytest.mark.parametrize("solve", [solve_nonsmooth, solve_smooth, solve_linsys],
+                             ids=["nonsmooth", "smooth", "linsys"])
+    def test_zero_operator_rejected(self, solve):
+        # a zero operator with rhs b: solved at x0 = 0 when b = 1 (the
+        # residual -b is feasible), and no phase can start when b = -1
+        def zero(b):
+            if solve is solve_linsys:
+                return LinIneqSystem([[0.0]], [b], ["le"])
+            return LmiProblem([SymMatrix([[0.0]])], SymMatrix([[b]]))
+
+        assert solve(zero(1.0), 1.0, 1e-8).status is SolveStatus.SOLVED
         with pytest.raises(InvalidParameter):
-            solve_nonsmooth(infeasible, 1.0, 1e-8)
+            solve(zero(-1.0), 1.0, 1e-8)
 
     def test_deterministic(self):
         inst = gen_lmi(5, 3, 1.0, 321)
@@ -470,6 +476,9 @@ class TestTraceAccounting:
             assert np.array([r.f_value for r in rows]).tobytes() == trace.f_values.tobytes()
             assert np.array([r.elapsed_ms for r in rows]).tobytes() == trace.elapsed_ms.tobytes()
             assert not (trace.f_values.flags.writeable or trace.elapsed_ms.flags.writeable)
+            # and the phase records are as read-only as the columns
+            assert isinstance(trace.phases, tuple)
+            assert not any(ph.start_point.flags.writeable for ph in trace.phases)
 
     def test_phase_indices(self):
         inst = gen_lmi(4, 3, 1.0, 778)
@@ -490,6 +499,21 @@ class TestTraceAccounting:
         assert res.status is SolveStatus.ITERATION_CAP
         assert (res.iterations, res.phases) == (3000, 3)
         assert retained <= 32 * res.iterations
+
+    def test_one_step_phases_retain_bounded_memory(self):
+        # mu = 1e-3 makes every phase one subgradient step, so the result
+        # keeps one PhaseRecord and one start point per iteration
+        inst = gen_lmi(20, 10, 1.0, 3)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = solve_nonsmooth(inst.problem, 1e-3, 1e-12, cap=2000, x0=3 * inst.witness)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert res.status is SolveStatus.ITERATION_CAP
+        assert (res.iterations, res.phases) == (2000, 2000)
+        assert retained <= 400 * res.iterations
 
 
 def reference_restarts(oracle, x, K, cap):

@@ -105,6 +105,9 @@ class TestGenLinsys:
         rows = np.array(sys_.rows)
         assert np.all(sys_.eq_mask)
         np.testing.assert_allclose(rows @ witness, sys_.rhs, atol=1e-12)
+        # shorthands ignore case, also when the string has p characters
+        assert gen_linsys(5, 8, 4, kinds="EQ")[0] == sys_
+        assert gen_linsys(2, 3, 1, kinds="EQ")[0] == gen_linsys(2, 3, 1, kinds="eq")[0]
 
     def test_le_rows_have_slack(self):
         sys_, witness = gen_linsys(6, 4, 5, kinds="le")
@@ -113,10 +116,12 @@ class TestGenLinsys:
         assert not np.any(sys_.eq_mask)
         assert np.all(slack >= 0.75 - 1e-12)
         assert eval_linsys(sys_, witness).value == 0.0
+        assert gen_linsys(6, 4, 5, kinds="Le")[0] == sys_
 
     def test_mixed_pattern(self):
         sys_, witness = gen_linsys(4, 2, 6, kinds="mixed")
         assert list(sys_.kinds) == ["eq", "le", "eq", "le"]
+        assert gen_linsys(4, 2, 6, kinds="MIXED")[0] == sys_
         assert eval_linsys(sys_, witness).value <= 1e-18
 
     def test_explicit_kinds(self):
