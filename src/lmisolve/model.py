@@ -9,11 +9,15 @@ LMI, and the linear-inequality system model.
 
 A problem is stored as the diagonal blocks of A(x) - B (see LmiProblem);
 the private helpers `_residuals`, `_adjoint` and `_top_subgradient` are how
-the oracles work on it one block at a time. `_lay_out`, the one layout
-builder behind the constructor, `stack` and `reduce_primal_dual`, builds
-the index maps of each symmetric-matrix variable once (see _Block), so A(x)
-and the adjoint on a block are one matrix product with its reshaped
-coefficient stack, or one gather and one product, on every evaluation.
+the oracles work on it one block at a time. `_lay_out` is the one layout
+builder behind the constructor, `stack` and `reduce_primal_dual`. The index
+maps of a symmetric-matrix variable are built once, where the variable is
+made, and travel with its block (see _Block), so A(x) and the adjoint on a
+block are one matrix product with its reshaped coefficient stack, or one
+gather and one product, on every evaluation.
+
+`validate_certificate` decides lambda_max(A(d) - B) < -sigma + tol with one
+Cholesky factorization per block and computes no eigenvalues.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NonFiniteInput
-from .symlinalg import SymMatrix, _freeze, _top_eigpair, lambda_max, norms  # noqa: F401 (perfbench traces lambda_max)
+from .symlinalg import _INVIT_MIN_DIM, SymMatrix, _freeze, _top_eigpair, lambda_max, norms  # noqa: F401 (perfbench traces lambda_max)
 
 __all__ = [
     "LmiProblem",
@@ -112,8 +116,9 @@ class _Block(NamedTuple):
     C its (k_b, n_b^2) reshape view (not a copy). A symmetric-matrix
     variable has `coeffs` None and its index maps in `sym`: A(x) is one
     gather of xs and the adjoint one gather of Z times the weights. `sym`
-    is read only where `coeffs` is None. `_lay_out` builds every block and
-    its maps once; the hot path only reads them."""
+    is read only where `coeffs` is None. `reduce_primal_dual` builds the
+    maps once, `stack` shares them, and `_lay_out` stores every block; the
+    hot path only reads them."""
 
     at: slice
     vars: slice
@@ -167,7 +172,7 @@ class LmiProblem:
                     f"coefficient {i + 1} has dimension {c.dim}, rhs has {n}"
                 )
             tensor[i] = c.mat
-        _lay_out(self, b, m, [(slice(0, n), slice(0, m), _freeze(tensor))])
+        _lay_out(self, b, m, [(slice(0, n), slice(0, m), _freeze(tensor), None)])
 
     @property
     def coeffs(self):
@@ -191,7 +196,7 @@ class LmiProblem:
 def _lay_out(p: LmiProblem, b: SymMatrix, num_vars, pieces) -> LmiProblem:
     """Set every field of p, the problem with right-hand side b over
     num_vars variables whose operator is laid out as `pieces`: one
-    (at, vars, coeffs) per diagonal block, with coeffs as in _Block. The
+    (at, vars, coeffs, sym) per diagonal block, as in _Block. The
     1 x 1 pieces become the columns of the scalar rows' table, written in
     place; every other piece becomes a _Block that holds its part of B. The
     constructor, `stack` and `reduce_primal_dual` all build their problems
@@ -199,16 +204,14 @@ def _lay_out(p: LmiProblem, b: SymMatrix, num_vars, pieces) -> LmiProblem:
     pieces = sorted(pieces, key=lambda piece: piece[0].start)
     ones = [piece for piece in pieces if piece[0].stop - piece[0].start == 1]
     table = np.zeros((num_vars, len(ones)))
-    for col, (_, variables, coeffs) in zip(table.T, ones):
+    for col, (_, variables, coeffs, _) in zip(table.T, ones):
         col[variables] = 1.0 if coeffs is None else coeffs[:, 0, 0]
-    rows = _freeze(np.array([at.start for at, _, _ in ones], dtype=int))
+    rows = _freeze(np.array([at.start for at, *_ in ones], dtype=int))
     p.rhs = b
     p.num_vars = num_vars
     p.dim = b.dim
-    p._blocks = tuple(
-        _Block(at, variables, coeffs, b.mat[at, at],
-               _sym_maps(at.stop - at.start) if coeffs is None else None)
-        for at, variables, coeffs in pieces if at.stop - at.start > 1)
+    p._blocks = tuple(_Block(at, variables, coeffs, b.mat[at, at], sym)
+                      for at, variables, coeffs, sym in pieces if at.stop - at.start > 1)
     p._scalars = _Scalars(rows, _freeze(table), _freeze(b.mat[rows, rows]))
     p._constants = None
     return p
@@ -216,11 +219,11 @@ def _lay_out(p: LmiProblem, b: SymMatrix, num_vars, pieces) -> LmiProblem:
 
 def _pieces(p: LmiProblem, offset=0) -> list:
     """p's layout as _lay_out takes it, moved down by `offset` rows."""
-    out = [(slice(blk.at.start + offset, blk.at.stop + offset), blk.vars, blk.coeffs)
+    out = [(slice(blk.at.start + offset, blk.at.stop + offset), blk.vars, blk.coeffs, blk.sym)
            for blk in p._blocks]
     every = slice(0, p.num_vars)
     for row, col in zip(p._scalars.rows.tolist(), p._scalars.coeffs.T):
-        out.append((slice(row + offset, row + offset + 1), every, col[:, None, None]))
+        out.append((slice(row + offset, row + offset + 1), every, col[:, None, None], None))
     return out
 
 
@@ -288,29 +291,42 @@ def _adjoint(p: LmiProblem, parts, scalars) -> np.ndarray:
     return g
 
 
-def _top_subgradient(p: LmiProblem, mats, scalars, kink) -> tuple[float, np.ndarray | None]:
+# Top eigenvalues at or below this are treated as feasible: the non-smooth
+# oracle then reports value 0 with the zero (minimum-norm) subgradient,
+# keeping the pair (value, gradient) consistent at the kink.
+_KINK_TOL = 1e-12
+
+
+def _top_subgradient(p: LmiProblem, mats, scalars) -> tuple[float, np.ndarray | None]:
     """lambda_max(A(x) - B) from the blocks `mats` and the values `scalars`
-    of the 1 x 1 rows of A(x) - B, and, when it is above `kink`, the
+    of the 1 x 1 rows of A(x) - B, and, when it is above _KINK_TOL, the
     subgradient A^T(v v^T) for a unit top eigenvector v (else None).
 
     Each block's eigenvalues come from `eigvalsh`; an eigenvector is found
-    only for the block that holds the top. A tie goes to the block that
-    comes first in the matrix."""
+    only for the block that holds the top. A lone block smaller than
+    _INVIT_MIN_DIM, which would take its vector from a full `eigh` anyway,
+    gets its values and its vector from that one `eigh`. A tie goes to the
+    block that comes first in the matrix."""
+    lone = len(mats) == 1 and mats[0].shape[0] < _INVIT_MIN_DIM
     found = []
     for s, blk in zip(mats, p._blocks):
-        w = np.linalg.eigvalsh(s)
-        found.append((float(w[-1]), blk.at.start, blk, (s, w)))
+        if lone:
+            top, vec = _top_eigpair(s)
+            found.append((top, blk.at.start, blk, None))
+        else:
+            w = np.linalg.eigvalsh(s)
+            found.append((float(w[-1]), blk.at.start, blk, (s, w)))
     if scalars.size:
         k = int(np.argmax(scalars))  # the first of equal rows, since rows ascend
         found.append((float(scalars[k]), int(p._scalars.rows[k]), None, k))
     top, _, blk, where = max(found, key=lambda f: (f[0], -f[1]))
-    if top <= kink:
+    if top <= _KINK_TOL:
         return top, None
     grad = np.zeros(p.num_vars)
     if blk is None:
         grad[:] = p._scalars.coeffs[:, where]
         return top, grad
-    v = _top_eigpair(*where)[1]
+    v = vec if lone else _top_eigpair(*where)[1]
     if blk.coeffs is None:
         grad[blk.vars] = _block_adjoint(blk, np.outer(v, v))
     else:
@@ -464,10 +480,26 @@ def mu_of(cert: SlaterCertificate) -> float:
 
 
 def validate_certificate(p: LmiProblem, cert: SlaterCertificate, tol: float = 1e-9) -> bool:
-    """True when lambda_max(A(d) - B) <= -sigma + tol (from eigenvalues only)."""
+    """True when lambda_max(A(d) - B) < -sigma + tol, strictly.
+
+    No eigenvalue is computed. With level = tol - sigma, each block S of
+    A(d) - B passes when level I - S is positive definite, that is, when
+    `np.linalg.cholesky` factors it; a failed factorization means False.
+    The 1 x 1 rows pass when their largest value is below level. At the
+    exact boundary lambda_max = -sigma + tol the answer is False."""
     d = _as_vector(cert.point, p.num_vars, "certificate point")
-    top, _ = _top_subgradient(p, *_residuals(p, d), kink=np.inf)
-    return top <= -cert.margin + tol
+    mats, scalars = _residuals(p, d)
+    level = tol - cert.margin
+    if not (scalars < level).all():
+        return False
+    for s in mats:
+        np.negative(s, out=s)
+        s.flat[:: s.shape[0] + 1] += level
+        try:
+            np.linalg.cholesky(s)
+        except np.linalg.LinAlgError:
+            return False
+    return True
 
 
 def stack(problems) -> LmiProblem:
@@ -528,11 +560,11 @@ def reduce_primal_dual(pair: SdpPair) -> LmiProblem:
 
     pieces = _pieces(prob)
     for i, row in enumerate(eq):
-        pieces += [(slice(n + 2 * i, n + 2 * i + 1), y, row),
-                   (slice(n + 2 * i + 1, n + 2 * i + 2), y, -row)]
-    pieces.append((slice(n + 2 * m, 2 * n + 2 * m), y, None))
+        pieces += [(slice(n + 2 * i, n + 2 * i + 1), y, row, None),
+                   (slice(n + 2 * i + 1, n + 2 * i + 2), y, -row, None)]
+    pieces.append((slice(n + 2 * m, 2 * n + 2 * m), y, None, ysym))
     gap = np.concatenate([c, -ysym.contract(bmat)])
-    pieces.append((slice(size - 1, size), slice(0, m + ny), gap[:, None, None]))
+    pieces.append((slice(size - 1, size), slice(0, m + ny), gap[:, None, None], None))
 
     rhs = np.zeros((size, size))
     rhs[:n, :n] = bmat

@@ -33,12 +33,6 @@ __all__ = [
     "linsys_oracle",
 ]
 
-# Top eigenvalues at or below this are treated as feasible: the oracle then
-# reports value 0 with the zero (minimum-norm) subgradient, keeping the pair
-# (value, gradient) consistent at the kink.
-_KINK_TOL = 1e-12
-
-
 @dataclass(frozen=True)
 class OracleEval:
     """Objective value (always >= 0) and first-order information at a point.
@@ -79,7 +73,7 @@ def eval_nonsmooth(p: LmiProblem, x) -> OracleEval:
     their top is its max.
     """
     x = _as_vector(x, p.num_vars, "point")
-    top, grad = _top_subgradient(p, *_residuals(p, x), _KINK_TOL)
+    top, grad = _top_subgradient(p, *_residuals(p, x))
     if grad is None:
         return OracleEval(0.0, np.zeros(p.num_vars))
     return OracleEval(top, grad)

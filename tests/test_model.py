@@ -30,6 +30,7 @@ from lmisolve import (
     stack,
     validate_certificate,
 )
+from lmisolve import model
 from lmisolve.model import _adjoint, _residuals
 
 
@@ -91,6 +92,94 @@ class TestCertificate:
     def test_validate_dim_mismatch(self):
         with pytest.raises(DimensionMismatch):
             validate_certificate(one_d_problem(), SlaterCertificate([1.0, 2.0], 1.0))
+
+
+def scalar_row(p, d, value):
+    """A 1 x 1 problem over p's variables whose row reads `value` at d."""
+    coeffs = [SymMatrix([[float(k % 3) - 1.0]]) for k in range(p.num_vars)]
+    at_d = float(sum(c.mat[0, 0] * v for c, v in zip(coeffs, d)))
+    return LmiProblem(coeffs, SymMatrix([[at_d - value]]))
+
+
+def eig_reference(p, cert, tol):
+    """lambda_max(A(d) - B) < -sigma + tol, from the dense matrix's eigvalsh."""
+    resid = apply_operator(p, cert.point).mat - p.rhs.mat
+    return bool(np.linalg.eigvalsh(resid)[-1] < -cert.margin + tol)
+
+
+class TestCertificateCheck:
+    """validate_certificate factors (tol - sigma) I - (A(d) - B) per block
+    and computes no eigenvalues; its inequality is strict."""
+
+    def test_agrees_with_eigvalsh_reference(self):
+        cases = agree = 0
+        for seed in range(10):
+            for n in (3, 8, 20, 40):
+                inst = gen_lmi(n, 4, 1.0, seed)
+                d, sigma = inst.certificate.point, inst.certificate.margin
+                # the row decides for odd seeds, the block for even ones
+                row = scalar_row(inst.problem, d, -sigma * (0.75 if seed % 2 else 1.5))
+                for p in (inst.problem, stack([inst.problem, row])):
+                    for factor in (1.0 - 1e-6, 1.0 + 1e-6, 0.5, 2.0):
+                        cert = SlaterCertificate(d, sigma * factor)
+                        for tol in (0.0, 1e-9):
+                            cases += 1
+                            agree += validate_certificate(p, cert, tol) == eig_reference(
+                                p, cert, tol)
+        assert (cases, agree) == (640, 640)
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_exact_boundary_is_rejected(self, n):
+        # A(0) - B = -sigma I exactly, so lambda_max = -sigma + tol at tol 0
+        sigma = 0.5
+        p = LmiProblem([np.eye(n)], sigma * np.eye(n))
+        cert = SlaterCertificate([0.0], sigma)
+        assert not validate_certificate(p, cert, tol=0.0)
+        assert validate_certificate(p, cert, tol=1e-9)
+        assert validate_certificate(p, cert)
+
+    def test_all_scalar_problem(self):
+        # x_1 - 2 x_2 <= 1: at d = (1, 1) the row reads -2
+        p = LmiProblem([[[1.0]], [[-2.0]]], [[1.0]])
+        assert validate_certificate(p, SlaterCertificate([1.0, 1.0], 1.5))
+        assert not validate_certificate(p, SlaterCertificate([1.0, 1.0], 2.0), tol=0.0)
+        assert not validate_certificate(p, SlaterCertificate([1.0, 1.0], 2.5))
+
+    def test_block_stacked_with_scalar_rows(self):
+        block = LmiProblem([np.diag([1.0, 2.0]), np.eye(2)], np.eye(2))
+        d = np.array([-1.0, 0.0])  # the block reads diag(-2, -3) at d
+        for first, second, ok in ((-2.5, -4.0, True), (-3.0, -1.0, False),
+                                  (-1.0, -3.0, False)):
+            p = stack([scalar_row(block, d, first), block, scalar_row(block, d, second)])
+            # the 1 x 1 rows read `first` and `second`, the block's top is -2,
+            # so at margin 2.1 the block fails whatever the rows read
+            assert p._scalars.rows.tolist() == [0, 3]
+            assert validate_certificate(p, SlaterCertificate(d, 1.9)) is ok
+            assert validate_certificate(p, SlaterCertificate(d, 2.1)) is False
+
+    def test_factored_matrix_not_positive_definite_is_false(self):
+        inst = gen_lmi(20, 4, 1.0, 3)
+        p, d = inst.problem, inst.certificate.point
+        w = np.linalg.eigvalsh(apply_operator(p, d).mat - p.rhs.mat)
+        middle = -0.5 * (w[0] + w[-1])
+        # -middle + tol splits the spectrum, so the factored matrix is
+        # indefinite; at margin 1000 it is negative definite
+        assert w[0] < -middle + 1e-9 < w[-1]
+        for margin in (middle, 1000.0):
+            assert validate_certificate(p, SlaterCertificate(d, margin)) is False
+
+    def test_computes_no_eigenvalues(self, monkeypatch):
+        inst = gen_lmi(40, 4, 1.0, 5)
+        p = stack([inst.problem, scalar_row(inst.problem, inst.certificate.point, -2.0)])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("validate_certificate computed eigenvalues")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        assert validate_certificate(p, inst.certificate)
+        inflated = SlaterCertificate(inst.certificate.point, inst.certificate.margin * 100.0)
+        assert not validate_certificate(p, inflated)
 
 
 class TestOperator:
@@ -244,6 +333,24 @@ class TestReducePrimalDual:
     def test_objective_length_checked(self):
         with pytest.raises(DimensionMismatch):
             SdpPair([1.0, 2.0], [SymMatrix([[1.0]])], SymMatrix([[0.0]]))
+
+    def test_y_block_maps_built_once(self, monkeypatch):
+        pair = random_pair(np.random.default_rng(8), 20, 3)
+        sym_maps = model._sym_maps
+        calls = []
+
+        def counted(n):
+            calls.append(n)
+            return sym_maps(n)
+
+        monkeypatch.setattr(model, "_sym_maps", counted)
+        reduced = reduce_primal_dual(pair)
+        assert calls == [20]
+        # stack shares the maps instead of building them again
+        joint = stack([reduced, reduced])
+        assert calls == [20]
+        assert joint._blocks[1].sym is reduced._blocks[1].sym
+        assert joint._blocks[3].sym is reduced._blocks[1].sym
 
 
 class TestLinIneqSystem:
