@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NonFiniteInput
-from .symlinalg import _INVIT_MIN_DIM, SymMatrix, _freeze, _top_eigpair, lambda_max, norms  # noqa: F401 (perfbench traces lambda_max)
+from .symlinalg import SymMatrix, _freeze, _top_eigpair, lambda_max, norms  # noqa: F401 (perfbench traces lambda_max)
 
 __all__ = [
     "LmiProblem",
@@ -303,19 +303,12 @@ def _top_subgradient(p: LmiProblem, mats, scalars) -> tuple[float, np.ndarray | 
     subgradient A^T(v v^T) for a unit top eigenvector v (else None).
 
     Each block's eigenvalues come from `eigvalsh`; an eigenvector is found
-    only for the block that holds the top. A lone block smaller than
-    _INVIT_MIN_DIM, which would take its vector from a full `eigh` anyway,
-    gets its values and its vector from that one `eigh`. A tie goes to the
-    block that comes first in the matrix."""
-    lone = len(mats) == 1 and mats[0].shape[0] < _INVIT_MIN_DIM
+    only for the block that holds the top. A tie goes to the block that
+    comes first in the matrix."""
     found = []
     for s, blk in zip(mats, p._blocks):
-        if lone:
-            top, vec = _top_eigpair(s)
-            found.append((top, blk.at.start, blk, None))
-        else:
-            w = np.linalg.eigvalsh(s)
-            found.append((float(w[-1]), blk.at.start, blk, (s, w)))
+        w = np.linalg.eigvalsh(s)
+        found.append((float(w[-1]), blk.at.start, blk, (s, w)))
     if scalars.size:
         k = int(np.argmax(scalars))  # the first of equal rows, since rows ascend
         found.append((float(scalars[k]), int(p._scalars.rows[k]), None, k))
@@ -326,7 +319,7 @@ def _top_subgradient(p: LmiProblem, mats, scalars) -> tuple[float, np.ndarray | 
     if blk is None:
         grad[:] = p._scalars.coeffs[:, where]
         return top, grad
-    v = vec if lone else _top_eigpair(*where)[1]
+    v = _top_eigpair(*where)[1]
     if blk.coeffs is None:
         grad[blk.vars] = _block_adjoint(blk, np.outer(v, v))
     else:

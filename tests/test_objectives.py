@@ -22,7 +22,6 @@ from lmisolve import (
     residual_map,
     smooth_oracle,
     solve_smooth,
-    stack,
 )
 
 
@@ -72,42 +71,6 @@ class TestNonsmooth:
     def test_dim_check(self):
         with pytest.raises(DimensionMismatch):
             eval_nonsmooth(one_d_problem(), [1.0, 2.0])
-
-
-class TestSmallBlockDecompositions:
-    """Above the kink, a lone block smaller than the inverse-iteration
-    crossover is decomposed once, by `eigh`; blocks of a stack keep one
-    `eigvalsh` each."""
-
-    @staticmethod
-    def counted(monkeypatch):
-        calls = {"eigvalsh": 0, "eigh": 0}
-        for name in calls:
-            def wrap(*args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(np.linalg, name, wrap)
-        return calls
-
-    def test_lone_block_takes_one_eigh(self, monkeypatch):
-        inst = gen_lmi(20, 4, 0.5, 13)
-        p = inst.problem
-        x = 3.0 * inst.witness + 0.25
-        s = np.tensordot(x, np.stack([a.mat for a in p.coeffs]), axes=1) - p.rhs.mat
-        w_ref = np.linalg.eigvalsh(s)
-        calls = self.counted(monkeypatch)
-        ev = eval_nonsmooth(p, x)
-        assert calls == {"eigvalsh": 0, "eigh": 1}
-        assert w_ref[-1] > 1e-3
-        assert ev.value == pytest.approx(w_ref[-1], rel=1e-13)
-
-    def test_stacked_blocks_keep_eigvalsh(self, monkeypatch):
-        a, b = gen_lmi(20, 4, 0.5, 13), gen_lmi(20, 4, 0.5, 14)
-        joint = stack([a.problem, b.problem])
-        calls = self.counted(monkeypatch)
-        ev = eval_nonsmooth(joint, 3.0 * a.witness + 0.25)
-        assert ev.value > 1e-3
-        assert calls == {"eigvalsh": 2, "eigh": 1}
 
 
 class TestSmooth:
