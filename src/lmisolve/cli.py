@@ -1,7 +1,7 @@
 """Batch front end: parse and serialize problem files, run a solver, emit
 key=value results and optional per-iteration trace CSVs.
 
-File formats (UTF-8, whitespace separated, blank lines ignored):
+File formats (UTF-8, whitespace separated, blank lines ignored, every real finite):
 
 .lmi        lmi <n> <m>
             B
@@ -26,6 +26,7 @@ stalled).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .errors import InvalidParameter, LmiSolveError, ParseError
@@ -89,13 +90,18 @@ class _Lines:
 def _reals(tokens, count, lineno, what):
     if len(tokens) != count:
         raise ParseError(f"line {lineno}: {what}: expected {count} values, got {len(tokens)}")
-    out = []
-    for tok in tokens:
+    try:
+        out = list(map(float, tokens))
+        if all(map(math.isfinite, out)):
+            return out
+    except ValueError:
+        pass
+    for tok in tokens:  # name the first token that is not a finite number
         try:
-            out.append(float(tok))
+            if not math.isfinite(float(tok)):
+                raise ParseError(f"line {lineno}: {what}: not a finite number: {tok!r}")
         except ValueError:
             raise ParseError(f"line {lineno}: {what}: not a number: {tok!r}") from None
-    return out
 
 
 def _positive_int(tok, lineno, what):

@@ -62,8 +62,8 @@ def _count(name, value):
 
 
 def _positive(name, value):
-    if not value > 0.0:
-        raise InvalidParameter(f"{name} must be positive, got {value}")
+    if not 0.0 < value < np.inf:
+        raise InvalidParameter(f"{name} must be positive and finite, got {value}")
     return float(value)
 
 

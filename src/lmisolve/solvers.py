@@ -25,6 +25,12 @@ A solve calls the oracle once per new point: the restart loop evaluates
 each phase's start point, and the phase reuses that evaluation for its
 first probe instead of calling the oracle there again.
 
+Each driver is one `_restart` call. An engine runs one phase from (x, f(x))
+and returns (point, f(point) or None, completed); the bundle engine appends
+(prox_travel, level_violation). `_restart` alone holds the zero-operator
+rule: when a phase must start and both oracle constants are 0 (a constant
+objective), every driver but solve_bundle raises InvalidParameter.
+
 The accelerated scheme is fixed as: theta_t = 2/(t+1),
 y = (1-theta) xbar + theta z, xbar <- y - grad/L, z <- z - (t+1)/(2L) grad,
 with z_0 = xbar_0 = x_0. It satisfies
@@ -197,19 +203,6 @@ class SolveResult:
     status: SolveStatus
 
 
-@dataclass(frozen=True)
-class _Outcome:
-    """What an inner engine returns: its candidate point, the candidate's
-    value when the engine already knows it, and whether the phase ran to its
-    budget or halving target. Bundle phases add their instrumentation."""
-
-    point: np.ndarray
-    value: float | None
-    completed: bool
-    prox_travel: float | None = None
-    level_violation: float | None = None
-
-
 class _Run:
     """One solve's oracle, stopping tolerance eps, and each inner iteration's
     f and elapsed ms in two growing float64 columns, held against a cap."""
@@ -256,6 +249,8 @@ def _point(x, dim):
 
 def _budget(value):
     """Restart length: ceiling, clamped to at least one step."""
+    if not math.isfinite(value):
+        raise InvalidParameter(f"phase budget {value} is not finite; mu or L_H is too large")
     return max(1, math.ceil(value))
 
 
@@ -263,9 +258,10 @@ def _budget(value):
 # inner engines
 
 
-def _subgradient_steps(run, x, K, gamma):
-    """K constant-step subgradient steps; best of the new iterates."""
-    step = gamma / math.sqrt(K)
+def _subgradient_steps(run, x, fx, K, mu, m):
+    """K subgradient steps of constant length gamma / sqrt(K), with
+    gamma = mu f(x) / m; best of the new iterates."""
+    step = mu * fx / m / math.sqrt(K)
     cur = x
     g = run.evaluate(cur).gradient
     best = x
@@ -279,12 +275,12 @@ def _subgradient_steps(run, x, K, gamma):
         g = ev.gradient
         if ev.value <= run.eps:
             break
-    return _Outcome(best, best_f, i == K)
+    return best, best_f, i == K
 
 
-def _accelerated_steps(run, lip, x, K):
-    """K accelerated-gradient steps from x; returns the last xbar, or the
-    probe point y_t if its value already meets eps."""
+def _accelerated_steps(run, x, fx, lip, K):
+    """K accelerated-gradient steps from x (f(x) is not used); returns the
+    last xbar, or the probe point y_t if its value already meets eps."""
     xbar = x
     z = x
     for t in range(1, min(K, run.remaining()) + 1):
@@ -293,10 +289,10 @@ def _accelerated_steps(run, lip, x, K):
         ev = run.evaluate(y)
         run.record(ev.value)
         if ev.value <= run.eps:
-            return _Outcome(y, float(ev.value), t == K)
+            return y, float(ev.value), t == K
         xbar = y - ev.gradient / lip
         z = z - ((t + 1.0) / (2.0 * lip)) * ev.gradient
-    return _Outcome(xbar, None, t == K)
+    return xbar, None, t == K
 
 
 def _gap_reduction_steps(run, x0u, fbar0, level, policy):
@@ -326,7 +322,7 @@ def _gap_reduction_steps(run, x0u, fbar0, level, policy):
         x_prev = x_new
         if fbar <= target or fbar <= run.eps:
             break
-    return _Outcome(xu, fbar, fbar <= target, travel, viol)
+    return xu, fbar, fbar <= target, travel, viol
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +335,8 @@ def subgradient_phase(oracle: Oracle, x0, K: int, gamma: float):
     K = _count("K", K)
     gamma = _positive("gamma", gamma)
     x = _point(x0, oracle.dim)
-    out = _subgradient_steps(_Run(oracle, -math.inf, K), x, K, gamma)
-    return out.point, out.value
+    # mu = gamma with f(x) = m = 1 is a step of exactly gamma / sqrt(K)
+    return _subgradient_steps(_Run(oracle, -math.inf, K), x, 1.0, K, gamma, 1.0)[:2]
 
 
 def accelerated_phase(oracle: Oracle, L: float, x0, K: int):
@@ -349,7 +345,7 @@ def accelerated_phase(oracle: Oracle, L: float, x0, K: int):
     L = _positive("L", L)
     K = _count("K", K)
     x = _point(x0, oracle.dim)
-    return _accelerated_steps(_Run(oracle, -math.inf, K), L, x, K).point
+    return _accelerated_steps(_Run(oracle, -math.inf, K), x, None, L, K)[0]
 
 
 def level_project(x_prev, z, fz, g, level):
@@ -386,34 +382,36 @@ def gap_reduction(oracle: Oracle, x0u, level: float, policy: StepsizePolicy,
     run = _Run(oracle, -math.inf, cap)
     f0 = float(run.evaluate(x).value)
     out = _gap_reduction_steps(run, x, f0, float(level), policy)
-    if not out.completed:
+    if not out[2]:
         raise IterationCapReached(f"gap reduction exhausted the cap of {cap} iterations")
-    return out.point, len(run.f_values)
+    return out[0], len(run.f_values)
 
 
 # ---------------------------------------------------------------------------
 # restarted drivers
 
 
-def _restart(oracle, x0, eps, cap, phase_fn):
-    """The restart loop: phase_fn(run, x, f(x)) runs one phase and returns an
-    _Outcome; the solve restarts from its point only when that point is lower.
-    A phase starts only while iterations remain, so every engine takes a step."""
+def _restart(oracle, x0, eps, cap, engine, *args, sized=True):
+    """The restart loop: engine(run, x, f(x), *args) runs one phase and returns
+    its tuple; the solve restarts from its point only when that point is lower.
+    A phase starts only while iterations remain, so every engine takes a step;
+    a `sized` engine (steps from oracle constants) raises on a zero operator."""
     _positive("eps", eps)
     run = _Run(oracle, eps, _count("cap", cap))
     x = _point(x0, oracle.dim)
     fx = float(run.evaluate(x).value)
+    if fx > eps and sized and max(oracle.grad_lipschitz, oracle.subgrad_bound) <= 0.0:
+        raise InvalidParameter("the operator is zero; the objective is constant")
     phases, status = [], SolveStatus.SOLVED
     while fx > eps:
         before = len(run.f_values)
-        out = phase_fn(run, x, fx)
-        f_end = float(run.evaluate(out.point).value) if out.value is None else out.value
+        point, f_end, completed, *bundle = engine(run, x, fx, *args)
+        f_end = float(run.evaluate(point).value) if f_end is None else f_end
         phases.append(PhaseRecord(len(phases) + 1, fx, f_end, len(run.f_values) - before,
-                                  out.completed, _freeze(x.copy()), out.prox_travel,
-                                  out.level_violation))
+                                  completed, _freeze(x.copy()), *bundle))
         if f_end < fx:
-            x, fx = out.point, f_end
-        elif out.completed:
+            x, fx = point, f_end
+        elif completed:
             status = SolveStatus.STALLED
             break
         if fx > eps and run.remaining() <= 0:
@@ -441,16 +439,9 @@ def solve_nonsmooth(p: LmiProblem, mu: float, eps: float, cap: int = DEFAULT_CAP
     """
     _positive("mu", mu)
     oracle = nonsmooth_oracle(p)
-    m_bound = oracle.subgrad_bound
-    K = _budget(4.0 * m_bound * m_bound * mu * mu)
-
-    def phase(run, x, fx):
-        if m_bound <= 0.0:
-            raise InvalidParameter("all coefficient matrices are zero; the objective is constant")
-        gamma = mu * fx / m_bound
-        return _subgradient_steps(run, x, K, gamma)
-
-    return _restart(oracle, x0, eps, cap, phase)
+    m = oracle.subgrad_bound
+    K = _budget(4.0 * m * m * mu * mu)
+    return _restart(oracle, x0, eps, cap, _subgradient_steps, K, mu, m)
 
 
 def solve_smooth(p: LmiProblem, mu: float, eps: float, cap: int = DEFAULT_CAP,
@@ -463,13 +454,7 @@ def solve_smooth(p: LmiProblem, mu: float, eps: float, cap: int = DEFAULT_CAP,
     _positive("mu", mu)
     oracle = smooth_oracle(p)
     K = _budget(4.0 * mu * _constants_of(p).opnorm)
-
-    def phase(run, x, fx):
-        if oracle.grad_lipschitz <= 0.0:
-            raise InvalidParameter("all coefficient matrices are zero; the objective is constant")
-        return _accelerated_steps(run, oracle.grad_lipschitz, x, K)
-
-    return _restart(oracle, x0, eps, cap, phase)
+    return _restart(oracle, x0, eps, cap, _accelerated_steps, oracle.grad_lipschitz, K)
 
 
 def solve_bundle(oracle: Oracle, p0, eps: float, policy: StepsizePolicy = HARMONIC,
@@ -478,11 +463,7 @@ def solve_bundle(oracle: Oracle, p0, eps: float, policy: StepsizePolicy = HARMON
     the upper bound reaches eps. Needs no smoothness or error-bound input;
     stepsizes reset to alpha_1 = 1 at the start of every phase."""
     _check_policy(policy)
-
-    def phase(run, x, fx):
-        return _gap_reduction_steps(run, x, fx, 0.0, policy)
-
-    return _restart(oracle, p0, eps, cap, phase)
+    return _restart(oracle, p0, eps, cap, _gap_reduction_steps, 0.0, policy, sized=False)
 
 
 def solve_linsys(sys: LinIneqSystem, LH: float, eps: float, cap: int = DEFAULT_CAP,
@@ -494,12 +475,5 @@ def solve_linsys(sys: LinIneqSystem, LH: float, eps: float, cap: int = DEFAULT_C
     """
     _positive("LH", LH)
     oracle = linsys_oracle(sys)
-    lip = oracle.grad_lipschitz
-    K = _budget(math.sqrt(8.0 * lip) * LH)
-
-    def phase(run, x, fx):
-        if lip <= 0.0:
-            raise InvalidParameter("system matrix is zero; the objective is constant")
-        return _accelerated_steps(run, lip, x, K)
-
-    return _restart(oracle, x0, eps, cap, phase)
+    K = _budget(math.sqrt(8.0 * oracle.grad_lipschitz) * LH)
+    return _restart(oracle, x0, eps, cap, _accelerated_steps, oracle.grad_lipschitz, K)

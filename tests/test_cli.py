@@ -94,8 +94,11 @@ class TestParse:
         ("lmi 1 1\nC\n0.0\n", 2, "expected 'B', got 'C'"),
         ("lmi 1 1\nB\n0.0\nA 2\n1.0\n", 4, "expected 'A 1', got 'A 2'"),
         (MINIMAL_LMI + "slater 0.0\n-4.0\n", 6, "sigma must be positive, got 0.0"),
+        ("lmi 1 1\nB\nnan\nA 1\n1.0\n", 3, "matrix B: not a finite number: 'nan'"),
+        ("lis 1 1\nle -inf 0.0\n", 2, "row 1: not a finite number: '-inf'"),
     ], ids=["value-count", "non-integer-size", "size-below-one", "header-tokens",
-            "after-slater", "after-lis-rows", "expected-B", "expected-A", "sigma-not-positive"])
+            "after-slater", "after-lis-rows", "expected-B", "expected-A", "sigma-not-positive",
+            "nan-entry", "inf-entry"])
     def test_error_names_line_and_cause(self, text, line, fragment):
         with pytest.raises(ParseError) as info:
             parse_problem(text)
@@ -182,6 +185,19 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert "status=" not in captured.out
         assert "non-finite" in captured.err
+
+    @pytest.mark.parametrize("flags", [["--method", "smooth"],
+                                       ["--method", "nonsmooth", "--mu", "1e300"],
+                                       ["--method", "nonsmooth", "--mu", "inf"]],
+                             ids=["certificate-mu", "mu-overflow", "mu-inf"])
+    def test_unbounded_budget_exit_one(self, tmp_path, capsys, flags):
+        # x >= 1, with a valid certificate whose mu = 1e154 / 1e-160 overflows to inf
+        text = "lmi 1 1\nB\n-1\nA 1\n-1\nslater 1e-160\n1e154\n"
+        path = write(tmp_path, "big.lmi", text)
+        assert main(["solve", *flags, path]) == 1
+        captured = capsys.readouterr()
+        assert "status=" not in captured.out
+        assert captured.err.startswith("error: ")
 
     def test_stalled_exit_two(self, tmp_path, capsys):
         # A(x) - B <= 0 stacked with A(x) - B >= I, which no point meets,

@@ -57,6 +57,12 @@ def abs_value_problem():
     return LmiProblem([SymMatrix(np.diag([1.0, -1.0]))], SymMatrix(np.diag([1.0, -1.0])))
 
 
+def stacked_zero(b):
+    """A zero 2 x 2 block with rhs b I stacked with a zero scalar row with rhs b."""
+    return stack([LmiProblem([np.zeros((2, 2))], b * np.eye(2)),
+                  LmiProblem([[[0.0]]], [[b]])])
+
+
 def box_max_problem():
     # f(x1, x2) = max(|x1|, |x2|)
     return LmiProblem(
@@ -308,15 +314,18 @@ class TestSolveNonsmooth:
                              ids=["nonsmooth", "smooth", "linsys"])
     def test_zero_operator_rejected(self, solve):
         # a zero operator with rhs b: solved at x0 = 0 when b = 1 (the
-        # residual -b is feasible), and no phase can start when b = -1
-        def zero(b):
+        # residual -b is feasible), and no phase can start when b = -1;
+        # the LMI solvers also get it as a 2 x 2 block and a scalar row
+        def zeros(b):
             if solve is solve_linsys:
-                return LinIneqSystem([[0.0]], [b], ["le"])
-            return LmiProblem([SymMatrix([[0.0]])], SymMatrix([[b]]))
+                return [LinIneqSystem([[0.0]], [b], ["le"])]
+            return [LmiProblem([SymMatrix([[0.0]])], SymMatrix([[b]])), stacked_zero(b)]
 
-        assert solve(zero(1.0), 1.0, 1e-8).status is SolveStatus.SOLVED
-        with pytest.raises(InvalidParameter):
-            solve(zero(-1.0), 1.0, 1e-8)
+        for p in zeros(1.0):
+            assert solve(p, 1.0, 1e-8).status is SolveStatus.SOLVED
+        for p in zeros(-1.0):
+            with pytest.raises(InvalidParameter, match="operator is zero"):
+                solve(p, 1.0, 1e-8)
 
     def test_deterministic(self):
         inst = gen_lmi(5, 3, 1.0, 321)
@@ -405,6 +414,14 @@ class TestSolveBundle:
         res = solve_bundle(orc, [1.0, 0.9], 1e-8, HARMONIC, cap=1)
         assert res.status is SolveStatus.ITERATION_CAP
         assert res.iterations == 1
+
+    @pytest.mark.parametrize("make", [nonsmooth_oracle, smooth_oracle],
+                             ids=["nonsmooth", "smooth"])
+    def test_zero_operator_has_no_feasible_level(self, make):
+        # the bundle needs no constants, so no zero-operator check runs:
+        # the first cut has a zero subgradient and sits above level 0
+        with pytest.raises(InfeasibleLevel):
+            solve_bundle(make(stacked_zero(-1.0)), None, 1e-8)
 
     def test_invalid_policy(self):
         orc = nonsmooth_oracle(one_d_problem())
@@ -552,6 +569,18 @@ class TestSolveExits:
         with pytest.raises(NonFiniteInput):
             solve_smooth(inst.problem, mu_of(inst.certificate), 1e-8, cap=200,
                          x0=1e200 * np.ones(4))
+
+    @pytest.mark.parametrize("modulus", [1e308, math.inf], ids=["overflow", "inf"])
+    @pytest.mark.parametrize("solve", [solve_nonsmooth, solve_smooth, solve_linsys],
+                             ids=["nonsmooth", "smooth", "linsys"])
+    def test_unbounded_budget_raises_invalid_parameter(self, solve, modulus):
+        # x0 = 0 is infeasible (x >= 1); K = ceil(inf) would overflow
+        if solve is solve_linsys:
+            p = LinIneqSystem([[-1.0]], [-1.0], ["le"])
+        else:
+            p = LmiProblem([SymMatrix([[-1.0]])], SymMatrix([[-1.0]]))
+        with pytest.raises(InvalidParameter, match="finite"):
+            solve(p, modulus, 1e-8)
 
     def test_stall_ends_early_with_the_capped_answer(self):
         # A(x) - B <= 0 stacked with A(x) - B >= I has no solution: the
