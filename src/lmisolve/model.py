@@ -10,11 +10,13 @@ LMI, and the linear-inequality system model.
 A problem is stored as the diagonal blocks of A(x) - B (see LmiProblem);
 the private helpers `_residuals`, `_adjoint` and `_top_subgradient` are how
 the oracles work on it one block at a time. `_lay_out` is the one layout
-builder behind the constructor, `stack` and `reduce_primal_dual`. The index
-maps of a symmetric-matrix variable are built once, where the variable is
-made, and travel with its block (see _Block), so A(x) and the adjoint on a
-block are one matrix product with its reshaped coefficient stack, or one
-gather and one product, on every evaluation.
+builder behind the constructor, `stack` and `reduce_primal_dual`. Every
+block of size > 1 stores its coefficients once, as packed upper triangles,
+and carries the index maps of that packing (see _SymMaps and _Block). The
+maps are built once, where the block is made, so A(x) on a block is one
+matrix product and one gather, and the adjoint one gather and one matrix
+product, on every evaluation; the y block of a reduction is the same
+layout with identity coefficients.
 
 `validate_certificate` decides lambda_max(A(d) - B) < -sigma + tol with one
 Cholesky factorization per block and computes no eigenvalues.
@@ -79,12 +81,18 @@ def _row_kinds(kinds, p):
 
 
 class _SymMaps(NamedTuple):
-    """Where a symmetric-matrix variable sits in its n x n block, as flat
-    (row-major) indices: variable t is the entry `upper[t]` of the upper
-    triangle, taken row by row, and its mirror image; `gather[r * n + c]` is
-    the variable at entry (r, c); `weight[t]` is 1 on the diagonal and 2 off
-    it, so <E_ii, Z> = Z_ii and <E_ij + E_ji, Z> = 2 Z_ij make up
-    `contract(Z)`."""
+    """The packed upper triangle of a symmetric n x n matrix. Packed entry t
+    is the entry at the flat (row-major) index `upper[t]` of the upper
+    triangle, taken row by row, and its mirror image; the n x n array
+    `gather` holds at (r, c) the packed entry there, so `u[gather]` unpacks
+    u into an exactly symmetric matrix; `weight[t]` is 1 on the
+    diagonal and 2 off it, so <E_ii, Z> = Z_ii and <E_ij + E_ji, Z> = 2 Z_ij
+    make up `contract(Z)`, and <A, Z> = packed(A) @ contract(Z) for
+    symmetric A and Z.
+
+    The hot path indexes with the maps (`u[gather]`) rather than calling
+    `take`: the maps are read-only, and `take` copies a read-only index
+    array on every call."""
 
     gather: np.ndarray
     upper: np.ndarray
@@ -92,33 +100,35 @@ class _SymMaps(NamedTuple):
 
     def contract(self, z) -> np.ndarray:
         """weight * Z.flat[upper] for an n x n ndarray z (hot path)."""
-        return z.take(self.upper) * self.weight
+        return z.reshape(-1)[self.upper] * self.weight
 
 
 def _sym_maps(n) -> _SymMaps:
-    """The _SymMaps of an n x n symmetric-matrix variable."""
-    r, c = np.divmod(np.arange(n * n), n)
-    lo, hi = np.minimum(r, c), np.maximum(r, c)
-    # rows 0..lo-1 of the upper triangle hold lo (2n + 1 - lo) / 2 entries
-    gather = lo * (2 * n + 1 - lo) // 2 + (hi - lo)
-    upper = np.flatnonzero(r <= c)
-    # the diagonal entries are the multiples of n + 1
-    weight = np.where(upper % (n + 1) == 0, 1.0, 2.0)
+    """The _SymMaps of an n x n symmetric matrix."""
+    i, j = np.triu_indices(n)
+    upper = i * n + j
+    t = np.arange(upper.size)
+    gather = np.empty((n, n), dtype=t.dtype)
+    gather[i, j] = t
+    gather[j, i] = t
+    weight = np.where(i == j, 1.0, 2.0)
     return _SymMaps(_freeze(gather), _freeze(upper), _freeze(weight))
 
 
 class _Block(NamedTuple):
     """A diagonal block of size n_b > 1 of A(x) - B: rows and columns `at`,
-    the variables `vars` that appear in it, and its part `rhs` of B.
+    the variables `vars` that appear in it, its part `rhs` of B, and the
+    _SymMaps `sym` of its packed upper triangle.
 
-    A dense block has their (k_b, n_b, n_b) coefficient stack `coeffs`:
-    A(x) on the block is `xs @ C` and the adjoint `C @ z.reshape(-1)`, with
-    C its (k_b, n_b^2) reshape view (not a copy). A symmetric-matrix
-    variable has `coeffs` None and its index maps in `sym`: A(x) is one
-    gather of xs and the adjoint one gather of Z times the weights. `sym`
-    is read only where `coeffs` is None. `reduce_primal_dual` builds the
-    maps once, `stack` shares them, and `_lay_out` stores every block; the
-    hot path only reads them."""
+    A dense block holds its coefficients once, as the (k_b, n_b(n_b+1)/2)
+    array `coeffs` of packed upper triangles in the order of `sym.upper`:
+    A(x) on the block is `(xs @ coeffs)[sym.gather]`, exactly symmetric,
+    and the adjoint `coeffs @ sym.contract(Z)`. The y block of a
+    reduction, a symmetric-matrix variable, has identity coefficients,
+    stored as `coeffs` None: A(x) is `xs[sym.gather]` and the adjoint
+    `sym.contract(Z)`. The constructor and `reduce_primal_dual` build the
+    maps once, `stack` shares them and the coefficients, and `_lay_out`
+    stores every block; the hot path only reads them."""
 
     at: slice
     vars: slice
@@ -141,13 +151,15 @@ class LmiProblem:
     """Coefficients A_1..A_m and right-hand side B of A(x) - B <= 0.
 
     The operator is stored block by block. A problem built here is a single
-    dense block: its (m, n, n) coefficient stack, so A(x) and the adjoint
-    are single matrix-vector products (for n = 1, one scalar row). `stack` and
+    dense block: the (m, n(n+1)/2) packed upper triangles of its
+    coefficients, so A(x) and the adjoint are single matrix-vector products
+    and one gather each (for n = 1, one scalar row). `stack` and
     `reduce_primal_dual` build their results from the layout they know
     instead: a block of size > 1 keeps only the variables that appear in it,
     and all 1 x 1 blocks share one (m, rows) array that the oracles evaluate
     in closed form. Storage is then O(sum k_b n_b^2) for k_b variables in an
-    n_b x n_b block. Each coefficient is stored once, in its block; `coeffs`
+    n_b x n_b block, about half that in packed triangles. Each coefficient
+    is stored once, in its block; `coeffs`
     (the dense A_1..A_m as SymMatrix values) is built on each read and not
     kept. `rhs` is always dense.
 
@@ -164,15 +176,25 @@ class LmiProblem:
         b = rhs if isinstance(rhs, SymMatrix) else SymMatrix(rhs)
         n = b.dim
         m = len(coeffs)
-        tensor = np.empty((m, n, n))
-        for i, c in enumerate(coeffs):
-            c = c if isinstance(c, SymMatrix) else SymMatrix(c)
-            if c.dim != n:
+        sym = _sym_maps(n)
+        r, c = np.divmod(sym.upper, n)
+        mirror = c * n + r
+        packed = np.empty((m, sym.upper.size))
+        for i, (a, row) in enumerate(zip(coeffs, packed)):
+            a = np.asarray(a, dtype=float)
+            if a.shape != (n, n):
                 raise DimensionMismatch(
-                    f"coefficient {i + 1} has dimension {c.dim}, rhs has {n}"
+                    f"coefficient {i + 1} has shape {a.shape}, rhs has dimension {n}"
                 )
-            tensor[i] = c.mat
-        _lay_out(self, b, m, [(slice(0, n), slice(0, m), _freeze(tensor), None)])
+            # the upper triangle of SymMatrix(a), 0.5 (A + A^T), bit for bit;
+            # the indices are in range, and mode="clip" spares take the
+            # bounds check and a buffered copy of `out`
+            a.take(sym.upper, out=row, mode="clip")
+            row += a.take(mirror, mode="clip")
+            row *= 0.5
+        if not np.isfinite(packed).all():
+            raise NonFiniteInput("coefficient matrix contains NaN or Inf entries")
+        _lay_out(self, b, m, [(slice(0, n), slice(0, m), _freeze(packed), sym)])
 
     @property
     def coeffs(self):
@@ -196,7 +218,8 @@ class LmiProblem:
 def _lay_out(p: LmiProblem, b: SymMatrix, num_vars, pieces) -> LmiProblem:
     """Set every field of p, the problem with right-hand side b over
     num_vars variables whose operator is laid out as `pieces`: one
-    (at, vars, coeffs, sym) per diagonal block, as in _Block. The
+    (at, vars, coeffs, sym) per diagonal block, with packed coefficients as
+    in _Block (a 1 x 1 piece's are (k, 1), and its maps are not read). The
     1 x 1 pieces become the columns of the scalar rows' table, written in
     place; every other piece becomes a _Block that holds its part of B. The
     constructor, `stack` and `reduce_primal_dual` all build their problems
@@ -205,7 +228,7 @@ def _lay_out(p: LmiProblem, b: SymMatrix, num_vars, pieces) -> LmiProblem:
     ones = [piece for piece in pieces if piece[0].stop - piece[0].start == 1]
     table = np.zeros((num_vars, len(ones)))
     for col, (_, variables, coeffs, _) in zip(table.T, ones):
-        col[variables] = 1.0 if coeffs is None else coeffs[:, 0, 0]
+        col[variables] = 1.0 if coeffs is None else coeffs[:, 0]
     rows = _freeze(np.array([at.start for at, *_ in ones], dtype=int))
     p.rhs = b
     p.num_vars = num_vars
@@ -223,7 +246,7 @@ def _pieces(p: LmiProblem, offset=0) -> list:
            for blk in p._blocks]
     every = slice(0, p.num_vars)
     for row, col in zip(p._scalars.rows.tolist(), p._scalars.coeffs.T):
-        out.append((slice(row + offset, row + offset + 1), every, col[:, None, None], None))
+        out.append((slice(row + offset, row + offset + 1), every, col[:, None], None))
     return out
 
 
@@ -233,9 +256,9 @@ def _dense_coeffs(p: LmiProblem) -> np.ndarray:
     for blk in p._blocks:
         part = out[blk.vars, blk.at, blk.at]
         if blk.coeffs is not None:
-            part[...] = blk.coeffs
+            part[...] = blk.coeffs[:, blk.sym.gather]
         else:
-            r, c = np.divmod(np.arange(blk.sym.gather.size), blk.rhs.shape[0])
+            r, c = np.indices(blk.sym.gather.shape)
             part[blk.sym.gather, r, c] = 1.0
     rows = p._scalars.rows
     out[:, rows, rows] = p._scalars.coeffs
@@ -243,18 +266,17 @@ def _dense_coeffs(p: LmiProblem) -> np.ndarray:
 
 
 def _block_apply(blk: _Block, x) -> np.ndarray:
-    """A(x) on one block, as a plain ndarray (hot path)."""
+    """A(x) on one block, as an exactly symmetric ndarray (hot path)."""
     xs = x[blk.vars]
-    if blk.coeffs is None:
-        return xs.take(blk.sym.gather).reshape(blk.rhs.shape)
-    return (xs @ blk.coeffs.reshape(len(blk.coeffs), -1)).reshape(blk.rhs.shape)
+    packed = xs if blk.coeffs is None else xs @ blk.coeffs
+    return packed[blk.sym.gather]
 
 
 def _block_adjoint(blk: _Block, z) -> np.ndarray:
-    """<A_i, Z> for the variables of one block, z a symmetric ndarray."""
-    if blk.coeffs is None:
-        return blk.sym.contract(z)
-    return blk.coeffs.reshape(len(blk.coeffs), -1) @ z.reshape(-1)
+    """<A_i, Z> for the variables of one block, z a symmetric ndarray whose
+    upper triangle is read."""
+    packed = blk.sym.contract(z)
+    return packed if blk.coeffs is None else blk.coeffs @ packed
 
 
 def _finite(x, what="point"):
@@ -320,10 +342,7 @@ def _top_subgradient(p: LmiProblem, mats, scalars) -> tuple[float, np.ndarray | 
         grad[:] = p._scalars.coeffs[:, where]
         return top, grad
     v = _top_eigpair(*where)[1]
-    if blk.coeffs is None:
-        grad[blk.vars] = _block_adjoint(blk, np.outer(v, v))
-    else:
-        grad[blk.vars] = (blk.coeffs @ v) @ v
+    grad[blk.vars] = _block_adjoint(blk, np.outer(v, v))
     return top, grad
 
 
@@ -441,7 +460,8 @@ def constants(p: LmiProblem) -> OperatorConstants:
     """Subgradient bound M, operator norm ||A||, and L = 2 ||A||^2.
 
     Computed block by block: ||A_i||_2 is the largest of A_i's block norms
-    and ||A_i||_F^2 the sum of theirs, so the dense A_i are never built."""
+    and ||A_i||_F^2 the sum of theirs, so the dense A_i are never built;
+    each block coefficient is unpacked on its own, for `norms`."""
     spec = np.zeros(p.num_vars)
     fro_sq = np.zeros(p.num_vars)
     for blk in p._blocks:
@@ -452,7 +472,7 @@ def constants(p: LmiProblem) -> OperatorConstants:
             fro_sq[blk.vars] += blk.sym.weight
             continue
         for k, c in zip(range(blk.vars.start, blk.vars.stop), blk.coeffs):
-            fro, s = norms(SymMatrix(c))
+            fro, s = norms(SymMatrix(c[blk.sym.gather]))
             spec[k] = max(spec[k], s)
             fro_sq[k] += fro * fro
     table = p._scalars.coeffs
@@ -468,8 +488,21 @@ def constants(p: LmiProblem) -> OperatorConstants:
 
 
 def mu_of(cert: SlaterCertificate) -> float:
-    """Error-bound modulus mu = ||d||_2 / sigma."""
-    return float(np.linalg.norm(cert.point)) / cert.margin
+    """Error-bound modulus mu = ||d||_2 / sigma.
+
+    ||d|| is the plain `np.linalg.norm` whenever that lies in
+    [1e-100, 1e100]: there no square of an entry overflows, and those that
+    underflow are negligible. Otherwise d is divided by its largest entry
+    in absolute value before the norm is taken and multiplied back after,
+    so ||d|| is neither inf nor 0 when d is finite and nonzero. mu itself
+    is inf only when ||d|| / sigma exceeds the largest float."""
+    d = cert.point
+    with np.errstate(over="ignore"):
+        size = float(np.linalg.norm(d))
+    if not 1e-100 <= size <= 1e100:
+        scale = float(np.abs(d).max())
+        size = scale * float(np.linalg.norm(d / scale)) if scale > 0.0 else 0.0
+    return size / cert.margin
 
 
 def validate_certificate(p: LmiProblem, cert: SlaterCertificate, tol: float = 1e-9) -> bool:
@@ -549,7 +582,7 @@ def reduce_primal_dual(pair: SdpPair) -> LmiProblem:
     y = slice(m, m + ny)
     ysym = _sym_maps(n)
     # y's coefficients in <A_i, y> and <B, y> are the contractions of A_i and B
-    eq = [ysym.contract(a)[:, None, None] for a in _dense_coeffs(prob)]
+    eq = [ysym.contract(a)[:, None] for a in _dense_coeffs(prob)]
 
     pieces = _pieces(prob)
     for i, row in enumerate(eq):
@@ -557,7 +590,7 @@ def reduce_primal_dual(pair: SdpPair) -> LmiProblem:
                    (slice(n + 2 * i + 1, n + 2 * i + 2), y, -row, None)]
     pieces.append((slice(n + 2 * m, 2 * n + 2 * m), y, None, ysym))
     gap = np.concatenate([c, -ysym.contract(bmat)])
-    pieces.append((slice(size - 1, size), slice(0, m + ny), gap[:, None, None], None))
+    pieces.append((slice(size - 1, size), slice(0, m + ny), gap[:, None], None))
 
     rhs = np.zeros((size, size))
     rhs[:n, :n] = bmat

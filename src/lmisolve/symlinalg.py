@@ -13,8 +13,10 @@ the public API only.
 The oracles call the two private ndarray kernels directly, on blocks of
 A(x) - B that are exactly symmetric and finite, and compute only the
 spectrum they need: `_top_eigpair` finds one eigenvector for the top
-eigenvalue, and `_positive_part` the positive part from the smaller side
-of one `eigh`. Their results are deterministic functions of the input but
+eigenvalue, on blocks of size 32 and up by inverse iteration that stops
+after the first LU solve whose vector meets the residual bound (two at
+most), and `_positive_part` the positive part from the smaller side of
+one `eigh`. Their results are deterministic functions of the input but
 not canonical. `lambda_max` and `project_neg_semidef` are built on them.
 """
 
@@ -110,9 +112,13 @@ def _canonical_signs(v):
 
 
 def _inverse_iteration(s, w):
-    """Unit top eigenvector of s by two solves with S - (lambda + delta) I
-    from a fixed start vector, or None when they fail or the residual bound
-    is missed. w holds all eigenvalues of s, ascending, with w[-1] > w[-2]."""
+    """Unit top eigenvector of s by at most two solves with
+    S - (lambda + delta) I from a fixed start vector, or None when they fail
+    or the residual bound is still missed after the second. The bound is
+    checked after each solve: after the first the relative residual is
+    about delta / |<u, v0>| for the top eigenvector u and the unit start v0,
+    so the second runs only when v0 is nearly orthogonal to u. w holds all
+    eigenvalues of s, ascending, with w[-1] > w[-2]."""
     n = w.shape[0]
     radius = max(w[-1], -w[0])
     # scaled to spectral radius 1, so the solves cannot overflow
@@ -128,10 +134,10 @@ def _inverse_iteration(s, w):
         if not 0.0 < size < np.inf:
             return None
         v = v / size
-    # (S - lambda I) v / radius = shifted v + delta v
-    if not np.linalg.norm(shifted @ v + _INVIT_SHIFT * v) <= _INVIT_RESIDUAL:
-        return None
-    return v
+        # (S - lambda I) v / radius = shifted v + delta v
+        if np.linalg.norm(shifted @ v + _INVIT_SHIFT * v) <= _INVIT_RESIDUAL:
+            return v
+    return None
 
 
 def _top_eigpair(s, w=None) -> tuple[float, np.ndarray]:

@@ -199,6 +199,18 @@ class TestSolveCommand:
         assert "status=" not in captured.out
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("method, coeff", [("nonsmooth", "1"), ("smooth", "1e108")])
+    def test_huge_certificate_point_budget_exit_one(self, tmp_path, capsys, method, coeff):
+        # mu = ||d|| / sigma = 1e200 is finite, so the solver, not mu_of,
+        # rejects it: 4 M^2 mu^2 (non-smooth) or 4 mu ||A|| with ||A|| = 1e108
+        # (smooth) overflows. With ||A|| = 1 the smooth budget 4e200 is finite,
+        # and the solve ends Solved at once from the feasible start x = 0.
+        path = write(tmp_path, "big.lmi", f"lmi 1 1\nB\n0\nA 1\n{coeff}\nslater 1\n-1e200\n")
+        assert main(["solve", "--method", method, path]) == 1
+        captured = capsys.readouterr()
+        assert "status=" not in captured.out
+        assert captured.err.startswith("error: phase budget inf is not finite")
+
     def test_stalled_exit_two(self, tmp_path, capsys):
         # A(x) - B <= 0 stacked with A(x) - B >= I, which no point meets,
         # shifted so that x = 0 here is x = 3 d there; the values bottom out
@@ -290,6 +302,13 @@ class TestCheckCommand:
         out = capsys.readouterr().out
         assert "certificate=valid" in out
         assert "mu=" in out
+
+    def test_huge_certificate_point(self, tmp_path, capsys):
+        # squaring d = -1e200 overflows; mu = ||d|| / sigma must not
+        path = write(tmp_path, "big.lmi", "lmi 1 1\nB\n0\nA 1\n1\nslater 1\n-1e200\n")
+        assert main(["check", path]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[-2:] == ["certificate=valid", "mu=1e+200"]
 
     def test_invalid_certificate(self, tmp_path, capsys):
         # claims margin 1 for the constraint -x + 1 <= 0 at d = 0, where

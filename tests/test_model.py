@@ -61,6 +61,14 @@ class TestLmiProblem:
             LmiProblem([SymMatrix(np.eye(2))], SymMatrix([[0.0]]))
         with pytest.raises(DimensionMismatch):
             LmiProblem([SymMatrix(np.eye(2)), SymMatrix([[1.0]])], SymMatrix(np.eye(2)))
+        with pytest.raises(DimensionMismatch):
+            LmiProblem([np.eye(2), np.ones((2, 3))], np.eye(2))
+
+    def test_rejects_nonfinite_coefficient(self):
+        # the entry below the diagonal is read too, through its mirror image
+        for bad in ([[1.0, 0.0], [np.nan, 1.0]], [[np.inf, 0.0], [0.0, 1.0]]):
+            with pytest.raises(NonFiniteInput):
+                LmiProblem([np.eye(2), bad], np.eye(2))
 
     def test_equality(self):
         assert one_d_problem() == one_d_problem()
@@ -82,6 +90,23 @@ class TestCertificate:
         assert mu_of(SlaterCertificate([-1.0], 1.0)) == pytest.approx(1.0)
         assert mu_of(SlaterCertificate([3.0, 4.0], 2.0)) == pytest.approx(2.5)
         assert mu_of(SlaterCertificate([0.0], 1.0)) == 0.0
+        # squaring these entries overflows or underflows; under the
+        # error::RuntimeWarning filter an overflow warning would raise
+        for point, want in (([-1e200], 1e200), ([3e200, 4e200], 5e200),
+                            ([3e-200, -4e-200], 5e-200), ([1e308, 1e308], math.sqrt(2.0) * 1e308),
+                            ([5e-324, 0.0], 5e-324)):
+            assert mu_of(SlaterCertificate(point, 2.0)) == pytest.approx(want / 2.0, rel=1e-15)
+        # only a quotient above the largest float is inf
+        assert mu_of(SlaterCertificate([1e154], 1e-160)) == math.inf
+
+    def test_mu_bits_unchanged_on_ordinary_points(self):
+        rng = np.random.default_rng(6)
+        for scale in (1e-90, 1e-3, 1.0, 1e90):
+            d = scale * rng.standard_normal(7)
+            assert mu_of(SlaterCertificate(d, 0.3)) == float(np.linalg.norm(d)) / 0.3
+        inst = gen_lmi(30, 6, 1.0, 2)
+        d = inst.certificate.point
+        assert mu_of(inst.certificate) == float(np.linalg.norm(d)) / inst.certificate.margin
 
     def test_validate_on_generated(self):
         inst = gen_lmi(4, 3, 1.0, 11)
@@ -529,15 +554,20 @@ class TestBlockLayout:
 
     def test_one_block_constants_unchanged(self):
         # a problem from the constructor sums its norms in variable order,
-        # exactly as the constants were always computed
-        for seed in range(4):
-            p = gen_lmi(5, 4, 1.0, seed).problem
+        # exactly as the constants were always computed; each packed
+        # coefficient unpacks to the bits of the matrix it was packed from
+        for n, m, seed in [(5, 4, s) for s in range(4)] + [(33, 6, 0), (60, 10, 1)]:
+            p = gen_lmi(n, m, 1.0, seed).problem
             spec_sq = fro_sq = 0.0
             for c in p.coeffs:
                 fro, spec = np.linalg.norm(c.mat), np.abs(np.linalg.eigvalsh(c.mat)).max()
                 spec_sq += float(spec) * float(spec)
                 fro_sq += float(fro) * float(fro)
             assert constants(p) == (math.sqrt(spec_sq), math.sqrt(fro_sq), 2.0 * fro_sq)
+            # doubling each term is exact, so a stack of p with itself sums
+            # to exactly twice
+            twice = constants(stack([p, p]))
+            assert twice == (math.sqrt(spec_sq), math.sqrt(2.0 * fro_sq), 4.0 * fro_sq)
 
     def test_stored_arrays_are_read_only(self):
         # a dense problem, a stack with scalar rows, and a reduction
@@ -547,8 +577,44 @@ class TestBlockLayout:
                   reduce_primal_dual(pair)):
             arrays = [p.rhs.mat, *p._scalars]
             for blk in p._blocks:
-                arrays += [blk.rhs, *([blk.coeffs] if blk.sym is None else blk.sym)]
+                arrays += [blk.rhs, *blk.sym, *([] if blk.coeffs is None else [blk.coeffs])]
             assert not any(a.flags.writeable for a in arrays)
+
+    @pytest.mark.parametrize("kind", ["dense", "stack", "reduction", "all-scalar reduction"])
+    def test_apply_exactly_symmetric(self, kind):
+        # A(x) is unpacked from one packed triangle per block, so it is
+        # symmetric bit for bit; it matches the dense coefficients' sum
+        rng = np.random.default_rng(21)
+        p = {
+            "dense": lambda: random_problem(rng, 40, 5),
+            "stack": lambda: stack([random_problem(rng, 6, 3), random_problem(rng, 1, 3),
+                                    random_problem(rng, 3, 3)]),
+            "reduction": lambda: reduce_primal_dual(random_pair(rng, 5, 3)),
+            "all-scalar reduction": lambda: reduce_primal_dual(
+                SdpPair([-1.0], [SymMatrix([[1.0]])], SymMatrix([[0.0]]))),
+        }[kind]()
+        dense = model._dense_coeffs(p)
+        for _ in range(3):
+            x = rng.standard_normal(p.num_vars)
+            got = apply_operator(p, x).mat
+            assert got.tobytes() == got.T.tobytes()
+            for blk, s in zip(p._blocks, _residuals(p, x)[0]):
+                assert s.tobytes() == s.T.tobytes()
+                assert model._block_apply(blk, x).tobytes() == got[blk.at, blk.at].tobytes()
+            assert_close(got, np.tensordot(x, dense, axes=1),
+                         np.abs(x) @ np.abs(dense).reshape(p.num_vars, -1).max(axis=1))
+
+    def test_stack_shares_packed_arrays(self):
+        rng = np.random.default_rng(22)
+        p, q = random_problem(rng, 5, 3), random_problem(rng, 4, 3)
+        joint = stack([p, q, p])
+        assert len(joint._blocks) == 3
+        for blk, src in zip(joint._blocks, (p, q, p)):
+            assert blk.coeffs is src._blocks[0].coeffs
+            assert blk.sym is src._blocks[0].sym
+        pair = random_pair(rng, 5, 3)
+        reduced = reduce_primal_dual(pair)
+        assert reduced._blocks[0].coeffs is pair.problem._blocks[0].coeffs
 
     def test_all_scalar_reduction(self):
         # a 1 x 1 pair reduces to five 1 x 1 rows: x, the two equalities, y, the gap
@@ -610,6 +676,27 @@ class TestBlockLayout:
         assert held <= 1.25 * tensor_bytes
         assert peak <= 1.5 * tensor_bytes
         assert held_after_read <= 1.25 * tensor_bytes
+
+    def test_packed_triangles_halve_coefficient_bytes(self):
+        # an n = 200, m = 8 problem keeps the packed upper triangles, about
+        # half the dense (m, n, n) tensor; beyond them it holds only its
+        # right-hand side and the index maps, which do not grow with m
+        rng = np.random.default_rng(5)
+        m, n = 8, 200
+        a = rng.standard_normal((m, n, n))
+        coeffs = list(a + np.swapaxes(a, 1, 2))
+        tensor_bytes = m * n * n * 8
+        tracemalloc.start()
+        try:
+            p = LmiProblem(coeffs, np.eye(n))
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        (blk,) = p._blocks
+        assert blk.coeffs.shape == (m, n * (n + 1) // 2)
+        fixed = p.rhs.mat.nbytes + sum(a.nbytes for a in blk.sym)
+        assert held - fixed <= 0.55 * tensor_bytes
+        assert held < tensor_bytes
 
 
 class TestSymmetricVariableMaps:

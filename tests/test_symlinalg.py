@@ -240,6 +240,40 @@ class TestTopEigpair:
         s = rand_sym(rng, symlinalg._INVIT_MIN_DIM).mat
         assert symlinalg._inverse_iteration(s, np.linalg.eigvalsh(s)) is not None
 
+    @pytest.mark.parametrize("start_share, solves", [(None, 1), (1e-6, 2)],
+                             ids=["generic-start", "start-nearly-orthogonal"])
+    def test_inverse_iteration_solve_count(self, monkeypatch, start_share, solves):
+        # after one solve the residual is about delta ||v0|| / |<u, v0>| for
+        # the top eigenvector u, so it meets the bound at once unless the
+        # start vector v0 is nearly orthogonal to u
+        rng = np.random.default_rng(15)
+        n = 40
+        if start_share is None:
+            s = rand_sym(rng, n).mat
+        else:
+            v0 = 0.5 + (np.arange(n) * 0.6180339887498949) % 1.0
+            v0 /= np.linalg.norm(v0)
+            u = rng.standard_normal(n)
+            u -= (u @ v0) * v0
+            u = u / np.linalg.norm(u) + start_share * v0
+            q, _ = np.linalg.qr(np.column_stack([u, rng.standard_normal((n, n - 1))]))
+            s = (q * np.concatenate([[1.0], rng.uniform(-1.0, 0.5, n - 1)])) @ q.T
+            s = 0.5 * (s + s.T)
+        calls = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            calls.append(b)
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        w = np.linalg.eigvalsh(s)
+        v = symlinalg._inverse_iteration(s, w)
+        assert len(calls) == solves
+        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+        radius = max(w[-1], -w[0])
+        assert np.linalg.norm(s @ v - w[-1] * v) <= symlinalg._INVIT_RESIDUAL * radius
+
     def test_top_gap_1e10(self):
         rng = np.random.default_rng(13)
         for n in self.SIZES:
