@@ -29,6 +29,8 @@ import argparse
 import math
 import sys
 
+import numpy as np
+
 from .errors import InvalidParameter, LmiSolveError, ParseError
 from .model import LinIneqSystem, LmiProblem, SlaterCertificate, mu_of, validate_certificate
 from .objectives import nonsmooth_oracle, smooth_oracle
@@ -56,35 +58,30 @@ _METHODS = ("nonsmooth", "smooth", "bundle-nonsmooth", "bundle-smooth", "linsys"
 _SYMMETRY_TOL = 1e-12
 
 
-def _fmt(v: float) -> str:
-    return repr(float(v))
-
-
 # ---------------------------------------------------------------------------
 # parsing
 
 
 class _Lines:
-    """Non-blank lines with their 1-based numbers."""
+    """Non-blank lines with their 1-based numbers; a line is split into
+    tokens only when it is taken."""
 
     def __init__(self, text):
-        self.items = [
-            (no, line.split())
-            for no, line in enumerate(text.splitlines(), 1)
-            if line.strip()
-        ]
-        self.pos = 0
-        self.last = self.items[-1][0] if self.items else 0
-
-    def take(self, what):
-        if self.pos >= len(self.items):
-            raise ParseError(f"line {self.last + 1}: expected {what}, found end of input")
-        item = self.items[self.pos]
-        self.pos += 1
-        return item
+        self.lines = text.splitlines()
+        self.next = 0  # index of the next line to look at
+        self.last = 0  # number of the last line taken
 
     def done(self):
-        return self.pos >= len(self.items)
+        while self.next < len(self.lines) and not self.lines[self.next].strip():
+            self.next += 1
+        return self.next == len(self.lines)
+
+    def take(self, what):
+        if self.done():  # every non-blank line is taken, the last one is self.last
+            raise ParseError(f"line {self.last + 1}: expected {what}, found end of input")
+        self.next += 1
+        self.last = self.next
+        return self.last, self.lines[self.last - 1].split()
 
 
 def _reals(tokens, count, lineno, what):
@@ -126,25 +123,24 @@ def _header(tokens, lineno, names):
 def _end(lines, what):
     """Reject anything left after the `what` that was parsed."""
     if not lines.done():
-        lineno, _ = lines.take("")
-        raise ParseError(f"line {lineno}: unexpected content after the {what}")
+        raise ParseError(f"line {lines.next + 1}: unexpected content after the {what}")
 
 
 def _matrix(lines, n, what):
-    rows = []
-    first = None
+    """The next n lines as one n x n float64 array, checked for symmetry;
+    an asymmetric entry is named by the first (row-major) in the strict
+    upper triangle, at the block's first line."""
+    out = np.empty((n, n))
     for i in range(n):
         lineno, tokens = lines.take(f"row {i + 1} of {what}")
-        if first is None:
+        out[i] = _reals(tokens, n, lineno, what)
+        if i == 0:
             first = lineno
-        rows.append(_reals(tokens, n, lineno, what))
-    for j in range(n):
-        for k in range(j + 1, n):
-            if abs(rows[j][k] - rows[k][j]) > _SYMMETRY_TOL:
-                raise ParseError(
-                    f"line {first}: {what} is not symmetric at entry ({j + 1},{k + 1})"
-                )
-    return rows
+    bad = np.triu(np.abs(out - out.T) > _SYMMETRY_TOL, 1)
+    if bad.any():
+        j, k = divmod(int(bad.argmax()), n)
+        raise ParseError(f"line {first}: {what} is not symmetric at entry ({j + 1},{k + 1})")
+    return out
 
 
 def parse_problem(text: str):
@@ -178,19 +174,16 @@ def parse_problem(text: str):
         return LmiProblem(coeffs, rhs), cert
     if tokens[0] == "lis":
         p, q = _header(tokens, lineno, ("p", "q"))
-        rows = []
-        rhs = []
+        data = np.empty((p, q + 1))  # row i is a_i then b_i
         kinds = []
         for i in range(p):
             lineno, tokens = lines.take(f"row {i + 1} of the system")
             if not tokens or tokens[0] not in ("le", "eq"):
                 raise ParseError(f"line {lineno}: row must start with 'le' or 'eq'")
             kinds.append(tokens[0])
-            values = _reals(tokens[1:], q + 1, lineno, f"row {i + 1}")
-            rows.append(values[:q])
-            rhs.append(values[q])
+            data[i] = _reals(tokens[1:], q + 1, lineno, f"row {i + 1}")
         _end(lines, "system")
-        return LinIneqSystem(rows, rhs, kinds), None
+        return LinIneqSystem(data[:, :q], data[:, q], kinds), None
     raise ParseError(f"line {lineno}: unknown header {tokens[0]!r}; expected 'lmi' or 'lis'")
 
 
@@ -198,21 +191,21 @@ def serialize_lmi(problem: LmiProblem, certificate: SlaterCertificate | None = N
     """Canonical .lmi text; parse_problem(serialize_lmi(p, c)) returns an
     equal problem and certificate."""
     out = [f"lmi {problem.dim} {problem.num_vars}", "B"]
-    out.extend(" ".join(_fmt(v) for v in row) for row in problem.rhs.mat)
+    out.extend(" ".join(map(repr, row)) for row in problem.rhs.mat.tolist())
     for i, coeff in enumerate(problem.coeffs, 1):
         out.append(f"A {i}")
-        out.extend(" ".join(_fmt(v) for v in row) for row in coeff.mat)
+        out.extend(" ".join(map(repr, row)) for row in coeff.mat.tolist())
     if certificate is not None:
-        out.append(f"slater {_fmt(certificate.margin)}")
-        out.append(" ".join(_fmt(v) for v in certificate.point))
+        out.append(f"slater {certificate.margin!r}")
+        out.append(" ".join(map(repr, certificate.point.tolist())))
     return "\n".join(out) + "\n"
 
 
 def serialize_linsys(sys_: LinIneqSystem) -> str:
     """Canonical .lis text."""
+    data = np.column_stack([sys_.rows, sys_.rhs]).tolist()
     out = [f"lis {sys_.num_rows} {sys_.num_vars}"]
-    for kind, row, b in zip(sys_.kinds, sys_.rows, sys_.rhs):
-        out.append(f"{kind} " + " ".join(_fmt(v) for v in row) + f" {_fmt(b)}")
+    out.extend(" ".join([kind, *map(repr, row)]) for kind, row in zip(sys_.kinds, data))
     return "\n".join(out) + "\n"
 
 
@@ -304,11 +297,9 @@ def main(argv=None) -> int:
                 # so equal work writes files of equal size
                 with open(ns.trace, "w", encoding="utf-8") as fh:
                     fh.write("phase,iter,total_iter,f_value,elapsed_ms\n")
-                    for r in result.trace.rows:
-                        fh.write(f"{r.phase},{r.iter},{r.total_iter},{_fmt(r.f_value)},"
-                                 f"{r.elapsed_ms:.6e}\n")
+                    fh.writelines("%d,%d,%d,%r,%.6e\n" % row for row in result.trace._tuples())
             print(f"status={result.status.value}")
-            print(f"final_value={_fmt(result.value)}")
+            print(f"final_value={result.value!r}")
             print(f"iterations={result.iterations}")
             print(f"phases={result.phases}")
             return 0 if result.status is SolveStatus.SOLVED else 2
@@ -321,7 +312,7 @@ def main(argv=None) -> int:
                 print("certificate=absent")
             elif validate_certificate(problem, certificate):
                 print("certificate=valid")
-                print(f"mu={_fmt(mu_of(certificate))}")
+                print(f"mu={mu_of(certificate)!r}")
             else:
                 print("certificate=invalid")
                 print("error: certificate does not satisfy its margin", file=sys.stderr)

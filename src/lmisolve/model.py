@@ -293,8 +293,9 @@ def _residuals(p: LmiProblem, x) -> tuple[list, np.ndarray]:
     symmetric ndarray per block of size > 1 in row order, and the values of
     the 1 x 1 rows. Raises NonFiniteInput if x or any entry is NaN or Inf."""
     _finite(x)
-    mats = [_block_apply(blk, x) - blk.rhs for blk in p._blocks]
-    vals = x @ p._scalars.coeffs - p._scalars.rhs
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as NonFiniteInput
+        mats = [_block_apply(blk, x) - blk.rhs for blk in p._blocks]
+        vals = x @ p._scalars.coeffs - p._scalars.rhs
     if not (np.isfinite(vals).all() and all(np.isfinite(s).all() for s in mats)):
         raise NonFiniteInput("A(x) - B contains NaN or Inf entries")
     return mats, vals
@@ -378,7 +379,7 @@ class SlaterCertificate:
 class LinIneqSystem:
     """Linear system rows a_i x <= b_i (kind "le") or a_i x = b_i ("eq")."""
 
-    __slots__ = ("rows", "rhs", "kinds", "num_rows", "num_vars", "eq_mask")
+    __slots__ = ("rows", "rhs", "kinds", "num_rows", "num_vars", "eq_mask", "_floor")
 
     def __init__(self, rows, rhs, kinds):
         a = np.asarray(rows, dtype=float)
@@ -396,6 +397,8 @@ class LinIneqSystem:
         self.num_rows = p
         self.num_vars = q
         self.eq_mask = _freeze(np.array([k == "eq" for k in self.kinds]))
+        # e(y) = max(y, floor): -inf leaves an "eq" row as it is
+        self._floor = _freeze(np.where(self.eq_mask, -np.inf, 0.0))
 
     def __eq__(self, other):
         if not isinstance(other, LinIneqSystem):
@@ -602,7 +605,7 @@ def reduce_primal_dual(pair: SdpPair) -> LmiProblem:
 
 def _clip(sys: LinIneqSystem, y: np.ndarray) -> np.ndarray:
     """e(y) for a float vector y of length num_rows (hot path, unchecked)."""
-    return np.where(sys.eq_mask, y, np.maximum(y, 0.0))
+    return np.maximum(y, sys._floor)
 
 
 def residual_map(sys: LinIneqSystem, y) -> np.ndarray:

@@ -180,11 +180,15 @@ class SolveTrace:
 
     @property
     def rows(self):
-        """One TraceRow per inner iteration, built anew on each read: phase j
-        takes the next phases[j].iterations entries of the columns."""
+        """One TraceRow per inner iteration, built anew on each read."""
+        return [TraceRow(*row) for row in self._tuples()]
+
+    def _tuples(self):
+        """(phase, iter, total_iter, f_value, elapsed_ms) per inner iteration:
+        phase j takes the next phases[j].iterations entries of the columns."""
         cols = zip(itertools.count(1), self.f_values.tolist(), self.elapsed_ms.tolist())
-        return [TraceRow(ph.index, i, *next(cols)) for ph in self.phases
-                for i in range(1, ph.iterations + 1)]
+        return ((ph.index, i, *next(cols)) for ph in self.phases
+                for i in range(1, ph.iterations + 1))
 
 
 class SolveStatus(enum.Enum):

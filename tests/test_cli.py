@@ -1,5 +1,7 @@
 """File formats and command-line front end."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from lmisolve import (
     parse_problem,
     serialize_linsys,
     serialize_lmi,
+    solve_linsys,
     stack,
 )
 from lmisolve.cli import main
@@ -96,14 +99,34 @@ class TestParse:
         (MINIMAL_LMI + "slater 0.0\n-4.0\n", 6, "sigma must be positive, got 0.0"),
         ("lmi 1 1\nB\nnan\nA 1\n1.0\n", 3, "matrix B: not a finite number: 'nan'"),
         ("lis 1 1\nle -inf 0.0\n", 2, "row 1: not a finite number: '-inf'"),
+        # two asymmetric pairs: the first in row-major order over the upper triangle
+        ("lmi 3 1\nB\n1 2 0\n3 1 5\n0 6 1\nA 1\n1 0 0\n0 1 0\n0 0 1\n", 3,
+         "matrix B is not symmetric at entry (1,2)"),
+        # the line after the last non-blank one
+        ("lmi 2 1\nB\n1.0 0.0\n0.0 1.0\nA 1\n1.0 0.0\n\n\n", 7,
+         "expected row 2 of matrix A 1, found end of input"),
     ], ids=["value-count", "non-integer-size", "size-below-one", "header-tokens",
             "after-slater", "after-lis-rows", "expected-B", "expected-A", "sigma-not-positive",
-            "nan-entry", "inf-entry"])
+            "nan-entry", "inf-entry", "asymmetric-pairs", "end-of-input"])
     def test_error_names_line_and_cause(self, text, line, fragment):
         with pytest.raises(ParseError) as info:
             parse_problem(text)
         assert str(info.value).startswith(f"line {line}: ")
         assert fragment in str(info.value)
+
+
+    def test_parse_peak_memory(self):
+        # a block is split into tokens only as it is read, and each block is
+        # one float64 array
+        inst = gen_lmi(100, 6, 1.0, 3)
+        text = serialize_lmi(inst.problem, inst.certificate)
+        tracemalloc.start()
+        try:
+            parse_problem(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * len(text)
 
 
 class TestRoundTrip:
@@ -250,6 +273,20 @@ class TestSolveCommand:
         rows = trace.read_text().splitlines()[1:]
         assert len(rows) > 50
         assert len({len(row.split(",")[4]) for row in rows}) == 1
+
+    def test_trace_columns_match_library_trace(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        sys_, _ = gen_linsys(4, 6, 9, kinds="mixed")
+        path = write(tmp_path, "s.lis", serialize_linsys(sys_))
+        argv = ["solve", "--method", "linsys", "--lh", "5.0", "--eps", "1e-12",
+                "--trace", str(trace), path]
+        assert main(argv) == 0
+        cols = [row.split(",") for row in trace.read_text().splitlines()[1:]]
+        res = solve_linsys(sys_, 5.0, 1e-12)
+        assert res.phases > 1
+        assert [tuple(map(int, c[:3])) for c in cols] == [
+            (r.phase, r.iter, r.total_iter) for r in res.trace.rows]
+        assert np.array([float(c[3]) for c in cols]).tobytes() == res.trace.f_values.tobytes()
 
     def test_linsys_method(self, tmp_path, capsys):
         sys_, _ = gen_linsys(4, 6, 9, kinds="eq")

@@ -86,6 +86,12 @@ class TestCertificate:
         with pytest.raises(NonFiniteInput):
             SlaterCertificate([np.nan], 1.0)
 
+    def test_point_shapes(self):
+        # a scalar is a point with one variable; a matrix is no point
+        np.testing.assert_array_equal(SlaterCertificate(2.0, 1.0).point, [2.0])
+        with pytest.raises(DimensionMismatch, match="vector"):
+            SlaterCertificate([[1.0, 2.0]], 1.0)
+
     def test_mu_examples(self):
         assert mu_of(SlaterCertificate([-1.0], 1.0)) == pytest.approx(1.0)
         assert mu_of(SlaterCertificate([3.0, 4.0], 2.0)) == pytest.approx(2.5)
@@ -230,6 +236,13 @@ class TestOperator:
         np.testing.assert_allclose(adjoint_apply(p, SymMatrix(np.zeros((2, 2)))), [0.0])
         q = LmiProblem([SymMatrix([[0.0, 1.0], [1.0, 0.0]])], SymMatrix(np.zeros((2, 2))))
         np.testing.assert_allclose(adjoint_apply(q, SymMatrix([[0.0, 1.0], [1.0, 0.0]])), [2.0])
+
+    def test_adjoint_input_checks(self):
+        p = diag_pair_problem()
+        z = np.array([[2.0, 3.0], [3.0, 4.0]])
+        np.testing.assert_array_equal(adjoint_apply(p, z), adjoint_apply(p, SymMatrix(z)))
+        with pytest.raises(DimensionMismatch, match="Z has dimension 3, problem has 2"):
+            adjoint_apply(p, np.eye(3))
 
     def test_adjoint_identity(self):
         # <A(x), Z> = <x, A*(Z)> for random x, Z
@@ -394,6 +407,10 @@ class TestLinIneqSystem:
             LinIneqSystem([[1.0]], [0.0, 1.0], ["le"])
         with pytest.raises(DimensionMismatch):
             LinIneqSystem([[1.0]], [0.0], ["le", "eq"])
+        with pytest.raises(DimensionMismatch, match="p x q matrix"):
+            LinIneqSystem([1.0, 2.0], [0.0], ["le"])
+        with pytest.raises(InvalidParameter, match="at least one row"):
+            LinIneqSystem(np.zeros((0, 2)), [], [])
 
     def test_nonfinite(self):
         with pytest.raises(NonFiniteInput):
@@ -405,6 +422,15 @@ class TestLinIneqSystem:
         np.testing.assert_allclose(residual_map(sys_, [0.0, 0.0]), [0.0, 0.0])
         both_le = LinIneqSystem([[1.0, 0.0], [0.0, 1.0]], [0.0, 0.0], ["le", "le"])
         np.testing.assert_allclose(residual_map(both_le, [1.0, -1.0]), [1.0, 0.0])
+
+    def test_residual_map_bits(self):
+        # the reference keeps "eq" rows and clips "le" rows at 0, bit for
+        # bit: signed zeros, NaN and infinities included
+        y = np.array([-0.0, 0.0, np.nan, -np.inf, np.inf, -5e-324, 1.5, -2.5])
+        for kinds in (["le"] * 8, ["eq"] * 8, ["le", "eq"] * 4, ["eq", "le"] * 4):
+            sys_ = LinIneqSystem(np.ones((8, 1)), np.zeros(8), kinds)
+            want = np.where(sys_.eq_mask, y, np.maximum(y, 0.0))
+            assert model._clip(sys_, y).tobytes() == want.tobytes()
 
     def test_residual_map_dim_check(self):
         sys_ = LinIneqSystem([[1.0]], [0.0], ["le"])
@@ -773,6 +799,16 @@ class TestBlockOracles:
                 for fn in (eval_nonsmooth, eval_smooth, apply_operator):
                     with pytest.raises(NonFiniteInput):
                         fn(q, x)
+
+    def test_overflowing_operator_raises(self):
+        # x is finite, but A(x) = 1e310 overflows; no RuntimeWarning comes first
+        p = LmiProblem([np.full((2, 2), 1e300)], np.zeros((2, 2)))
+        x = np.array([1e10])
+        calls = (lambda: eval_smooth(p, x), lambda: eval_nonsmooth(p, x),
+                 lambda: validate_certificate(p, SlaterCertificate(x, 1.0)))
+        for call in calls:
+            with pytest.raises(NonFiniteInput, match=r"A\(x\) - B contains NaN or Inf entries"):
+                call()
 
     def test_tie_goes_to_first_row(self):
         # x <= 0 and 2x <= 1 both read 1 at x = 1; the subgradient is the

@@ -19,6 +19,10 @@ from lmisolve import symlinalg
 RT2 = math.sqrt(2.0)
 
 
+def singular_solve(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
 def rand_sym(rng, n, scale=1.0):
     a = rng.normal(size=(n, n)) * scale
     return SymMatrix(a + a.T)
@@ -273,6 +277,17 @@ class TestTopEigpair:
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
         radius = max(w[-1], -w[0])
         assert np.linalg.norm(s @ v - w[-1] * v) <= symlinalg._INVIT_RESIDUAL * radius
+
+    @pytest.mark.parametrize("solve", [singular_solve, lambda a, b: np.zeros_like(b)],
+                             ids=["solve-raises", "solve-returns-zeros"])
+    def test_failed_solve_falls_back_to_eigh(self, monkeypatch, solve):
+        # a shift that meets an eigenvalue exactly, or a solve with no
+        # vector to normalize, leaves the top eigenpair to one full eigh
+        s = rand_sym(np.random.default_rng(17), 40).mat
+        w = np.linalg.eigvalsh(s)
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        assert symlinalg._inverse_iteration(s, w) is None
+        self.check(s, 0.0)
 
     def test_top_gap_1e10(self):
         rng = np.random.default_rng(13)

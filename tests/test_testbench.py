@@ -186,6 +186,10 @@ class TestDistanceToSolutions:
         a = np.array([[1.0, 0.0]])
         assert distance_to_solutions(a, [1.0], [0.0, 0.0]) == pytest.approx(1.0)
 
+    def test_zero_matrix(self):
+        # every x solves 0 x = 0
+        assert distance_to_solutions(np.zeros((2, 3)), [0.0, 0.0], [1.0, 2.0, 3.0]) == 0.0
+
     def test_projection_is_feasible(self):
         rng = np.random.default_rng(191)
         sys_, witness = gen_linsys(5, 9, 55, kinds="eq")
