@@ -163,8 +163,8 @@ class LmiProblem:
     (the dense A_1..A_m as SymMatrix values) is built on each read and not
     kept. `rhs` is always dense.
 
-    The problem is immutable, so `_constants` holds constants(p) once an
-    oracle or a solver first needs it.
+    The problem is immutable, so `_constants` keeps constants(p) from its
+    first call on.
     """
 
     __slots__ = ("rhs", "num_vars", "dim", "_blocks", "_scalars", "_constants")
@@ -180,18 +180,19 @@ class LmiProblem:
         r, c = np.divmod(sym.upper, n)
         mirror = c * n + r
         packed = np.empty((m, sym.upper.size))
-        for i, (a, row) in enumerate(zip(coeffs, packed)):
-            a = np.asarray(a, dtype=float)
-            if a.shape != (n, n):
-                raise DimensionMismatch(
-                    f"coefficient {i + 1} has shape {a.shape}, rhs has dimension {n}"
-                )
-            # the upper triangle of SymMatrix(a), 0.5 (A + A^T), bit for bit;
-            # the indices are in range, and mode="clip" spares take the
-            # bounds check and a buffered copy of `out`
-            a.take(sym.upper, out=row, mode="clip")
-            row += a.take(mirror, mode="clip")
-            row *= 0.5
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below as NonFiniteInput
+            for i, (a, row) in enumerate(zip(coeffs, packed)):
+                a = np.asarray(a, dtype=float)
+                if a.shape != (n, n):
+                    raise DimensionMismatch(
+                        f"coefficient {i + 1} has shape {a.shape}, rhs has dimension {n}"
+                    )
+                # the upper triangle of SymMatrix(a), 0.5 (A + A^T), bit for bit;
+                # the indices are in range, and mode="clip" spares take the
+                # bounds check and a buffered copy of `out`
+                a.take(sym.upper, out=row, mode="clip")
+                row += a.take(mirror, mode="clip")
+                row *= 0.5
         if not np.isfinite(packed).all():
             raise NonFiniteInput("coefficient matrix contains NaN or Inf entries")
         _lay_out(self, b, m, [(slice(0, n), slice(0, m), _freeze(packed), sym)])
@@ -291,11 +292,12 @@ def _finite(x, what="point"):
 def _residuals(p: LmiProblem, x) -> tuple[list, np.ndarray]:
     """A(x) - B at a point x of length num_vars, block by block: an exactly
     symmetric ndarray per block of size > 1 in row order, and the values of
-    the 1 x 1 rows. Raises NonFiniteInput if x or any entry is NaN or Inf."""
+    the 1 x 1 rows. Raises NonFiniteInput if x or any entry is NaN or Inf.
+    Callers hold `np.errstate(over="ignore", invalid="ignore")`, so an
+    overflow is reported here and nowhere else."""
     _finite(x)
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below as NonFiniteInput
-        mats = [_block_apply(blk, x) - blk.rhs for blk in p._blocks]
-        vals = x @ p._scalars.coeffs - p._scalars.rhs
+    mats = [_block_apply(blk, x) - blk.rhs for blk in p._blocks]
+    vals = x @ p._scalars.coeffs - p._scalars.rhs
     if not (np.isfinite(vals).all() and all(np.isfinite(s).all() for s in mats)):
         raise NonFiniteInput("A(x) - B contains NaN or Inf entries")
     return mats, vals
@@ -320,10 +322,12 @@ def _adjoint(p: LmiProblem, parts, scalars) -> np.ndarray:
 _KINK_TOL = 1e-12
 
 
-def _top_subgradient(p: LmiProblem, mats, scalars) -> tuple[float, np.ndarray | None]:
-    """lambda_max(A(x) - B) from the blocks `mats` and the values `scalars`
-    of the 1 x 1 rows of A(x) - B, and, when it is above _KINK_TOL, the
-    subgradient A^T(v v^T) for a unit top eigenvector v (else None).
+def _top_subgradient(p: LmiProblem, mats, scalars) -> tuple[float, np.ndarray]:
+    """The non-smooth oracle's (value, subgradient) from the blocks `mats`
+    and the values `scalars` of the 1 x 1 rows of A(x) - B:
+    (lambda_max(A(x) - B), A^T(v v^T)) for a unit top eigenvector v, or
+    (0.0, zeros) when lambda_max is at or below _KINK_TOL. Under the caller's
+    `np.errstate`, a subgradient that overflows raises NonFiniteInput.
 
     Each block's eigenvalues come from `eigvalsh`; an eigenvector is found
     only for the block that holds the top. A tie goes to the block that
@@ -336,15 +340,15 @@ def _top_subgradient(p: LmiProblem, mats, scalars) -> tuple[float, np.ndarray | 
         k = int(np.argmax(scalars))  # the first of equal rows, since rows ascend
         found.append((float(scalars[k]), int(p._scalars.rows[k]), None, k))
     top, _, blk, where = max(found, key=lambda f: (f[0], -f[1]))
-    if top <= _KINK_TOL:
-        return top, None
     grad = np.zeros(p.num_vars)
+    if top <= _KINK_TOL:
+        return 0.0, grad
     if blk is None:
         grad[:] = p._scalars.coeffs[:, where]
         return top, grad
     v = _top_eigpair(*where)[1]
     grad[blk.vars] = _block_adjoint(blk, np.outer(v, v))
-    return top, grad
+    return top, _finite(grad, "subgradient")
 
 
 class SlaterCertificate:
@@ -442,10 +446,11 @@ def apply_operator(p: LmiProblem, x) -> SymMatrix:
     """A(x) = sum_i x_i A_i."""
     v = _finite(_as_vector(x, p.num_vars))
     out = np.zeros((p.dim, p.dim))
-    for blk in p._blocks:
-        out[blk.at, blk.at] = _block_apply(blk, v)
     rows = p._scalars.rows
-    out[rows, rows] = v @ p._scalars.coeffs
+    with np.errstate(over="ignore", invalid="ignore"):  # SymMatrix raises NonFiniteInput
+        for blk in p._blocks:
+            out[blk.at, blk.at] = _block_apply(blk, v)
+        out[rows, rows] = v @ p._scalars.coeffs
     return SymMatrix(out)
 
 
@@ -456,38 +461,49 @@ def adjoint_apply(p: LmiProblem, z: SymMatrix) -> np.ndarray:
     if z.dim != p.dim:
         raise DimensionMismatch(f"Z has dimension {z.dim}, problem has {p.dim}")
     rows = p._scalars.rows
-    return _adjoint(p, [z.mat[blk.at, blk.at] for blk in p._blocks], z.mat[rows, rows])
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as NonFiniteInput
+        g = _adjoint(p, [z.mat[blk.at, blk.at] for blk in p._blocks], z.mat[rows, rows])
+    return _finite(g, "A^T(Z)")
 
 
 def constants(p: LmiProblem) -> OperatorConstants:
-    """Subgradient bound M, operator norm ||A||, and L = 2 ||A||^2.
+    """Subgradient bound M, operator norm ||A||, and L = 2 ||A||^2,
+    computed on the first call and kept on the immutable problem.
 
     Computed block by block: ||A_i||_2 is the largest of A_i's block norms
     and ||A_i||_F^2 the sum of theirs, so the dense A_i are never built;
-    each block coefficient is unpacked on its own, for `norms`."""
+    each block coefficient is unpacked on its own, for `norms`. Raises
+    NonFiniteInput when a constant overflows."""
+    if p._constants is not None:
+        return p._constants
     spec = np.zeros(p.num_vars)
     fro_sq = np.zeros(p.num_vars)
-    for blk in p._blocks:
-        if blk.coeffs is None:
-            # E_ii has both norms 1; E_ij + E_ji has spectral norm 1 and
-            # squared Frobenius norm 2, its weight
-            spec[blk.vars] = np.maximum(spec[blk.vars], 1.0)
-            fro_sq[blk.vars] += blk.sym.weight
-            continue
-        for k, c in zip(range(blk.vars.start, blk.vars.stop), blk.coeffs):
-            fro, s = norms(SymMatrix(c[blk.sym.gather]))
-            spec[k] = max(spec[k], s)
-            fro_sq[k] += fro * fro
     table = p._scalars.coeffs
-    spec = np.maximum(spec, np.abs(table).max(axis=1, initial=0.0))
-    fro_sq += np.sum(table * table, axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as NonFiniteInput
+        for blk in p._blocks:
+            if blk.coeffs is None:
+                # E_ii has both norms 1; E_ij + E_ji has spectral norm 1 and
+                # squared Frobenius norm 2, its weight
+                spec[blk.vars] = np.maximum(spec[blk.vars], 1.0)
+                fro_sq[blk.vars] += blk.sym.weight
+                continue
+            for k, c in zip(range(blk.vars.start, blk.vars.stop), blk.coeffs):
+                fro, s = norms(SymMatrix(c[blk.sym.gather]))
+                spec[k] = max(spec[k], s)
+                fro_sq[k] += fro * fro
+        spec = np.maximum(spec, np.abs(table).max(axis=1, initial=0.0))
+        fro_sq += np.sum(table * table, axis=1)
     # summed in variable order, as a dense problem's constants always were
     spec_total = fro_total = 0.0
     for s, f in zip(spec.tolist(), fro_sq.tolist()):
         spec_total += s * s
         fro_total += f
+    # M <= ||A||, so L = 2 ||A||^2 is the first to overflow
+    if not 2.0 * fro_total < np.inf:
+        raise NonFiniteInput("operator constants overflow")
     opnorm = float(np.sqrt(fro_total))
-    return OperatorConstants(float(np.sqrt(spec_total)), opnorm, 2.0 * fro_total)
+    p._constants = OperatorConstants(float(np.sqrt(spec_total)), opnorm, 2.0 * fro_total)
+    return p._constants
 
 
 def mu_of(cert: SlaterCertificate) -> float:
@@ -517,7 +533,8 @@ def validate_certificate(p: LmiProblem, cert: SlaterCertificate, tol: float = 1e
     The 1 x 1 rows pass when their largest value is below level. At the
     exact boundary lambda_max = -sigma + tol the answer is False."""
     d = _as_vector(cert.point, p.num_vars, "certificate point")
-    mats, scalars = _residuals(p, d)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteInput
+        mats, scalars = _residuals(p, d)
     level = tol - cert.margin
     if not (scalars < level).all():
         return False

@@ -7,6 +7,11 @@ All three vanish exactly on the solution set, so the optimal value is 0:
   negative-semidefinite cone, gradient Lipschitz constant 2 ||A||^2;
 - linear system: f(x) = 0.5 ||e(Ax - b)||^2 with the clipped residual e,
   gradient Lipschitz constant ||A||_2^2.
+
+Each evaluation runs under one `np.errstate` that keeps numpy's overflow
+warnings quiet: an A(x) - B, gradient or subgradient with NaN or Inf
+entries raises NonFiniteInput instead, and only a value may overflow to
+inf (which a solve rejects).
 """
 
 from __future__ import annotations
@@ -16,8 +21,8 @@ from typing import Callable
 
 import numpy as np
 
-from .model import (LinIneqSystem, LmiProblem, OperatorConstants, _adjoint, _as_vector,
-                    _clip, _residuals, _top_subgradient, constants)
+from .model import (LinIneqSystem, LmiProblem, _adjoint, _as_vector, _clip, _finite,
+                    _residuals, _top_subgradient, constants)
 # lambda_max and project_neg_semidef stay importable here for perfbench's tracer
 from .symlinalg import (SymMatrix, _positive_part, eig_sym, lambda_max,  # noqa: F401
                         project_neg_semidef)
@@ -73,10 +78,8 @@ def eval_nonsmooth(p: LmiProblem, x) -> OracleEval:
     their top is its max.
     """
     x = _as_vector(x, p.num_vars, "point")
-    top, grad = _top_subgradient(p, *_residuals(p, x))
-    if grad is None:
-        return OracleEval(0.0, np.zeros(p.num_vars))
-    return OracleEval(top, grad)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteInput
+        return OracleEval(*_top_subgradient(p, *_residuals(p, x)))
 
 
 def eval_smooth(p: LmiProblem, x) -> OracleEval:
@@ -89,47 +92,46 @@ def eval_smooth(p: LmiProblem, x) -> OracleEval:
     and clipped rows, in Python floats, so it overflows to inf silently.
     """
     x = _as_vector(x, p.num_vars, "point")
-    mats, scalars = _residuals(p, x)
-    pos = np.maximum(scalars, 0.0)
-    parts = []
-    value = 0.0
-    for s in mats:
-        w, part = _positive_part(s)
-        parts.append(part)
-        for e in w.tolist():
+    with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteInput
+        mats, scalars = _residuals(p, x)
+        pos = np.maximum(scalars, 0.0)
+        parts = []
+        value = 0.0
+        for s in mats:
+            w, part = _positive_part(s)
+            parts.append(part)
+            for e in w.tolist():
+                value += e * e
+        for e in pos.tolist():
             value += e * e
-    for e in pos.tolist():
-        value += e * e
-    return OracleEval(value, 2.0 * _adjoint(p, parts, pos))
+        grad = 2.0 * _adjoint(p, parts, pos)
+    return OracleEval(value, _finite(grad, "gradient"))
 
 
 def eval_linsys(sys: LinIneqSystem, x) -> OracleEval:
-    """0.5 ||e(Ax - b)||^2 with gradient A^T e(Ax - b)."""
+    """0.5 ||e(Ax - b)||^2 with gradient A^T e(Ax - b). A NaN or Inf entry
+    of e makes every gradient entry NaN or Inf, so one check covers both."""
     x = _as_vector(x, sys.num_vars, "point")
-    e = _clip(sys, sys.rows @ x - sys.rhs)
-    return OracleEval(0.5 * float(e @ e), sys.rows.T @ e)
-
-
-def _constants_of(p: LmiProblem) -> OperatorConstants:
-    """constants(p), computed on first use and kept on the immutable problem."""
-    if p._constants is None:
-        p._constants = constants(p)
-    return p._constants
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as NonFiniteInput
+        e = _clip(sys, sys.rows @ x - sys.rhs)
+        value = 0.5 * float(e @ e)
+        grad = sys.rows.T @ e
+    return OracleEval(value, _finite(grad, "gradient"))
 
 
 def nonsmooth_oracle(p: LmiProblem) -> Oracle:
     """Oracle for eval_nonsmooth with (L, M) = (0, sqrt(sum ||A_i||_2^2))."""
-    m = _constants_of(p).subgrad_bound
-    return Oracle(lambda x: eval_nonsmooth(p, x), p.num_vars, 0.0, m)
+    return Oracle(lambda x: eval_nonsmooth(p, x), p.num_vars, 0.0, constants(p).subgrad_bound)
 
 
 def smooth_oracle(p: LmiProblem) -> Oracle:
     """Oracle for eval_smooth with (L, M) = (2 ||A||^2, 0)."""
-    return Oracle(lambda x: eval_smooth(p, x), p.num_vars, _constants_of(p).grad_lipschitz, 0.0)
+    return Oracle(lambda x: eval_smooth(p, x), p.num_vars, constants(p).grad_lipschitz, 0.0)
 
 
 def linsys_oracle(sys: LinIneqSystem) -> Oracle:
     """Oracle for eval_linsys with L = ||A||_2^2 = lambda_max(A^T A)."""
-    gram = SymMatrix(sys.rows.T @ sys.rows)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as NonFiniteInput
+        gram = SymMatrix(_finite(sys.rows.T @ sys.rows, "A^T A"))
     lip = max(float(eig_sym(gram).eigenvalues[0]), 0.0)
     return Oracle(lambda x: eval_linsys(sys, x), sys.num_vars, lip, 0.0)

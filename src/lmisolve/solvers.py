@@ -55,9 +55,8 @@ from .errors import (
     IterationCapReached,
     NonFiniteInput,
 )
-from .model import LinIneqSystem, LmiProblem, _as_vector, _count, _finite, _positive
-from .model import constants  # noqa: F401 (perfbench traces constants)
-from .objectives import Oracle, _constants_of, linsys_oracle, nonsmooth_oracle, smooth_oracle
+from .model import LinIneqSystem, LmiProblem, _as_vector, _count, _finite, _positive, constants
+from .objectives import Oracle, linsys_oracle, nonsmooth_oracle, smooth_oracle
 from .symlinalg import _freeze
 
 __all__ = [
@@ -457,7 +456,7 @@ def solve_smooth(p: LmiProblem, mu: float, eps: float, cap: int = DEFAULT_CAP,
     """
     _positive("mu", mu)
     oracle = smooth_oracle(p)
-    K = _budget(4.0 * mu * _constants_of(p).opnorm)
+    K = _budget(4.0 * mu * constants(p).opnorm)
     return _restart(oracle, x0, eps, cap, _accelerated_steps, oracle.grad_lipschitz, K)
 
 

@@ -74,7 +74,8 @@ class SymMatrix:
         a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-        s = 0.5 * (a + a.T)
+        with np.errstate(over="ignore", invalid="ignore"):  # reported below as NonFiniteInput
+            s = 0.5 * (a + a.T)
         if not np.isfinite(s).all():
             raise NonFiniteInput("matrix contains NaN or Inf entries")
         self.mat = _freeze(s)

@@ -209,6 +209,14 @@ class TestSolveCommand:
         assert "status=" not in captured.out
         assert "non-finite" in captured.err
 
+    def test_overflowing_linsys_exit_one(self, tmp_path, capsys):
+        # the row 1e200 is finite; its Gram matrix entry 1e400 is not
+        path = write(tmp_path, "big.lis", "lis 1 2\neq 1e200 0 0\n")
+        assert main(["solve", "--method", "linsys", "--lh", "1", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: A^T A contains NaN or Inf\n"
+
     @pytest.mark.parametrize("flags", [["--method", "smooth"],
                                        ["--method", "nonsmooth", "--mu", "1e300"],
                                        ["--method", "nonsmooth", "--mu", "inf"]],

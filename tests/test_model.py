@@ -70,6 +70,11 @@ class TestLmiProblem:
             with pytest.raises(NonFiniteInput):
                 LmiProblem([np.eye(2), bad], np.eye(2))
 
+    def test_overflowing_coefficient_raises(self):
+        # finite entries whose symmetrization 0.5 (A + A^T) overflows
+        with pytest.raises(NonFiniteInput, match="coefficient matrix contains NaN or Inf"):
+            LmiProblem([np.full((2, 2), 1.5e308)], np.zeros((2, 2)))
+
     def test_equality(self):
         assert one_d_problem() == one_d_problem()
         assert one_d_problem() != one_d_problem(a=2.0)
@@ -226,6 +231,11 @@ class TestOperator:
         out = apply_operator(diag_pair_problem(), [2.0, -5.0])
         np.testing.assert_allclose(out.mat, np.diag([2.0, -5.0]))
 
+    def test_apply_overflow_raises(self):
+        # x and the coefficients are finite, A(x) = 1e310 is not
+        with pytest.raises(NonFiniteInput, match="matrix contains NaN or Inf"):
+            apply_operator(LmiProblem([np.full((2, 2), 1e300)], np.zeros((2, 2))), [1e10])
+
     def test_apply_dim_check(self):
         with pytest.raises(DimensionMismatch):
             apply_operator(one_d_problem(), [1.0, 2.0])
@@ -243,6 +253,12 @@ class TestOperator:
         np.testing.assert_array_equal(adjoint_apply(p, z), adjoint_apply(p, SymMatrix(z)))
         with pytest.raises(DimensionMismatch, match="Z has dimension 3, problem has 2"):
             adjoint_apply(p, np.eye(3))
+
+    def test_adjoint_overflow_raises(self):
+        # <A_1, Z> = 4e310 for a finite Z
+        p = LmiProblem([np.full((2, 2), 1e300)], np.zeros((2, 2)))
+        with pytest.raises(NonFiniteInput, match=r"A\^T\(Z\) contains NaN or Inf"):
+            adjoint_apply(p, np.full((2, 2), 1e10))
 
     def test_adjoint_identity(self):
         # <A(x), Z> = <x, A*(Z)> for random x, Z
@@ -277,6 +293,13 @@ class TestConstants:
         assert c.subgrad_bound == pytest.approx(math.sqrt(2.0))
         assert c.opnorm == pytest.approx(math.sqrt(2.0))
         assert c.grad_lipschitz == pytest.approx(4.0)
+
+    def test_overflow_raises(self):
+        # ||A_1||_F^2 = 4e400 overflows although every entry is finite
+        p = LmiProblem([np.full((2, 2), 1e200)], np.zeros((2, 2)))
+        for _ in range(2):  # a failed call keeps nothing
+            with pytest.raises(NonFiniteInput, match="operator constants overflow"):
+                constants(p)
 
     def test_ordering(self):
         # spectral <= Frobenius per coefficient, so M <= opnorm and L = 2 opnorm^2

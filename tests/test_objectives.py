@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from lmisolve import objectives
+from lmisolve import model
 from lmisolve import (
     DimensionMismatch,
     LinIneqSystem,
     LmiProblem,
+    NonFiniteInput,
     SymMatrix,
     constants,
     eval_linsys,
@@ -19,6 +20,7 @@ from lmisolve import (
     linsys_oracle,
     mu_of,
     nonsmooth_oracle,
+    norms,
     residual_map,
     smooth_oracle,
     solve_smooth,
@@ -72,6 +74,13 @@ class TestNonsmooth:
         with pytest.raises(DimensionMismatch):
             eval_nonsmooth(one_d_problem(), [1.0, 2.0])
 
+    def test_overflowing_subgradient_raises(self):
+        # A(x) - B is finite, but v^T A_1 v = 2.4e308 for the top
+        # eigenvector v = (1, 1, 1) / sqrt(3)
+        p = LmiProblem([np.full((3, 3), 8e307)], np.zeros((3, 3)))
+        with pytest.raises(NonFiniteInput, match="subgradient contains NaN or Inf"):
+            eval_nonsmooth(p, [1e-300])
+
 
 class TestSmooth:
     def test_scalar_violated(self):
@@ -111,6 +120,12 @@ class TestSmooth:
         assert eval_nonsmooth(inst.problem, inst.witness).value <= 1e-12
         assert eval_smooth(inst.problem, inst.witness).value <= 1e-12
 
+    def test_overflowing_gradient_raises(self):
+        # A(x) - B = 1e160 is finite; the gradient 2 A^T(P+) = 4e310 is not
+        p = LmiProblem([np.full((2, 2), 1e150)], np.zeros((2, 2)))
+        with pytest.raises(NonFiniteInput, match="gradient contains NaN or Inf"):
+            eval_smooth(p, [1e10])
+
 
 class TestLinsys:
     def test_single_le(self):
@@ -135,6 +150,15 @@ class TestLinsys:
         sys_ = LinIneqSystem([[1.0]], [0.0], ["le"])
         with pytest.raises(DimensionMismatch):
             eval_linsys(sys_, [1.0, 2.0])
+
+    def test_overflow_raises(self):
+        # Ax = 1e350 overflows on an "eq" row; on an "le" row Ax = -1e350
+        # overflows to -inf, which the clip maps to 0 exactly as it should
+        with pytest.raises(NonFiniteInput, match="gradient contains NaN or Inf"):
+            eval_linsys(LinIneqSystem([[1e150]], [0.0], ["eq"]), [1e200])
+        ev = eval_linsys(LinIneqSystem([[1e150]], [0.0], ["le"]), [-1e200])
+        assert ev.value == 0.0
+        np.testing.assert_array_equal(ev.gradient, [0.0])
 
     def test_clips_as_residual_map(self):
         # the oracle and the public map clip with one function, so the
@@ -172,6 +196,11 @@ class TestOracleFactories:
         # L = lambda_max(A^T A) = 16
         assert orc.grad_lipschitz == pytest.approx(16.0)
         assert orc.subgrad_bound == 0.0
+
+    def test_linsys_gram_overflow_raises(self):
+        # the row is finite, its Gram matrix entry 1e400 is not
+        with pytest.raises(NonFiniteInput, match=r"A\^T A contains NaN or Inf"):
+            linsys_oracle(LinIneqSystem([[1e200, 0.0]], [0.0], ["eq"]))
 
     def test_factory_matches_eval(self):
         inst = gen_lmi(3, 2, 1.0, 2)
@@ -252,20 +281,24 @@ class TestFiniteDifferences:
 
 class TestConstantsOnce:
     def test_computed_once_per_problem(self, monkeypatch):
+        # the work is counted, not the calls: every oracle factory and
+        # solve_smooth call constants(p), and only the first one computes
         inst = gen_lmi(6, 3, 1.0, 21)
         p = inst.problem
-        expected = constants(p)
         calls = []
 
-        def counted(q):
-            calls.append(q)
-            return constants(q)
+        def counted(s):
+            calls.append(s)
+            return norms(s)
 
-        monkeypatch.setattr(objectives, "constants", counted)
+        monkeypatch.setattr(model, "norms", counted)
+        expected = constants(p)
+        assert len(calls) == p.num_vars
         ns, sm = nonsmooth_oracle(p), smooth_oracle(p)
         for _ in range(2):
             solve_smooth(p, mu_of(inst.certificate), 1e-6, x0=3.0 * inst.witness)
-        assert calls == [p]
+        assert len(calls) == p.num_vars
+        assert constants(p) is expected
         assert ns.subgrad_bound == expected.subgrad_bound
         assert sm.grad_lipschitz == expected.grad_lipschitz
 

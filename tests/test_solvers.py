@@ -570,6 +570,11 @@ class TestSolveExits:
             solve_smooth(inst.problem, mu_of(inst.certificate), 1e-8, cap=200,
                          x0=1e200 * np.ones(4))
 
+    def test_overflowing_linsys_raises(self):
+        # the data are finite, but ||A||^2 = 1e600 overflows
+        with pytest.raises(NonFiniteInput, match=r"A\^T A contains NaN or Inf"):
+            solve_linsys(LinIneqSystem([[1e300]], [0.0], ["eq"]), 1.0, 1e-8, x0=[1e10])
+
     @pytest.mark.parametrize("modulus", [1e308, math.inf], ids=["overflow", "inf"])
     @pytest.mark.parametrize("solve", [solve_nonsmooth, solve_smooth, solve_linsys],
                              ids=["nonsmooth", "smooth", "linsys"])

@@ -46,6 +46,11 @@ class TestSymMatrix:
         with pytest.raises(NonFiniteInput):
             SymMatrix([[np.inf, 0.0], [0.0, 1.0]])
 
+    def test_overflow_raises(self):
+        # finite entries whose symmetrization 0.5 (A + A^T) overflows
+        with pytest.raises(NonFiniteInput, match="matrix contains NaN or Inf"):
+            SymMatrix(np.full((2, 2), 1.5e308))
+
     def test_entries_read_only(self):
         s = SymMatrix(np.eye(2))
         with pytest.raises(ValueError):
