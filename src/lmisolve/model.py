@@ -49,12 +49,27 @@ __all__ = [
 
 
 def _as_vector(x, length, what="x"):
+    """x as a float64 vector, a scalar as length 1; any length if `length` is None."""
     v = np.asarray(x, dtype=float)
     if v.ndim == 0:
         v = v.reshape(1)
-    if v.ndim != 1 or v.shape[0] != length:
-        raise DimensionMismatch(f"{what} must be a vector of length {length}")
+    if v.ndim != 1 or length not in (None, v.shape[0]):
+        of = "" if length is None else f" of length {length}"
+        raise DimensionMismatch(f"{what} must be a vector{of}")
     return v
+
+
+def _finite(x, what="point"):
+    """x, once checked to hold no NaN or Inf (before A(x) is formed, where
+    Inf times a zero coefficient would make NaN); `what` names x in the error."""
+    if not np.isfinite(x).all():
+        raise NonFiniteInput(f"{what} contains NaN or Inf")
+    return x
+
+
+def _vector(x, length, what):
+    """A private copy of x, a float64 vector checked by _as_vector and _finite."""
+    return _finite(_as_vector(x, length, what), what).copy()
 
 
 def _count(name, value):
@@ -134,7 +149,7 @@ class _Block(NamedTuple):
     vars: slice
     coeffs: np.ndarray | None
     rhs: np.ndarray
-    sym: _SymMaps | None
+    sym: _SymMaps
 
 
 class _Scalars(NamedTuple):
@@ -193,8 +208,14 @@ class LmiProblem:
                 a.take(sym.upper, out=row, mode="clip")
                 row += a.take(mirror, mode="clip")
                 row *= 0.5
-        if not np.isfinite(packed).all():
-            raise NonFiniteInput("coefficient matrix contains NaN or Inf entries")
+            if not np.isfinite(packed).all():
+                # as in SymMatrix, an entry whose sum overflows is 0.5 A + 0.5 A^T
+                for a, row in zip(coeffs, packed):
+                    bad = ~np.isfinite(row)
+                    a = np.asarray(a, dtype=float)
+                    row[bad] = 0.5 * a.take(sym.upper[bad]) + 0.5 * a.take(mirror[bad])
+                if not np.isfinite(packed).all():
+                    raise NonFiniteInput("coefficient matrix contains NaN or Inf entries")
         _lay_out(self, b, m, [(slice(0, n), slice(0, m), _freeze(packed), sym)])
 
     @property
@@ -280,22 +301,12 @@ def _block_adjoint(blk: _Block, z) -> np.ndarray:
     return packed if blk.coeffs is None else blk.coeffs @ packed
 
 
-def _finite(x, what="point"):
-    """x, once it is checked to hold no NaN or Inf (before A(x) is formed,
-    where Inf times a zero coefficient would make NaN); `what` names x in
-    the error."""
-    if not np.isfinite(x).all():
-        raise NonFiniteInput(f"{what} contains NaN or Inf")
-    return x
-
-
 def _residuals(p: LmiProblem, x) -> tuple[list, np.ndarray]:
     """A(x) - B at a point x of length num_vars, block by block: an exactly
     symmetric ndarray per block of size > 1 in row order, and the values of
-    the 1 x 1 rows. Raises NonFiniteInput if x or any entry is NaN or Inf.
-    Callers hold `np.errstate(over="ignore", invalid="ignore")`, so an
-    overflow is reported here and nowhere else."""
-    _finite(x)
+    the 1 x 1 rows. x is finite (each caller has checked it); any NaN or Inf
+    entry raises NonFiniteInput. Callers hold `np.errstate(over="ignore",
+    invalid="ignore")`, so an overflow is reported here and nowhere else."""
     mats = [_block_apply(blk, x) - blk.rhs for blk in p._blocks]
     vals = x @ p._scalars.coeffs - p._scalars.rhs
     if not (np.isfinite(vals).all() and all(np.isfinite(s).all() for s in mats)):
@@ -355,20 +366,15 @@ class SlaterCertificate:
     """Strictly feasible point d with margin sigma > 0.
 
     Meaningful for a problem p when lambda_max(A(d) - B) <= -sigma, which
-    is what validate_certificate checks; the certificate itself only pins
-    the pair (d, sigma).
+    is what validate_certificate checks; the certificate itself pins the
+    pair (d, sigma), d as a finite vector of any length (see _vector).
     """
 
     __slots__ = ("point", "margin")
 
     def __init__(self, point, margin):
         margin = _positive("margin", float(margin))
-        d = np.asarray(point, dtype=float)
-        if d.ndim == 0:
-            d = d.reshape(1)
-        if d.ndim != 1:
-            raise DimensionMismatch("certificate point must be a vector")
-        self.point = _freeze(_finite(d, "certificate point").copy())
+        self.point = _freeze(_vector(point, None, "certificate point"))
         self.margin = margin
 
     def __eq__(self, other):
@@ -425,8 +431,7 @@ class SdpPair:
 
     def __init__(self, objective, coeffs, rhs):
         self.problem = LmiProblem(coeffs, rhs)
-        c = _as_vector(objective, self.problem.num_vars, "objective")
-        self.objective = _freeze(_finite(c, "objective").copy())
+        self.objective = _freeze(_vector(objective, self.problem.num_vars, "objective"))
 
     def __repr__(self):
         return f"SdpPair(n={self.problem.dim}, m={self.problem.num_vars})"

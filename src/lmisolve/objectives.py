@@ -77,7 +77,7 @@ def eval_nonsmooth(p: LmiProblem, x) -> OracleEval:
     The 1 x 1 blocks of a stacked or reduced problem are one vector, and
     their top is its max.
     """
-    x = _as_vector(x, p.num_vars, "point")
+    x = _finite(_as_vector(x, p.num_vars, "point"))
     with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteInput
         return OracleEval(*_top_subgradient(p, *_residuals(p, x)))
 
@@ -91,7 +91,7 @@ def eval_smooth(p: LmiProblem, x) -> OracleEval:
     clipped at 0. The value is the sum of the squared positive eigenvalues
     and clipped rows, in Python floats, so it overflows to inf silently.
     """
-    x = _as_vector(x, p.num_vars, "point")
+    x = _finite(_as_vector(x, p.num_vars, "point"))
     with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteInput
         mats, scalars = _residuals(p, x)
         pos = np.maximum(scalars, 0.0)

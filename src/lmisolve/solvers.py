@@ -55,7 +55,7 @@ from .errors import (
     IterationCapReached,
     NonFiniteInput,
 )
-from .model import LinIneqSystem, LmiProblem, _as_vector, _count, _finite, _positive, constants
+from .model import LinIneqSystem, LmiProblem, _count, _finite, _positive, _vector, constants
 from .objectives import Oracle, linsys_oracle, nonsmooth_oracle, smooth_oracle
 from .symlinalg import _freeze
 
@@ -247,7 +247,7 @@ class _Run:
 def _point(x, dim):
     if x is None:
         return np.zeros(dim)
-    return _finite(_as_vector(x, dim, "starting point"), "starting point").copy()
+    return _vector(x, dim, "starting point")
 
 
 def _budget(value):

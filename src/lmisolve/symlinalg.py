@@ -64,8 +64,10 @@ class SymMatrix:
 
     The constructor symmetrizes the input as 0.5 * (A + A.T), which makes
     ``mat[i, j] == mat[j, i]`` hold exactly (IEEE addition commutes), and
-    rejects NaN/Inf entries. The backing array is marked read-only; treat
-    instances as immutable values.
+    rejects NaN/Inf entries. Any finite input is accepted: an entry whose
+    sum overflows (above about 8.99e307) is taken as 0.5 A + 0.5 A^T, the
+    same value. The backing array is marked read-only; treat instances as
+    immutable values.
     """
 
     __slots__ = ("mat", "dim")
@@ -76,8 +78,13 @@ class SymMatrix:
             raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
         with np.errstate(over="ignore", invalid="ignore"):  # reported below as NonFiniteInput
             s = 0.5 * (a + a.T)
-        if not np.isfinite(s).all():
-            raise NonFiniteInput("matrix contains NaN or Inf entries")
+            if not np.isfinite(s).all():
+                # halving first never overflows but changes the bits of subnormal
+                # sums, so only the entries that overflowed take that form
+                bad = ~np.isfinite(s)
+                s[bad] = 0.5 * a[bad] + 0.5 * a.T[bad]
+                if not np.isfinite(s).all():
+                    raise NonFiniteInput("matrix contains NaN or Inf entries")
         self.mat = _freeze(s)
         self.dim = s.shape[0]
 

@@ -355,6 +355,15 @@ class TestCheckCommand:
         out = capsys.readouterr().out.splitlines()
         assert out[-2:] == ["certificate=valid", "mu=1e+200"]
 
+    def test_huge_symmetric_entries(self, tmp_path, capsys):
+        # 0.5 (A + A^T) would overflow, but the matrix is finite and symmetric
+        text = "lmi 2 1\nB\n0 0\n0 0\nA 1\n1.5e308 1.5e308\n1.5e308 1.5e308\n"
+        problem, _ = parse_problem(text)
+        np.testing.assert_array_equal(problem.coeffs[0].mat, np.full((2, 2), 1.5e308))
+        assert main(["check", write(tmp_path, "huge.lmi", text)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == "kind=lmi" and out[-1] == "certificate=absent"
+
     def test_invalid_certificate(self, tmp_path, capsys):
         # claims margin 1 for the constraint -x + 1 <= 0 at d = 0, where
         # lambda_1 = +1: the margin fails

@@ -70,10 +70,19 @@ class TestLmiProblem:
             with pytest.raises(NonFiniteInput):
                 LmiProblem([np.eye(2), bad], np.eye(2))
 
-    def test_overflowing_coefficient_raises(self):
-        # finite entries whose symmetrization 0.5 (A + A^T) overflows
-        with pytest.raises(NonFiniteInput, match="coefficient matrix contains NaN or Inf"):
-            LmiProblem([np.full((2, 2), 1.5e308)], np.zeros((2, 2)))
+    def test_huge_symmetric_coefficient_accepted(self):
+        # finite entries whose sum A + A^T overflows keep their value
+        a = np.full((2, 2), 1.5e308)
+        p = LmiProblem([np.eye(2), a], np.zeros((2, 2)))
+        np.testing.assert_array_equal(p.coeffs[1].mat, a)
+        np.testing.assert_array_equal(p.coeffs[0].mat, np.eye(2))
+        with pytest.raises(NonFiniteInput, match="operator constants overflow"):
+            constants(p)
+        q = LmiProblem([[[0.0, 1.5e308], [1.7e308, 0.0]]], np.zeros((2, 2)))
+        assert q.coeffs[0].mat[0, 1] == q.coeffs[0].mat[1, 0] == 1.6e308
+        for bad in ([[np.inf, 1e308], [1e308, 0.0]], [[0.0, np.inf], [-np.inf, 0.0]]):
+            with pytest.raises(NonFiniteInput, match="coefficient matrix contains NaN or Inf"):
+                LmiProblem([a, bad], np.zeros((2, 2)))
 
     def test_equality(self):
         assert one_d_problem() == one_d_problem()
@@ -844,6 +853,16 @@ class TestBlockOracles:
         ev = eval_nonsmooth(stack([second, first]), [1.0])
         assert ev.value == 1.0
         np.testing.assert_array_equal(ev.gradient, [2.0])
+
+    def test_tie_between_blocks(self):
+        # diag(x, 0) <= 0 and diag(2x, 0) <= diag(1, 0) both have top 1 at
+        # x = 1; the subgradient is that of whichever block comes first
+        first = LmiProblem([SymMatrix(np.diag([1.0, 0.0]))], SymMatrix(np.zeros((2, 2))))
+        second = LmiProblem([SymMatrix(np.diag([2.0, 0.0]))], SymMatrix(np.diag([1.0, 0.0])))
+        for parts, grad in (([first, second], 1.0), ([second, first], 2.0)):
+            ev = eval_nonsmooth(stack(parts), [1.0])
+            assert ev.value == 1.0
+            np.testing.assert_array_equal(ev.gradient, [grad])
 
     def test_tie_between_block_and_row(self):
         # diag(x, 0) <= 0 has top 1 at x = 1 with subgradient 1; the row

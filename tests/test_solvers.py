@@ -719,4 +719,7 @@ class TestOracleCalls:
         res = repeat_free_solves()[label]()
         assert res.status is SolveStatus.SOLVED
         assert res.phases >= 3
+        # every phase calls the oracle at least once, so an empty record
+        # would mean the solve went around objectives.eval_*
+        assert len(points) >= res.phases
         assert all(a != b for a, b in zip(points, points[1:]))

@@ -46,10 +46,15 @@ class TestSymMatrix:
         with pytest.raises(NonFiniteInput):
             SymMatrix([[np.inf, 0.0], [0.0, 1.0]])
 
-    def test_overflow_raises(self):
-        # finite entries whose symmetrization 0.5 (A + A^T) overflows
-        with pytest.raises(NonFiniteInput, match="matrix contains NaN or Inf"):
-            SymMatrix(np.full((2, 2), 1.5e308))
+    def test_huge_symmetric_accepted(self):
+        # finite entries whose sum A + A^T overflows keep their value
+        a = np.full((2, 2), 1.5e308)
+        np.testing.assert_array_equal(SymMatrix(a).mat, a)
+        s = SymMatrix([[0.0, 1.5e308], [1.7e308, 0.0]])
+        assert s.mat[0, 1] == s.mat[1, 0] == 1.6e308
+        for bad in ([[np.inf, 1e308], [1e308, 0.0]], [[0.0, np.inf], [-np.inf, 0.0]]):
+            with pytest.raises(NonFiniteInput, match="matrix contains NaN or Inf"):
+                SymMatrix(bad)
 
     def test_entries_read_only(self):
         s = SymMatrix(np.eye(2))
