@@ -136,7 +136,8 @@ def _matrix(lines, n, what):
         out[i] = _reals(tokens, n, lineno, what)
         if i == 0:
             first = lineno
-    bad = np.triu(np.abs(out - out.T) > _SYMMETRY_TOL, 1)
+    with np.errstate(over="ignore"):  # an overflowed difference is inf and fails too
+        bad = np.triu(np.abs(out - out.T) > _SYMMETRY_TOL, 1)
     if bad.any():
         j, k = divmod(int(bad.argmax()), n)
         raise ParseError(f"line {first}: {what} is not symmetric at entry ({j + 1},{k + 1})")

@@ -208,14 +208,12 @@ class LmiProblem:
                 a.take(sym.upper, out=row, mode="clip")
                 row += a.take(mirror, mode="clip")
                 row *= 0.5
-            if not np.isfinite(packed).all():
-                # as in SymMatrix, an entry whose sum overflows is 0.5 A + 0.5 A^T
-                for a, row in zip(coeffs, packed):
-                    bad = ~np.isfinite(row)
-                    a = np.asarray(a, dtype=float)
-                    row[bad] = 0.5 * a.take(sym.upper[bad]) + 0.5 * a.take(mirror[bad])
-                if not np.isfinite(packed).all():
-                    raise NonFiniteInput("coefficient matrix contains NaN or Inf entries")
+        if not np.isfinite(packed).all():
+            # rare: a sum overflowed or the input holds NaN/Inf; SymMatrix decides
+            try:
+                packed[:] = [SymMatrix(a).mat.take(sym.upper) for a in coeffs]
+            except NonFiniteInput:
+                raise NonFiniteInput("coefficient matrix contains NaN or Inf entries") from None
         _lay_out(self, b, m, [(slice(0, n), slice(0, m), _freeze(packed), sym)])
 
     @property

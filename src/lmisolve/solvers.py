@@ -356,12 +356,17 @@ def level_project(x_prev, z, fz, g, level):
 
     Returns x_prev unchanged when it already satisfies the constraint.
     Raises InfeasibleLevel when the model sits above the level with g = 0,
-    in which case no point can reach it.
+    in which case no point can reach it, InvalidParameter for a level that
+    is NaN or Inf, and NonFiniteInput for a cut value that is.
     """
+    if not math.isfinite(level):
+        raise InvalidParameter(f"level must be finite, got {level}")
     x_prev = np.asarray(x_prev, dtype=float)
     z = np.asarray(z, dtype=float)
     g = _finite(np.asarray(g, dtype=float), "subgradient")
     h = float(fz) + float(g @ (x_prev - z))
+    if not math.isfinite(h):
+        raise NonFiniteInput(f"cut value fz + <g, x_prev - z> is {h}")
     if h <= level:
         return x_prev.copy()
     gg = float(g @ g)

@@ -15,8 +15,8 @@ A(x) - B that are exactly symmetric and finite, and compute only the
 spectrum they need: `_top_eigpair` finds one eigenvector for the top
 eigenvalue, on blocks of size 32 and up by inverse iteration that stops
 after the first LU solve whose vector meets the residual bound (two at
-most), and `_positive_part` the positive part from the smaller side of
-one `eigh`. Their results are deterministic functions of the input but
+most), and `_positive_part` the positive part V+ diag(w+) V+^T from one
+`eigh`. Their results are deterministic functions of the input but
 not canonical. `lambda_max` and `project_neg_semidef` are built on them.
 """
 
@@ -172,21 +172,12 @@ def _top_eigpair(s, w=None) -> tuple[float, np.ndarray]:
 
 def _positive_part(s) -> tuple[np.ndarray, np.ndarray]:
     """The positive eigenvalues of the symmetric ndarray s (ascending) and
-    its positive part P+, the sum of w_k v_k v_k^T over them, from one
-    `eigh`.
-
-    P+ is built from the smaller side: V+ diag(w+) V+^T when at most half
-    the eigenvalues are positive, otherwise S - V- diag(w-) V-^T over the
-    rest. So P+ is exactly 0 when no eigenvalue is positive."""
+    its positive part P+ = V+ diag(w+) V+^T over them, from one `eigh`.
+    P+ is exactly 0 when no eigenvalue is positive."""
     w, v = np.linalg.eigh(s)
     cut = int(np.searchsorted(w, 0.0, side="right"))
-    if 2 * (w.shape[0] - cut) <= w.shape[0]:
-        side = v[:, cut:]
-        part = (side * w[cut:]) @ side.T
-    else:
-        side = v[:, :cut]
-        part = s - (side * w[:cut]) @ side.T
-    return w[cut:], part
+    side = v[:, cut:]
+    return w[cut:], (side * w[cut:]) @ side.T
 
 
 def eig_sym(s: SymMatrix) -> EigDecomposition:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, LmiSolveError, ZeroMatrix
+from .errors import InvalidParameter, LmiSolveError, NonFiniteInput, ZeroMatrix
 from .model import (LinIneqSystem, LmiProblem, SlaterCertificate, _count, _positive,
                     _row_kinds, validate_certificate)
 from .objectives import Oracle, eval_nonsmooth
@@ -106,28 +106,32 @@ def gen_lmi(n: int, m: int, sigma: float, seed: int) -> CertifiedInstance:
     sigma = _positive("sigma", float(sigma))
 
     rng = Lcg64(seed)
-    scale = sigma / (m * np.sqrt(n))
-    raw = [_draw_symmetric(rng, n, scale) for _ in range(m)]
+    # a sigma so large that this overflows leaves B non-finite, reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = sigma / (m * np.sqrt(n))
+        raw = [_draw_symmetric(rng, n, scale) for _ in range(m)]
 
-    d = np.array([rng.uniform(-1.0, 1.0) for _ in range(m)])
-    while float(d @ d) < 0.25:
         d = np.array([rng.uniform(-1.0, 1.0) for _ in range(m)])
+        while float(d @ d) < 0.25:
+            d = np.array([rng.uniform(-1.0, 1.0) for _ in range(m)])
 
-    # shift each A_i by t_i I so that A(d) >= sigma I; the Frobenius norm
-    # overestimates the spectral norm, keeping the construction free of
-    # eigenvalue computations and therefore byte-deterministic
-    ad_raw = np.tensordot(d, np.stack(raw), axes=1)
-    shift = (sigma + float(np.linalg.norm(ad_raw))) / float(d @ d)
-    eye = np.eye(n)
-    coeffs = [a + (shift * di) * eye for a, di in zip(raw, d)]
+        # shift each A_i by t_i I so that A(d) >= sigma I; the Frobenius norm
+        # overestimates the spectral norm, keeping the construction free of
+        # eigenvalue computations and therefore byte-deterministic
+        ad_raw = np.tensordot(d, np.stack(raw), axes=1)
+        shift = (sigma + float(np.linalg.norm(ad_raw))) / float(d @ d)
+        eye = np.eye(n)
+        coeffs = [a + (shift * di) * eye for a, di in zip(raw, d)]
 
-    r = np.array([[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)])
-    q_raw = r.T @ r
-    q_norm = float(np.linalg.norm(q_raw))
-    q = q_raw * (sigma / q_norm) if q_norm > 0.0 else (sigma / np.sqrt(n)) * eye
+        r = np.array([[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)])
+        q_raw = r.T @ r
+        q_norm = float(np.linalg.norm(q_raw))
+        q = q_raw * (sigma / q_norm) if q_norm > 0.0 else (sigma / np.sqrt(n)) * eye
 
-    ad = np.tensordot(d, np.stack(coeffs), axes=1)
-    b = ad + sigma * eye + q
+        ad = np.tensordot(d, np.stack(coeffs), axes=1)
+        b = ad + sigma * eye + q
+    if not np.isfinite(b).all():
+        raise NonFiniteInput(f"sigma {sigma:g} is too large: the generated instance overflows")
 
     problem = LmiProblem(coeffs, b)
     cert = SlaterCertificate(d, sigma)

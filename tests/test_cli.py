@@ -172,6 +172,14 @@ class TestGenCommand:
         assert main(["gen", "--n", "0"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_overflowing_sigma_exit_one(self, capsys):
+        # the construction overflows: one error line naming sigma, no warning
+        assert main(["gen", "--n", "3", "--m", "2", "--sigma", "1e160"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: sigma 1e+160 is too large: the generated instance overflows"]
+
 
 class TestSolveCommand:
     def test_certified_file_smooth(self, tmp_path, capsys):
@@ -363,6 +371,13 @@ class TestCheckCommand:
         assert main(["check", write(tmp_path, "huge.lmi", text)]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out[0] == "kind=lmi" and out[-1] == "certificate=absent"
+
+    def test_huge_asymmetric_entries(self, tmp_path, capsys):
+        # A - A^T overflows to inf, which still fails the symmetry test
+        text = "lmi 2 1\nB\n0 0\n0 0\nA 1\n0 1e308\n-1e308 0\n"
+        assert main(["check", write(tmp_path, "asym.lmi", text)]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: line 6: matrix A 1 is not symmetric at entry (1,2)"]
 
     def test_invalid_certificate(self, tmp_path, capsys):
         # claims margin 1 for the constraint -x + 1 <= 0 at d = 0, where

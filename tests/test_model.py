@@ -84,6 +84,23 @@ class TestLmiProblem:
             with pytest.raises(NonFiniteInput, match="coefficient matrix contains NaN or Inf"):
                 LmiProblem([a, bad], np.zeros((2, 2)))
 
+    def test_overflow_path_is_symmatrix(self):
+        # a coefficient with an overflowing pair takes SymMatrix's result for
+        # every entry: the subnormal pairs keep 0.5 (A + A^T), whose bits
+        # 0.5 A + 0.5 A^T would change (5e-324 + 5e-324 halves to 5e-324,
+        # each half alone rounds to 0)
+        a = np.array([[1.0, 1.5e308, 5e-324, 0.25],
+                      [1.7e308, -2.0, 3e-320, 5e-324],
+                      [5e-324, -1e-320, 3.0, 1.0],
+                      [0.5, 5e-324, 1.0, 1e-300]])
+        coeffs = [a, np.eye(4), a.T]
+        p = LmiProblem(coeffs, np.zeros((4, 4)))
+        for got, want in zip(p.coeffs, coeffs):
+            assert got.mat.tobytes() == SymMatrix(want).mat.tobytes()
+        assert p.coeffs[0].mat[0, 1] == 1.6e308 and p.coeffs[0].mat[0, 2] == 5e-324
+        with pytest.raises(NonFiniteInput, match="^coefficient matrix contains NaN or Inf entries$"):
+            LmiProblem([a, [[np.nan] * 4] * 4], np.zeros((4, 4)))
+
     def test_equality(self):
         assert one_d_problem() == one_d_problem()
         assert one_d_problem() != one_d_problem(a=2.0)

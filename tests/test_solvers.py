@@ -208,6 +208,14 @@ class TestLevelProject:
         with pytest.raises(InfeasibleLevel):
             level_project([1.0], [1.0], 1.0, [0.0], 0.0)
 
+    def test_nonfinite_level_or_cut_raises(self):
+        for level in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidParameter, match="level must be finite"):
+                level_project([1.0], [0.0], 1.0, [1.0], level)
+        for x_prev, fz in (([1.0], math.nan), ([math.nan], 1.0), ([1.0], math.inf)):
+            with pytest.raises(NonFiniteInput, match="cut value"):
+                level_project(x_prev, [0.0], fz, [1.0], 0.0)
+
     def test_halfspace_and_obtuse_angle(self):
         rng = np.random.default_rng(500)
         for _ in range(50):
@@ -257,6 +265,11 @@ class TestGapReduction:
     def test_invalid_cap(self):
         with pytest.raises(InvalidParameter):
             gap_reduction(quadratic_oracle(), [1.0], 0.0, HARMONIC, cap=0)
+
+    def test_nonfinite_level_is_named(self):
+        # the level is blamed, not the point it would have produced
+        with pytest.raises(InvalidParameter, match="level must be finite"):
+            gap_reduction(quadratic_oracle(), [1.0], math.nan, HARMONIC)
 
 
 def completed_phases_halve(result):

@@ -1,6 +1,7 @@
 """Instance generators, Hoffman constants, and verification helpers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from lmisolve import (
     InvalidParameter,
     Lcg64,
     LmiProblem,
+    NonFiniteInput,
     Oracle,
     OracleEval,
     SymMatrix,
@@ -97,6 +99,14 @@ class TestGenLmi:
             gen_lmi(2, 0, 1.0, 0)
         with pytest.raises(InvalidParameter):
             gen_lmi(2, 1, 0.0, 0)
+
+    def test_overflowing_sigma_raises(self):
+        # ||A(d)|| overflows at 1e160; at n = 1 the first draw already does
+        inst = gen_lmi(3, 2, 1e150, 0)
+        assert validate_certificate(inst.problem, inst.certificate)
+        for n, m, sigma in [(3, 2, 1e160), (1, 1, 1e308), (40, 5, 1e155)]:
+            with pytest.raises(NonFiniteInput, match=re.escape(f"sigma {sigma:g} is too large")):
+                gen_lmi(n, m, sigma, 0)
 
 
 class TestGenLinsys:
