@@ -7,16 +7,18 @@ from, Slater certificates and the error-bound modulus mu, combination of
 several LMI systems into one, the primal-dual SDP reduction to a single
 LMI, and the linear-inequality system model.
 
-A problem is stored as the diagonal blocks of A(x) - B (see LmiProblem);
-the private helpers `_residuals`, `_adjoint` and `_top_subgradient` are how
-the oracles work on it one block at a time. `_lay_out` is the one layout
-builder behind the constructor, `stack` and `reduce_primal_dual`. Every
-block of size > 1 stores its coefficients once, as packed upper triangles,
-and carries the index maps of that packing (see _SymMaps and _Block). The
-maps are built once, where the block is made, so A(x) on a block is one
-matrix product and one gather, and the adjoint one gather and one matrix
-product, on every evaluation; the y block of a reduction is the same
-layout with identity coefficients.
+A problem is stored as the diagonal blocks of A(x) - B of size > 1 and one
+table of its 1 x 1 rows (see LmiProblem); the private helpers `_residuals`,
+`_adjoint` and `_block_adjoint` are how the oracles work on it one block at
+a time (the non-smooth oracle's kink rule lives in `objectives`).
+`_lay_out` is the one layout builder behind the constructor, `stack` and
+`reduce_primal_dual`; it takes the blocks and the row table as they are
+built. Every block stores its coefficients once, as packed upper
+triangles, and carries the index maps of that packing (see _SymMaps and
+_Block). The maps are built once, where the block is made, so A(x) on a
+block is one matrix product and one gather, and the adjoint one gather and
+one matrix product, on every evaluation; the y block of a reduction is the
+same layout with identity coefficients.
 
 `validate_certificate` decides lambda_max(A(d) - B) < -sigma + tol with one
 Cholesky factorization per block and computes no eigenvalues.
@@ -29,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NonFiniteInput
-from .symlinalg import SymMatrix, _freeze, _top_eigpair, lambda_max, norms  # noqa: F401 (perfbench traces lambda_max)
+from .symlinalg import SymMatrix, _freeze, lambda_max, norms  # noqa: F401 (perfbench traces lambda_max)
 
 __all__ = [
     "LmiProblem",
@@ -214,7 +216,11 @@ class LmiProblem:
                 packed[:] = [SymMatrix(a).mat.take(sym.upper) for a in coeffs]
             except NonFiniteInput:
                 raise NonFiniteInput("coefficient matrix contains NaN or Inf entries") from None
-        _lay_out(self, b, m, [(slice(0, n), slice(0, m), _freeze(packed), sym)])
+        if n == 1:  # one scalar row
+            _lay_out(self, b, m, [], [0], packed)
+        else:
+            block = (slice(0, n), slice(0, m), _freeze(packed), sym)
+            _lay_out(self, b, m, [block], [], np.zeros((m, 0)))
 
     @property
     def coeffs(self):
@@ -235,39 +241,29 @@ class LmiProblem:
         return f"LmiProblem(n={self.dim}, m={self.num_vars})"
 
 
-def _lay_out(p: LmiProblem, b: SymMatrix, num_vars, pieces) -> LmiProblem:
+def _lay_out(p: LmiProblem, b: SymMatrix, num_vars, blocks, rows, table) -> LmiProblem:
     """Set every field of p, the problem with right-hand side b over
-    num_vars variables whose operator is laid out as `pieces`: one
-    (at, vars, coeffs, sym) per diagonal block, with packed coefficients as
-    in _Block (a 1 x 1 piece's are (k, 1), and its maps are not read). The
-    1 x 1 pieces become the columns of the scalar rows' table, written in
-    place; every other piece becomes a _Block that holds its part of B. The
-    constructor, `stack` and `reduce_primal_dual` all build their problems
-    here. Returns p."""
-    pieces = sorted(pieces, key=lambda piece: piece[0].start)
-    ones = [piece for piece in pieces if piece[0].stop - piece[0].start == 1]
-    table = np.zeros((num_vars, len(ones)))
-    for col, (_, variables, coeffs, _) in zip(table.T, ones):
-        col[variables] = 1.0 if coeffs is None else coeffs[:, 0]
-    rows = _freeze(np.array([at.start for at, *_ in ones], dtype=int))
+    num_vars variables whose operator is laid out as `blocks`, one
+    (at, vars, coeffs, sym) per diagonal block of size > 1 in row order
+    (see _Block), and the 1 x 1 rows: their ascending positions `rows` and
+    their (num_vars, len(rows)) coefficient table `table`. Each block
+    becomes a _Block that holds its part of B. The constructor, `stack` and
+    `reduce_primal_dual` all build their problems here. Returns p."""
+    rows = _freeze(np.asarray(rows, dtype=int))
     p.rhs = b
     p.num_vars = num_vars
     p.dim = b.dim
     p._blocks = tuple(_Block(at, variables, coeffs, b.mat[at, at], sym)
-                      for at, variables, coeffs, sym in pieces if at.stop - at.start > 1)
+                      for at, variables, coeffs, sym in blocks)
     p._scalars = _Scalars(rows, _freeze(table), _freeze(b.mat[rows, rows]))
     p._constants = None
     return p
 
 
 def _pieces(p: LmiProblem, offset=0) -> list:
-    """p's layout as _lay_out takes it, moved down by `offset` rows."""
-    out = [(slice(blk.at.start + offset, blk.at.stop + offset), blk.vars, blk.coeffs, blk.sym)
-           for blk in p._blocks]
-    every = slice(0, p.num_vars)
-    for row, col in zip(p._scalars.rows.tolist(), p._scalars.coeffs.T):
-        out.append((slice(row + offset, row + offset + 1), every, col[:, None], None))
-    return out
+    """p's blocks as _lay_out takes them, moved down by `offset` rows."""
+    return [(slice(blk.at.start + offset, blk.at.stop + offset), blk.vars, blk.coeffs, blk.sym)
+            for blk in p._blocks]
 
 
 def _dense_coeffs(p: LmiProblem) -> np.ndarray:
@@ -323,41 +319,6 @@ def _adjoint(p: LmiProblem, parts, scalars) -> np.ndarray:
     if scalars.size:
         g += p._scalars.coeffs @ scalars
     return g
-
-
-# Top eigenvalues at or below this are treated as feasible: the non-smooth
-# oracle then reports value 0 with the zero (minimum-norm) subgradient,
-# keeping the pair (value, gradient) consistent at the kink.
-_KINK_TOL = 1e-12
-
-
-def _top_subgradient(p: LmiProblem, mats, scalars) -> tuple[float, np.ndarray]:
-    """The non-smooth oracle's (value, subgradient) from the blocks `mats`
-    and the values `scalars` of the 1 x 1 rows of A(x) - B:
-    (lambda_max(A(x) - B), A^T(v v^T)) for a unit top eigenvector v, or
-    (0.0, zeros) when lambda_max is at or below _KINK_TOL. Under the caller's
-    `np.errstate`, a subgradient that overflows raises NonFiniteInput.
-
-    Each block's eigenvalues come from `eigvalsh`; an eigenvector is found
-    only for the block that holds the top. A tie goes to the block that
-    comes first in the matrix."""
-    found = []
-    for s, blk in zip(mats, p._blocks):
-        w = np.linalg.eigvalsh(s)
-        found.append((float(w[-1]), blk.at.start, blk, (s, w)))
-    if scalars.size:
-        k = int(np.argmax(scalars))  # the first of equal rows, since rows ascend
-        found.append((float(scalars[k]), int(p._scalars.rows[k]), None, k))
-    top, _, blk, where = max(found, key=lambda f: (f[0], -f[1]))
-    grad = np.zeros(p.num_vars)
-    if top <= _KINK_TOL:
-        return 0.0, grad
-    if blk is None:
-        grad[:] = p._scalars.coeffs[:, where]
-        return top, grad
-    v = _top_eigpair(*where)[1]
-    grad[blk.vars] = _block_adjoint(blk, np.outer(v, v))
-    return top, _finite(grad, "subgradient")
 
 
 class SlaterCertificate:
@@ -491,7 +452,10 @@ def constants(p: LmiProblem) -> OperatorConstants:
                 fro_sq[blk.vars] += blk.sym.weight
                 continue
             for k, c in zip(range(blk.vars.start, blk.vars.stop), blk.coeffs):
-                fro, s = norms(SymMatrix(c[blk.sym.gather]))
+                try:
+                    fro, s = norms(SymMatrix(c[blk.sym.gather]))
+                except NonFiniteInput:  # a norm of A_k overflows, so L does
+                    raise NonFiniteInput("operator constants overflow") from None
                 spec[k] = max(spec[k], s)
                 fro_sq[k] += fro * fro
         spec = np.maximum(spec, np.abs(table).max(axis=1, initial=0.0))
@@ -570,13 +534,15 @@ def stack(problems) -> LmiProblem:
         return probs[0]
     total = sum(p.dim for p in probs)
     rhs = np.zeros((total, total))
-    pieces = []
+    blocks, rows = [], []
     offset = 0
     for p in probs:
         rhs[offset:offset + p.dim, offset:offset + p.dim] = p.rhs.mat
-        pieces += _pieces(p, offset)
+        blocks += _pieces(p, offset)
+        rows.append(p._scalars.rows + offset)
         offset += p.dim
-    return _lay_out(object.__new__(LmiProblem), SymMatrix(rhs), m, pieces)
+    return _lay_out(object.__new__(LmiProblem), SymMatrix(rhs), m, blocks, np.concatenate(rows),
+                    np.hstack([p._scalars.coeffs for p in probs]))
 
 
 def reduce_primal_dual(pair: SdpPair) -> LmiProblem:
@@ -588,10 +554,12 @@ def reduce_primal_dual(pair: SdpPair) -> LmiProblem:
     (size n); <c,x> - <B,y> <= 0 (size 1). Total block size 2n + 2m + 1.
 
     The result is stored as those blocks: the pair's own blocks for x, the y
-    block as the map from y's entries to a symmetric matrix, and all 1 x 1
-    rows in one (m + n(n+1)/2, rows) array, so memory is O(m n^2).
-    The dense coefficient tensor, (m + n(n+1)/2) (2n + 2m + 1)^2 numbers, is
-    built only when `coeffs` is read.
+    block as the map from y's entries to a symmetric matrix (a 1 x 1 row
+    when n = 1), and all 1 x 1 rows in one (m + n(n+1)/2, rows) table, so
+    memory is O(m n^2). The dense coefficient tensor,
+    (m + n(n+1)/2) (2n + 2m + 1)^2 numbers, is built only when `coeffs` is
+    read. Finite data whose y coefficients 2 (A_i)_jk or 2 B_jk overflow
+    raise NonFiniteInput.
 
     The y-equalities destroy strict feasibility, so no Slater certificate
     can be attached to the result; solvers need an explicitly supplied mu.
@@ -599,28 +567,33 @@ def reduce_primal_dual(pair: SdpPair) -> LmiProblem:
     prob = pair.problem
     n, m = prob.dim, prob.num_vars
     c = pair.objective
-    bmat = prob.rhs.mat
     size = 2 * n + 2 * m + 1
     ny = n * (n + 1) // 2
-    y = slice(m, m + ny)
     ysym = _sym_maps(n)
-    # y's coefficients in <A_i, y> and <B, y> are the contractions of A_i and B
-    eq = [ysym.contract(a)[:, None] for a in _dense_coeffs(prob)]
-
-    pieces = _pieces(prob)
-    for i, row in enumerate(eq):
-        pieces += [(slice(n + 2 * i, n + 2 * i + 1), y, row, None),
-                   (slice(n + 2 * i + 1, n + 2 * i + 2), y, -row, None)]
-    pieces.append((slice(n + 2 * m, 2 * n + 2 * m), y, None, ysym))
-    gap = np.concatenate([c, -ysym.contract(bmat)])
-    pieces.append((slice(size - 1, size), slice(0, m + ny), gap[:, None], None))
-
+    blocks = _pieces(prob)
+    if n > 1:
+        blocks.append((slice(n + 2 * m, size - 1), slice(m, m + ny), None, ysym))
+    # the rows: the pair's own, the 2m equalities, y's when n = 1, and the gap
+    k = prob._scalars.rows.size
+    rows = [*prob._scalars.rows.tolist(), *range(n, n + 2 * m + (n == 1)), size - 1]
+    table = np.zeros((m + ny, len(rows)))
+    table[:m, :k] = prob._scalars.coeffs
+    table[m:, k + 2 * m:-1] = 1.0  # y's row when n = 1, an empty slice otherwise
+    table[:m, -1] = c
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as NonFiniteInput
+        # y's coefficients in <A_i, y> and <B, y> are the contractions of A_i and B
+        eq = _dense_coeffs(prob).reshape(m, -1)[:, ysym.upper] * ysym.weight
+        table[m:, k:k + 2 * m:2] = eq.T
+        table[m:, k + 1:k + 2 * m:2] = -eq.T
+        table[m:, -1] = -ysym.contract(prob.rhs.mat)
+    if not np.isfinite(table).all():
+        raise NonFiniteInput("primal-dual reduction overflows: a coefficient of y "
+                             "in <A_i, y> or <B, y> is beyond the float range")
     rhs = np.zeros((size, size))
-    rhs[:n, :n] = bmat
-    for i in range(m):
-        rhs[n + 2 * i, n + 2 * i] = c[i]
-        rhs[n + 2 * i + 1, n + 2 * i + 1] = -c[i]
-    return _lay_out(object.__new__(LmiProblem), SymMatrix(rhs), m + ny, pieces)
+    rhs[:n, :n] = prob.rhs.mat
+    eqs = range(n, n + 2 * m)
+    rhs[eqs, eqs] = np.stack([c, -c], axis=1).ravel()
+    return _lay_out(object.__new__(LmiProblem), SymMatrix(rhs), m + ny, blocks, rows, table)
 
 
 def _clip(sys: LinIneqSystem, y: np.ndarray) -> np.ndarray:

@@ -12,6 +12,11 @@ Each evaluation runs under one `np.errstate` that keeps numpy's overflow
 warnings quiet: an A(x) - B, gradient or subgradient with NaN or Inf
 entries raises NonFiniteInput instead, and only a value may overflow to
 inf (which a solve rejects).
+
+The non-smooth oracle's kink rule (`_KINK_TOL`) and its choice of block or
+row for the subgradient live in `eval_nonsmooth`. `_gram` is the one
+routine that forms and decomposes A^T A, for `linsys_oracle` and
+`testbench`.
 """
 
 from __future__ import annotations
@@ -21,11 +26,11 @@ from typing import Callable
 
 import numpy as np
 
-from .model import (LinIneqSystem, LmiProblem, _adjoint, _as_vector, _clip, _finite,
-                    _residuals, _top_subgradient, constants)
+from .model import (LinIneqSystem, LmiProblem, _adjoint, _as_vector, _block_adjoint, _clip,
+                    _finite, _residuals, constants)
 # lambda_max and project_neg_semidef stay importable here for perfbench's tracer
-from .symlinalg import (SymMatrix, _positive_part, eig_sym, lambda_max,  # noqa: F401
-                        project_neg_semidef)
+from .symlinalg import (EigDecomposition, SymMatrix, _positive_part, _top_eigpair,  # noqa: F401
+                        eig_sym, lambda_max, project_neg_semidef)
 
 __all__ = [
     "OracleEval",
@@ -37,6 +42,12 @@ __all__ = [
     "smooth_oracle",
     "linsys_oracle",
 ]
+
+# Top eigenvalues at or below this are treated as feasible: the non-smooth
+# oracle then reports value 0 with the zero (minimum-norm) subgradient,
+# keeping the pair (value, gradient) consistent at the kink.
+_KINK_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class OracleEval:
@@ -70,16 +81,34 @@ def eval_nonsmooth(p: LmiProblem, x) -> OracleEval:
     """max(lambda_max(A(x) - B), 0) and a subgradient.
 
     Above the kink the subgradient is A^T(v v^T) = (v^T A_i v)_i for a unit
-    top eigenvector v, taken from the first block (in row order) that holds
-    the top eigenvalue; at or below it (lambda_max <= 1e-12) the point is
-    treated as feasible and (0, 0) is returned. Only eigenvalues are
-    computed for the other blocks, and no eigenvector at or below the kink.
-    The 1 x 1 blocks of a stacked or reduced problem are one vector, and
-    their top is its max.
+    top eigenvector v; at or below it (lambda_max <= _KINK_TOL) the point
+    is treated as feasible and (0, 0) is returned. Each block's eigenvalues
+    come from `eigvalsh`, and an eigenvector is found only for the block
+    that holds the top, and none at or below the kink. The 1 x 1 blocks of
+    a stacked or reduced problem are one vector: their top is its max, and
+    the subgradient of a top row is its column of coefficients. A tie goes
+    to the block or row that comes first in the matrix.
     """
     x = _finite(_as_vector(x, p.num_vars, "point"))
+    grad = np.zeros(p.num_vars)
     with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteInput
-        return OracleEval(*_top_subgradient(p, *_residuals(p, x)))
+        mats, scalars = _residuals(p, x)
+        found = []
+        for s, blk in zip(mats, p._blocks):
+            w = np.linalg.eigvalsh(s)
+            found.append((float(w[-1]), blk.at.start, blk, (s, w)))
+        if scalars.size:
+            k = int(np.argmax(scalars))  # the first of equal rows, since rows ascend
+            found.append((float(scalars[k]), int(p._scalars.rows[k]), None, k))
+        top, _, blk, where = max(found, key=lambda f: (f[0], -f[1]))
+        if top <= _KINK_TOL:
+            return OracleEval(0.0, grad)
+        if blk is None:
+            grad[:] = p._scalars.coeffs[:, where]
+            return OracleEval(top, grad)
+        v = _top_eigpair(*where)[1]
+        grad[blk.vars] = _block_adjoint(blk, np.outer(v, v))
+    return OracleEval(top, _finite(grad, "subgradient"))
 
 
 def eval_smooth(p: LmiProblem, x) -> OracleEval:
@@ -129,9 +158,15 @@ def smooth_oracle(p: LmiProblem) -> Oracle:
     return Oracle(lambda x: eval_smooth(p, x), p.num_vars, constants(p).grad_lipschitz, 0.0)
 
 
+def _gram(rows) -> EigDecomposition:
+    """The eigendecomposition of A^T A for the float matrix `rows` = A.
+    Finite rows whose A^T A overflows raise NonFiniteInput."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as NonFiniteInput
+        gram = SymMatrix(_finite(rows.T @ rows, "A^T A"))
+    return eig_sym(gram)
+
+
 def linsys_oracle(sys: LinIneqSystem) -> Oracle:
     """Oracle for eval_linsys with L = ||A||_2^2 = lambda_max(A^T A)."""
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below as NonFiniteInput
-        gram = SymMatrix(_finite(sys.rows.T @ sys.rows, "A^T A"))
-    lip = max(float(eig_sym(gram).eigenvalues[0]), 0.0)
+    lip = max(float(_gram(sys.rows).eigenvalues[0]), 0.0)
     return Oracle(lambda x: eval_linsys(sys, x), sys.num_vars, lip, 0.0)

@@ -8,7 +8,9 @@ matrices, and the Frobenius/spectral norms. Its decompositions are
 post-processed into a canonical form (eigenvalues descending, stable order
 under ties, first non-negligible eigenvector component nonnegative) so that
 identical inputs always yield identical outputs; the canonical form is for
-the public API only.
+the public API only. A finite `SymMatrix` whose eigenvalues or norms
+overflow makes each public kernel raise NonFiniteInput, with no
+RuntimeWarning.
 
 The oracles call the two private ndarray kernels directly, on blocks of
 A(x) - B that are exactly symmetric and finite, and compute only the
@@ -180,12 +182,21 @@ def _positive_part(s) -> tuple[np.ndarray, np.ndarray]:
     return w[cut:], (side * w[cut:]) @ side.T
 
 
+def _no_overflow(*results):
+    """Raise NonFiniteInput unless every result of a public kernel is
+    finite: its input is a finite SymMatrix, so NaN or Inf is an overflow."""
+    if not all(np.isfinite(r).all() for r in results):
+        raise NonFiniteInput("eigenvalues or norms of the matrix overflow")
+
+
 def eig_sym(s: SymMatrix) -> EigDecomposition:
     """Full eigendecomposition of a symmetric matrix.
 
     Satisfies V diag(w) V^T = S and V^T V = I to working precision.
     """
-    w, v = np.linalg.eigh(s.mat)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _no_overflow
+        w, v = np.linalg.eigh(s.mat)
+    _no_overflow(w, v)
     order = np.argsort(-w, kind="stable")
     return EigDecomposition(_freeze(w[order]), _freeze(_canonical_signs(v[:, order])))
 
@@ -196,7 +207,9 @@ def lambda_max(s: SymMatrix) -> tuple[float, np.ndarray]:
     Ties are broken deterministically (for the zero matrix this returns the
     first standard basis vector).
     """
-    top, v = _top_eigpair(s.mat)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _no_overflow
+        top, v = _top_eigpair(s.mat)
+    _no_overflow(top, v)
     return top, _freeze(_canonical_signs(v[:, None])[:, 0])
 
 
@@ -208,12 +221,21 @@ def project_neg_semidef(s: SymMatrix) -> tuple[SymMatrix, SymMatrix]:
     positive part, so ``proj + residual == s`` exactly, ``proj`` is NSD,
     ``residual`` is PSD and ``<proj, residual> = 0`` up to roundoff.
     """
-    proj = SymMatrix(s.mat - _positive_part(s.mat)[1])
-    return proj, SymMatrix(s.mat - proj.mat)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _no_overflow
+        proj = s.mat - _positive_part(s.mat)[1]
+        _no_overflow(proj)
+        proj = SymMatrix(proj)
+        residual = s.mat - proj.mat
+    _no_overflow(residual)
+    return proj, SymMatrix(residual)
 
 
 def norms(s: SymMatrix) -> tuple[float, float]:
-    """(Frobenius norm, spectral norm) of a symmetric matrix."""
-    fro = float(np.linalg.norm(s.mat))
-    w = np.linalg.eigvalsh(s.mat)
+    """(Frobenius norm, spectral norm) of a symmetric matrix. The Frobenius
+    norm is the square root of the plain sum of squares, so a sum that
+    overflows raises NonFiniteInput even where the norm itself is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _no_overflow
+        fro = float(np.linalg.norm(s.mat))
+        w = np.linalg.eigvalsh(s.mat)
+    _no_overflow(fro, w)
     return fro, float(np.abs(w).max())

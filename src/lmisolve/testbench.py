@@ -25,8 +25,7 @@ import numpy as np
 from .errors import InvalidParameter, LmiSolveError, NonFiniteInput, ZeroMatrix
 from .model import (LinIneqSystem, LmiProblem, SlaterCertificate, _count, _positive,
                     _row_kinds, validate_certificate)
-from .objectives import Oracle, eval_nonsmooth
-from .symlinalg import SymMatrix, eig_sym
+from .objectives import Oracle, _gram, eval_nonsmooth
 
 __all__ = [
     "Lcg64",
@@ -175,8 +174,9 @@ def gen_linsys(p: int, q: int, seed: int, kinds=None):
 def _gram_spectrum(a):
     """Eigenvalues (descending) and eigenvectors of A^T A, and the mask of
     the eigenvalues that count as nonzero under the relative cutoff
-    _RANK_CUTOFF; None when A is zero."""
-    dec = eig_sym(SymMatrix(a.T @ a))
+    _RANK_CUTOFF; None when A is zero. An A^T A that overflows raises
+    NonFiniteInput."""
+    dec = _gram(a)
     w = dec.eigenvalues
     lam_max = float(w[0])
     if lam_max <= 0.0:

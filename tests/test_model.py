@@ -421,6 +421,15 @@ class TestReducePrimalDual:
         with pytest.raises(DimensionMismatch):
             SdpPair([1.0, 2.0], [SymMatrix([[1.0]])], SymMatrix([[0.0]]))
 
+    @pytest.mark.parametrize("where", ["rhs", "coefficient"])
+    def test_overflowing_y_coefficient_raises(self, where):
+        # the data are finite, but y_12 enters <B, y> (or <A_1, y>) with
+        # weight 2, and 2 * 1.5e308 overflows
+        big = np.array([[0.0, 1.5e308], [1.5e308, 0.0]])
+        coeff, rhs = (np.eye(2), big) if where == "rhs" else (big, np.eye(2))
+        with pytest.raises(NonFiniteInput, match="primal-dual reduction overflows"):
+            reduce_primal_dual(SdpPair([1.0], [coeff], rhs))
+
     def test_y_block_maps_built_once(self, monkeypatch):
         pair = random_pair(np.random.default_rng(8), 20, 3)
         sym_maps = model._sym_maps

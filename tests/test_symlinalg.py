@@ -208,6 +208,38 @@ class TestNorms:
             assert spec <= fro + 1e-12
 
 
+class TestOverflowingSpectrum:
+    """A finite SymMatrix whose eigenvalues overflow: every public kernel
+    raises NonFiniteInput naming the overflow, with no RuntimeWarning (the
+    tier-1 filter turns one into an error) and no blame on the input."""
+
+    KERNELS = [eig_sym, lambda_max, norms, project_neg_semidef]
+
+    @pytest.mark.parametrize("kernel", KERNELS, ids=lambda k: k.__name__)
+    @pytest.mark.parametrize("n, entry", [(2, 1.5e308), (40, 1e307)])
+    def test_raises_named_overflow(self, kernel, n, entry):
+        # the top eigenvalue n * entry is beyond the float range; n = 40
+        # takes lambda_max through inverse iteration
+        with pytest.raises(NonFiniteInput, match="eigenvalues or norms of the matrix overflow"):
+            kernel(SymMatrix(np.full((n, n), entry)))
+
+    def test_finite_spectrum_still_computed(self):
+        # eigenvalues of +-1e300 are finite; only the Frobenius norm's sum
+        # of squares, 2e600, overflows
+        s = SymMatrix(np.diag([1e300, -1e300]))
+
+        def close(got, want):
+            np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14 * 1e300)
+
+        close(eig_sym(s).eigenvalues, [1e300, -1e300])
+        close(lambda_max(s)[0], 1e300)
+        with pytest.raises(NonFiniteInput, match="eigenvalues or norms of the matrix overflow"):
+            norms(s)
+        proj, residual = project_neg_semidef(s)
+        close(residual.mat, np.diag([1e300, 0.0]))
+        close(proj.mat, np.diag([0.0, -1e300]))
+
+
 def with_spectrum(rng, w):
     """Q diag(w) Q^T for a random orthogonal Q, exactly symmetric."""
     q, _ = np.linalg.qr(rng.standard_normal((len(w), len(w))))

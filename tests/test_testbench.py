@@ -171,6 +171,11 @@ class TestHoffman:
     def test_orthonormal_rows(self):
         assert hoffman_eq(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])) == pytest.approx(1.0)
 
+    def test_gram_overflow_raises(self):
+        # the row is finite, its Gram matrix entry 1e400 is not
+        with pytest.raises(NonFiniteInput, match=r"^A\^T A contains NaN or Inf$"):
+            hoffman_eq([[1e200, 0.0]])
+
     def test_distance_bound(self):
         # d(x, S_b) <= L_H ||Ax - b|| on consistent equality systems
         rng = np.random.default_rng(808)
@@ -199,6 +204,10 @@ class TestDistanceToSolutions:
     def test_zero_matrix(self):
         # every x solves 0 x = 0
         assert distance_to_solutions(np.zeros((2, 3)), [0.0, 0.0], [1.0, 2.0, 3.0]) == 0.0
+
+    def test_gram_overflow_raises(self):
+        with pytest.raises(NonFiniteInput, match=r"^A\^T A contains NaN or Inf$"):
+            distance_to_solutions([[1e200, 0.0]], [1.0], [0.0, 0.0])
 
     def test_projection_is_feasible(self):
         rng = np.random.default_rng(191)
