@@ -29,7 +29,7 @@ import numpy as np
 from .model import (LinIneqSystem, LmiProblem, _adjoint, _as_vector, _block_adjoint, _clip,
                     _finite, _residuals, constants)
 # lambda_max and project_neg_semidef stay importable here for perfbench's tracer
-from .symlinalg import (EigDecomposition, SymMatrix, _positive_part, _top_eigpair,  # noqa: F401
+from .symlinalg import (EigDecomposition, SymMatrix, _block_top, _positive_part,  # noqa: F401
                         eig_sym, lambda_max, project_neg_semidef)
 
 __all__ = [
@@ -82,12 +82,14 @@ def eval_nonsmooth(p: LmiProblem, x) -> OracleEval:
 
     Above the kink the subgradient is A^T(v v^T) = (v^T A_i v)_i for a unit
     top eigenvector v; at or below it (lambda_max <= _KINK_TOL) the point
-    is treated as feasible and (0, 0) is returned. Each block's eigenvalues
-    come from `eigvalsh`, and an eigenvector is found only for the block
-    that holds the top, and none at or below the kink. The 1 x 1 blocks of
-    a stacked or reduced problem are one vector: their top is its max, and
-    the subgradient of a top row is its column of coefficients. A tie goes
-    to the block or row that comes first in the matrix.
+    is treated as feasible and (0, 0) is returned. Each block's top comes
+    from `symlinalg._block_top`: a block of size 32 or more gets its top
+    eigenvector with it from one `dsyevr` call; a smaller one gets its
+    eigenvalues from `eigvalsh`, and an eigenvector only if it holds the
+    top above the kink. The 1 x 1 blocks of a stacked or reduced problem
+    are one vector: their top is its max, and the subgradient of a top row
+    is its column of coefficients. A tie goes to the block or row that
+    comes first in the matrix.
     """
     x = _finite(_as_vector(x, p.num_vars, "point"))
     grad = np.zeros(p.num_vars)
@@ -95,8 +97,8 @@ def eval_nonsmooth(p: LmiProblem, x) -> OracleEval:
         mats, scalars = _residuals(p, x)
         found = []
         for s, blk in zip(mats, p._blocks):
-            w = np.linalg.eigvalsh(s)
-            found.append((float(w[-1]), blk.at.start, blk, (s, w)))
+            top, vector = _block_top(s)
+            found.append((top, blk.at.start, blk, vector))
         if scalars.size:
             k = int(np.argmax(scalars))  # the first of equal rows, since rows ascend
             found.append((float(scalars[k]), int(p._scalars.rows[k]), None, k))
@@ -106,7 +108,7 @@ def eval_nonsmooth(p: LmiProblem, x) -> OracleEval:
         if blk is None:
             grad[:] = p._scalars.coeffs[:, where]
             return OracleEval(top, grad)
-        v = _top_eigpair(*where)[1]
+        v = where()
         grad[blk.vars] = _block_adjoint(blk, np.outer(v, v))
     return OracleEval(top, _finite(grad, "subgradient"))
 

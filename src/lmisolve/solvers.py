@@ -364,7 +364,8 @@ def level_project(x_prev, z, fz, g, level):
     x_prev = np.asarray(x_prev, dtype=float)
     z = np.asarray(z, dtype=float)
     g = _finite(np.asarray(g, dtype=float), "subgradient")
-    h = float(fz) + float(g @ (x_prev - z))
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as NonFiniteInput
+        h = float(fz) + float(g @ (x_prev - z))
     if not math.isfinite(h):
         raise NonFiniteInput(f"cut value fz + <g, x_prev - z> is {h}")
     if h <= level:

@@ -12,18 +12,27 @@ the public API only. A finite `SymMatrix` whose eigenvalues or norms
 overflow makes each public kernel raise NonFiniteInput, with no
 RuntimeWarning.
 
-The oracles call the two private ndarray kernels directly, on blocks of
+The oracles call the private ndarray kernels directly, on blocks of
 A(x) - B that are exactly symmetric and finite, and compute only the
-spectrum they need: `_top_eigpair` finds one eigenvector for the top
-eigenvalue, on blocks of size 32 and up by inverse iteration that stops
-after the first LU solve whose vector meets the residual bound (two at
-most), and `_positive_part` the positive part V+ diag(w+) V+^T from one
-`eigh`. Their results are deterministic functions of the input but
+spectrum they need. `_top_eigpair` finds the top eigenvalue and one
+eigenvector for it. On blocks of size 32 and up it takes both from one
+LAPACK `dsyevr` call (`_dsyevr_top`): a tridiagonal reduction, then only
+the top two eigenvalues and the top vector. `dsyevr` is the
+`scipy_LAPACKE_dsyevr64_` of the OpenBLAS that numpy's own wheels bundle
+and have loaded, bound with ctypes through the handle of
+`numpy.linalg._umath_linalg`, so no library is loaded. Where that symbol
+is missing or the call fails, `eigvalsh` and inverse iteration (at most
+two LU solves) take its place. `_block_top` gives the non-smooth oracle
+the top eigenvalue of a block and finds a vector only for the block that
+needs one. `_positive_part` builds the positive part V+ diag(w+) V+^T from
+one `eigh`. Their results are deterministic functions of the input but
 not canonical. `lambda_max` and `project_neg_semidef` are built on them.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +53,9 @@ __all__ = [
 _SIGN_EPS = 1e-12
 
 # Blocks smaller than this take their top eigenvector from one `eigh`: at
-# n = 20 inverse iteration is no faster and its result carries roundoff
-# where `eigh` returns exact zeros (a diagonal block, for example).
+# n = 20 neither inverse iteration nor `dsyevr` is faster, and their
+# vectors carry roundoff where `eigh` returns exact zeros (a diagonal
+# block, for example).
 _INVIT_MIN_DIM = 32
 # Inverse iteration shifts by this much above the top eigenvalue, and keeps
 # its vector v only if ||S v - lambda v|| is at most _INVIT_RESIDUAL; both
@@ -150,26 +160,98 @@ def _inverse_iteration(s, w):
     return None
 
 
+def _eigh_top(s) -> tuple[float, np.ndarray]:
+    """Largest eigenvalue of the symmetric ndarray s from one full `eigh`,
+    and the first of the columns that hold it, the one the canonical order
+    puts first."""
+    full, v = np.linalg.eigh(s)
+    return float(full[-1]), v[:, int(np.argmax(full == full[-1]))]
+
+
+@functools.cache
+def _dsyevr():
+    """LAPACKE's dsyevr with 64-bit integers, from the OpenBLAS that
+    numpy's wheels bundle, or None where numpy links another LAPACK. It is
+    looked up through the handle of `numpy.linalg._umath_linalg`, which is
+    mapped already, so the lookup loads no library."""
+    from numpy.linalg import _umath_linalg
+    try:
+        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_LAPACKE_dsyevr64_
+    except (OSError, AttributeError):
+        return None
+    i64, ptr, dbl, char = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_char
+    # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz
+    fn.argtypes = [ctypes.c_int, char, char, char, i64, ptr, i64, dbl, dbl, i64, i64, dbl,
+                   ptr, ptr, ptr, i64, ptr]
+    fn.restype = i64
+    return fn
+
+
+def _dsyevr_top(s):
+    """Largest eigenvalue of the symmetric ndarray s (of size 2 or more) and
+    a unit eigenvector for it, from one `dsyevr` call for the top two
+    eigenvalues; None when the binding is missing or the call fails.
+
+    `dsyevr` overwrites its input, so it works on a copy and s stays intact
+    for a fallback. On an exact tie it returns the last of the tied columns,
+    so a tie takes the first one from `_eigh_top` instead."""
+    fn = _dsyevr()
+    if fn is None:
+        return None
+    n = s.shape[0]
+    # a C-order copy read column-major (layout 102) is s^T = s, and LAPACKE
+    # then works on it in place
+    a = np.array(s, dtype=np.float64, order="C")
+    found = np.zeros(1, dtype=np.int64)
+    w = np.empty(n)  # dsyevr uses all n entries as workspace
+    z = np.empty((2, n))  # column-major n x 2: z[1] is the top vector
+    isuppz = np.empty(4, dtype=np.int64)
+    info = fn(102, b"V", b"I", b"L", n, a.ctypes.data, n, 0.0, 0.0, n - 1, n, 0.0,
+              found.ctypes.data, w.ctypes.data, z.ctypes.data, n, isuppz.ctypes.data)
+    if info != 0 or found[0] != 2:
+        return None
+    if w[0] == w[1]:
+        return float(w[1]), _eigh_top(s)[1]
+    return float(w[1]), z[1]
+
+
 def _top_eigpair(s, w=None) -> tuple[float, np.ndarray]:
     """Largest eigenvalue of the symmetric ndarray s and a unit eigenvector
     for it. w, if given, holds all eigenvalues of s in ascending order (from
     `np.linalg.eigvalsh`), and the value returned is w[-1].
 
-    A block of size >= _INVIT_MIN_DIM with a simple top eigenvalue gets
+    A block of size >= _INVIT_MIN_DIM gets both from `_dsyevr_top` unless w
+    is given. Where that fails, or w is given, a simple top eigenvalue gets
     `_inverse_iteration`'s vector. Smaller blocks, a repeated top and a
-    missed residual bound fall back to one full `eigh`; its vector is the
-    first of the columns that hold the largest eigenvalue, the one the
-    canonical order puts first."""
+    missed residual bound fall back to the column of one full `eigh`
+    (`_eigh_top`)."""
     if s.shape[0] >= _INVIT_MIN_DIM:
         if w is None:
+            pair = _dsyevr_top(s)
+            if pair is not None:
+                return pair
             w = np.linalg.eigvalsh(s)
         if w[-2] < w[-1]:
             v = _inverse_iteration(s, w)
             if v is not None:
                 return float(w[-1]), v
-    full, v = np.linalg.eigh(s)
-    top = full[-1] if w is None else w[-1]
-    return float(top), v[:, int(np.argmax(full == full[-1]))]
+    top, v = _eigh_top(s)
+    return (top if w is None else float(w[-1])), v
+
+
+def _block_top(s):
+    """Largest eigenvalue of the symmetric ndarray s, and a function that
+    returns the unit eigenvector `_top_eigpair(s)` gives for it. A block of
+    size >= _INVIT_MIN_DIM gets both at once from `_dsyevr_top`, for less
+    than `eigvalsh` alone costs at n = 300; a smaller block, or one that
+    `dsyevr` fails on, gets its eigenvalues from `eigvalsh` and finds the
+    vector only when the function is called."""
+    if s.shape[0] >= _INVIT_MIN_DIM:
+        pair = _dsyevr_top(s)
+        if pair is not None:
+            return pair[0], lambda: pair[1]
+    w = np.linalg.eigvalsh(s)
+    return float(w[-1]), lambda: _top_eigpair(s, w)[1]
 
 
 def _positive_part(s) -> tuple[np.ndarray, np.ndarray]:

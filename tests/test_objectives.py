@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lmisolve import model
+from lmisolve import model, symlinalg
 from lmisolve import (
     DimensionMismatch,
     LinIneqSystem,
@@ -24,6 +24,7 @@ from lmisolve import (
     residual_map,
     smooth_oracle,
     solve_smooth,
+    stack,
 )
 
 
@@ -303,11 +304,34 @@ class TestConstantsOnce:
         assert sm.grad_lipschitz == expected.grad_lipschitz
 
 
-class TestLargeBlocks:
-    """Above the inverse-iteration crossover, both oracles agree with values
-    and gradients built from one `np.linalg.eigh` of A(x) - B."""
+def eigen_paths(monkeypatch):
+    """Run a loop body on both paths that blocks of size >= 32 take: with
+    the dsyevr binding, then with it missing (eigvalsh and inverse
+    iteration)."""
+    yield
+    monkeypatch.setattr(symlinalg, "_dsyevr", lambda: None)
+    yield
 
-    def test_match_eigh_reference(self):
+
+def block_reference(prob, x):
+    """(top eigenvalue, subgradient v^T A_i v, spectral radius) of the one
+    block of prob at x, from one `np.linalg.eigh`."""
+    coeffs = np.stack([a.mat for a in prob.coeffs])
+    w, v = np.linalg.eigh(np.tensordot(x, coeffs, axes=1) - prob.rhs.mat)
+    top = v[:, -1]
+    return w[-1], np.einsum("i,kij,j->k", top, coeffs, top), float(np.abs(w).max())
+
+
+class TestLargeBlocks:
+    """Above the crossover where `dsyevr` (or, without it, inverse
+    iteration) takes over, both oracles agree with values and gradients
+    built from one `np.linalg.eigh` of A(x) - B."""
+
+    def test_match_eigh_reference(self, monkeypatch):
+        for _ in eigen_paths(monkeypatch):
+            self.check_against_eigh()
+
+    def check_against_eigh(self):
         rng = np.random.default_rng(90)
         inst = gen_lmi(48, 4, 0.5, 91)
         p = inst.problem
@@ -328,6 +352,58 @@ class TestLargeBlocks:
             assert sm.value == pytest.approx(float(np.sum(part * part)), rel=1e-12)
             np.testing.assert_allclose(sm.gradient, 2.0 * np.tensordot(coeffs, part, axes=2),
                                        atol=1e-10 * scale)
+
+    def test_two_blocks_top_in_second(self, monkeypatch):
+        first, second = gen_lmi(32, 3, 0.5, 92).problem, gen_lmi(40, 3, 0.5, 93).problem
+        p = stack([first, second])
+        x = np.array([2.0, -1.5, 1.0])
+        top1 = block_reference(first, x)[0]
+        top2, grad2, scale = block_reference(second, x)
+        assert top2 > top1 + 1e-3 and top2 > 1e-3
+        for _ in eigen_paths(monkeypatch):
+            ev = eval_nonsmooth(p, x)
+            assert ev.value == pytest.approx(top2, rel=1e-13)
+            np.testing.assert_allclose(ev.gradient, grad2, atol=1e-9 * scale)
+
+    def test_exact_tie_across_blocks_goes_to_first(self, monkeypatch):
+        # at x = 0 both blocks hold the same residual -B, so their tops are
+        # equal bit for bit on either path; their coefficients differ
+        rng = np.random.default_rng(94)
+        n, m = 40, 3
+        a = rng.standard_normal((n, n))
+        rhs = SymMatrix(a + a.T)
+        first, second = (LmiProblem([SymMatrix(c + c.T) for c in rng.standard_normal((m, n, n))], rhs)
+                         for _ in range(2))
+        p = stack([first, second])
+        x = np.zeros(m)
+        top, grad1, scale = block_reference(first, x)
+        grad2 = block_reference(second, x)[1]
+        assert top > 1e-3
+        assert np.abs(grad1 - grad2).max() > 1e-3 * scale
+        for _ in eigen_paths(monkeypatch):
+            ev = eval_nonsmooth(p, x)
+            assert ev.value == pytest.approx(top, rel=1e-13)
+            np.testing.assert_allclose(ev.gradient, grad1, atol=1e-9 * scale)
+
+    def test_failed_dsyevr_call_falls_back_to_intact_block(self, monkeypatch):
+        # the binding overwrites its copy of the block and then reports
+        # info > 0: the result is the fallback's, bit for bit
+        binding = symlinalg._dsyevr()
+
+        def failing(*args):
+            if binding is not None:
+                binding(*args)
+            return 1
+
+        inst = gen_lmi(48, 4, 0.5, 91)
+        x = 3.0 * inst.witness + 0.5
+        monkeypatch.setattr(symlinalg, "_dsyevr", lambda: None)
+        want = eval_nonsmooth(inst.problem, x)
+        assert want.value > 1e-3
+        monkeypatch.setattr(symlinalg, "_dsyevr", lambda: failing)
+        got = eval_nonsmooth(inst.problem, x)
+        assert got.value == want.value
+        assert got.gradient.tobytes() == want.gradient.tobytes()
 
     def test_feasible_point_exact_zero(self):
         inst = gen_lmi(48, 4, 0.5, 91)

@@ -216,6 +216,12 @@ class TestLevelProject:
             with pytest.raises(NonFiniteInput, match="cut value"):
                 level_project(x_prev, [0.0], fz, [1.0], 0.0)
 
+    def test_overflowing_cut_raises(self):
+        # finite inputs whose <g, x_prev - z> overflows: NonFiniteInput, not
+        # a RuntimeWarning (which the tier-1 filter turns into an error)
+        with pytest.raises(NonFiniteInput, match="cut value"):
+            level_project([1e300], [-1e300], 0.0, [1e10], 0.0)
+
     def test_halfspace_and_obtuse_angle(self):
         rng = np.random.default_rng(500)
         for _ in range(50):

@@ -23,6 +23,18 @@ def singular_solve(a, b):
     raise np.linalg.LinAlgError("Singular matrix")
 
 
+DSYEVR = symlinalg._dsyevr()
+needs_binding = pytest.mark.skipif(DSYEVR is None, reason="this numpy has no scipy_LAPACKE_dsyevr64_")
+
+
+def failing_binding(*args):
+    """The dsyevr binding made to report a failure (info > 0) after it has
+    overwritten its matrix."""
+    if DSYEVR is not None:
+        DSYEVR(*args)
+    return 1
+
+
 def rand_sym(rng, n, scale=1.0):
     a = rng.normal(size=(n, n)) * scale
     return SymMatrix(a + a.T)
@@ -219,7 +231,8 @@ class TestOverflowingSpectrum:
     @pytest.mark.parametrize("n, entry", [(2, 1.5e308), (40, 1e307)])
     def test_raises_named_overflow(self, kernel, n, entry):
         # the top eigenvalue n * entry is beyond the float range; n = 40
-        # takes lambda_max through inverse iteration
+        # takes lambda_max through dsyevr (or inverse iteration where the
+        # binding is missing)
         with pytest.raises(NonFiniteInput, match="eigenvalues or norms of the matrix overflow"):
             kernel(SymMatrix(np.full((n, n), entry)))
 
@@ -256,19 +269,25 @@ def top_space(s, tol):
 
 class TestTopEigpair:
     """`_top_eigpair` against an `np.linalg.eigh` reference, on both sides of
-    the size where inverse iteration takes over."""
+    the size where `dsyevr` and inverse iteration take over. Given the
+    eigenvalues w it takes inverse iteration, the path used where the
+    `dsyevr` binding is missing; without them, `dsyevr`."""
 
     SIZES = (5, symlinalg._INVIT_MIN_DIM - 1, symlinalg._INVIT_MIN_DIM, 60, 150)
 
     def check(self, s, gap_tol):
         w = np.linalg.eigvalsh(s)
         radius = max(np.abs(w).max(), 1e-300)
-        top, v = symlinalg._top_eigpair(s, w)
-        assert top == w[-1]
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
-        assert np.linalg.norm(s @ v - top * v) <= symlinalg._INVIT_RESIDUAL * radius
-        # v lies in the reference eigenspace of the top eigenvalue(s)
-        assert np.linalg.norm(top_space(s, gap_tol).T @ v) == pytest.approx(1.0, abs=1e-9)
+        given = symlinalg._top_eigpair(s, w)
+        assert given[0] == w[-1]
+        # dsyevr's top may differ from eigvalsh's in the last bits
+        alone = symlinalg._top_eigpair(s)
+        assert abs(alone[0] - w[-1]) <= 1e-13 * radius
+        for top, v in (given, alone):
+            assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
+            assert np.linalg.norm(s @ v - top * v) <= symlinalg._INVIT_RESIDUAL * radius
+            # v lies in the reference eigenspace of the top eigenvalue(s)
+            assert np.linalg.norm(top_space(s, gap_tol).T @ v) == pytest.approx(1.0, abs=1e-9)
 
     def test_random_matrices(self):
         rng = np.random.default_rng(11)
@@ -348,10 +367,72 @@ class TestTopEigpair:
             # exactly equal in eigvalsh: the first tied column of eigh, as in
             # the canonical order
             s = np.diag(np.concatenate([rest, [1.0, 1.0]]))
-            top, v = symlinalg._top_eigpair(s, np.linalg.eigvalsh(s))
             w_ref, v_ref = np.linalg.eigh(s)
-            assert top == 1.0
-            assert v.tobytes() == v_ref[:, np.flatnonzero(w_ref == 1.0)[0]].tobytes()
+            for top, v in (symlinalg._top_eigpair(s, np.linalg.eigvalsh(s)),
+                           symlinalg._top_eigpair(s)):
+                assert top == 1.0
+                assert v.tobytes() == v_ref[:, np.flatnonzero(w_ref == 1.0)[0]].tobytes()
+
+    @needs_binding
+    @pytest.mark.parametrize("n", [symlinalg._INVIT_MIN_DIM, 60])
+    def test_dsyevr_tie_takes_first_column(self, n):
+        # on an exact tie dsyevr returns the last tied column (e_n for these
+        # two); the kernel returns the first, as eigh and eig_sym order them
+        rest = np.linspace(-1.0, 0.5, n - 2)
+        for s in (np.zeros((n, n)), np.diag(np.concatenate([rest, [1.0, 1.0]]))):
+            top, v = symlinalg._dsyevr_top(s)
+            w_ref, v_ref = np.linalg.eigh(s)
+            assert top == w_ref[-1]
+            assert v.tobytes() == v_ref[:, np.flatnonzero(w_ref == w_ref[-1])[0]].tobytes()
+
+    @needs_binding
+    def test_dsyevr_small_sizes(self):
+        # the kernel itself works from size 2; the size rule is the callers'
+        rng = np.random.default_rng(18)
+        for n in (2, 3, 5, 20):
+            s = rand_sym(rng, n).mat
+            w = np.linalg.eigvalsh(s)
+            top, v = symlinalg._dsyevr_top(s)
+            assert abs(top - w[-1]) <= 1e-13 * np.abs(w).max()
+            assert np.linalg.norm(s @ v - top * v) <= symlinalg._INVIT_RESIDUAL * np.abs(w).max()
+
+    @pytest.mark.parametrize("binding", [None, failing_binding],
+                             ids=["binding-missing", "binding-fails"])
+    def test_dsyevr_unavailable_takes_inverse_iteration(self, monkeypatch, binding):
+        # a missing symbol, or info != 0 from a call that has overwritten its
+        # matrix, leaves the intact block to eigvalsh and inverse iteration
+        monkeypatch.setattr(symlinalg, "_dsyevr", lambda: binding)
+        rng = np.random.default_rng(19)
+        for n in (symlinalg._INVIT_MIN_DIM, 60, 150):
+            s = rand_sym(rng, n).mat
+            kept = s.copy()
+            assert symlinalg._dsyevr_top(s) is None
+            want = symlinalg._top_eigpair(kept, np.linalg.eigvalsh(kept))
+            top, vector = symlinalg._block_top(s)
+            for got in (symlinalg._top_eigpair(s), (top, vector())):
+                assert got[0] == want[0]
+                assert got[1].tobytes() == want[1].tobytes()
+            assert s.tobytes() == kept.tobytes()
+
+    def test_block_top_matches_top_eigpair(self):
+        # the non-smooth oracle's per-block entry: from size 32 the pair of
+        # _top_eigpair(s), below it eigvalsh's top and the vector for it
+        rng = np.random.default_rng(21)
+        for n in self.SIZES:
+            s = rand_sym(rng, n).mat
+            w = np.linalg.eigvalsh(s)
+            top, vector = symlinalg._block_top(s)
+            want = symlinalg._top_eigpair(s, None if n >= symlinalg._INVIT_MIN_DIM else w)
+            assert top == want[0]
+            assert vector().tobytes() == want[1].tobytes()
+
+    @needs_binding
+    def test_dsyevr_leaves_input_intact(self):
+        s = rand_sym(np.random.default_rng(20), 40).mat
+        kept = s.copy()
+        symlinalg._dsyevr_top(s)
+        symlinalg._block_top(s)
+        assert s.tobytes() == kept.tobytes()
 
     def test_zero_matrix(self):
         for n in self.SIZES:
@@ -379,9 +460,11 @@ class TestTopEigpair:
         for n in self.SIZES:
             s = rand_sym(rng, n).mat
             w = np.linalg.eigvalsh(s)
-            first, again = symlinalg._top_eigpair(s, w), symlinalg._top_eigpair(s.copy(), w.copy())
-            assert first[0] == again[0]
-            assert first[1].tobytes() == again[1].tobytes()
+            for first, again in ((symlinalg._top_eigpair(s, w),
+                                  symlinalg._top_eigpair(s.copy(), w.copy())),
+                                 (symlinalg._top_eigpair(s), symlinalg._top_eigpair(s.copy()))):
+                assert first[0] == again[0]
+                assert first[1].tobytes() == again[1].tobytes()
 
 
 class TestPositivePart:
