@@ -357,7 +357,8 @@ def level_project(x_prev, z, fz, g, level):
     Returns x_prev unchanged when it already satisfies the constraint.
     Raises InfeasibleLevel when the model sits above the level with g = 0,
     in which case no point can reach it, InvalidParameter for a level that
-    is NaN or Inf, and NonFiniteInput for a cut value that is.
+    is NaN or Inf, and NonFiniteInput for a cut value or a projected point
+    that is.
     """
     if not math.isfinite(level):
         raise InvalidParameter(f"level must be finite, got {level}")
@@ -370,10 +371,17 @@ def level_project(x_prev, z, fz, g, level):
         raise NonFiniteInput(f"cut value fz + <g, x_prev - z> is {h}")
     if h <= level:
         return x_prev.copy()
-    gg = float(g @ g)
-    if gg == 0.0:
+    # g scaled by 2^-e, its largest entry in [0.5, 1): u @ u cannot overflow
+    # or vanish, and power-of-two scaling is exact, so the step is
+    # ((h - level) / (g @ g)) g, bit for bit, wherever that one is finite
+    e = -int(np.frexp(np.abs(g).max())[1])
+    u = np.ldexp(g, e)
+    uu = float(u @ u)
+    if uu == 0.0:
         raise InfeasibleLevel("cutting model sits above the level with zero subgradient")
-    return x_prev - ((h - level) / gg) * g
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as NonFiniteInput
+        out = x_prev - np.ldexp((h - level) / uu, e) * u
+    return _finite(out, "projected point")
 
 
 def gap_reduction(oracle: Oracle, x0u, level: float, policy: StepsizePolicy,

@@ -14,19 +14,33 @@ RuntimeWarning.
 
 The oracles call the private ndarray kernels directly, on blocks of
 A(x) - B that are exactly symmetric and finite, and compute only the
-spectrum they need. `_top_eigpair` finds the top eigenvalue and one
-eigenvector for it. On blocks of size 32 and up it takes both from one
-LAPACK `dsyevr` call (`_dsyevr_top`): a tridiagonal reduction, then only
-the top two eigenvalues and the top vector. `dsyevr` is the
-`scipy_LAPACKE_dsyevr64_` of the OpenBLAS that numpy's own wheels bundle
-and have loaded, bound with ctypes through the handle of
-`numpy.linalg._umath_linalg`, so no library is loaded. Where that symbol
-is missing or the call fails, `eigvalsh` and inverse iteration (at most
-two LU solves) take its place. `_block_top` gives the non-smooth oracle
-the top eigenvalue of a block and finds a vector only for the block that
-needs one. `_positive_part` builds the positive part V+ diag(w+) V+^T from
-one `eigh`. Their results are deterministic functions of the input but
-not canonical. `lambda_max` and `project_neg_semidef` are built on them.
+spectrum they need, with LAPACKE routines of the OpenBLAS that numpy's own
+wheels bundle and have loaded: `dsyevr`, `dsytrf` and `dsyevd` (the
+`scipy_LAPACKE_*64_` symbols), bound with ctypes through the handle of
+`numpy.linalg._umath_linalg` (`_lapacke`), so no library is loaded. Each
+works on a copy, and where its symbol is missing or a call fails the
+kernel takes numpy's own routine instead, on the intact block. Blocks
+below size 32 use numpy's routines throughout.
+
+`_top_eigpair` finds the top eigenvalue and one eigenvector for it. On
+blocks of size 32 and up it takes both from one `dsyevr` call
+(`_dsyevr_top`): a tridiagonal reduction, then only the top two
+eigenvalues and the top vector; the fallback is `eigvalsh` and inverse
+iteration (at most two LU solves). `_block_top` gives the non-smooth
+oracle the top eigenvalue of a block and finds a vector only for the block
+that needs one.
+
+`_positive_part` gives the smooth oracle the positive eigenvalues and the
+positive part V+ diag(w+) V+^T. On blocks of size 32 and up it first
+counts the positive eigenvalues k by Sylvester's law of inertia on one
+Bunch-Kaufman LDL^T (`_positive_count`, about a tenth of an `eigh`). For
+k <= n / 8 one `dsyevr` call computes only the eigenpairs in (0, bound],
+with twice the largest absolute row sum as the bound; for more, one
+direct `dsyevd` call, the routine behind `np.linalg.eigh`, gives `eigh`'s
+eigenpairs bit for bit for less overhead. The fallback is one `eigh`.
+
+Their results are deterministic functions of the input but not
+canonical. `lambda_max` and `project_neg_semidef` are built on them.
 """
 
 from __future__ import annotations
@@ -57,6 +71,12 @@ _SIGN_EPS = 1e-12
 # vectors carry roundoff where `eigh` returns exact zeros (a diagonal
 # block, for example).
 _INVIT_MIN_DIM = 32
+# From that size, a block with at most n // _FEW_POSITIVE positive
+# eigenvalues takes them alone from `dsyevr`; more take a full `dsyevd`.
+# On random spectra at n = 300 (one BLAS thread), `dsyevr` took 3.6 ms for
+# k = 0 of them, 9.8 ms for k = 31 and 12.2 ms for k = 37, against 12.5 ms
+# for `dsyevd`; at n = 60 and 150 the two cross near n / 8 as well.
+_FEW_POSITIVE = 8
 # Inverse iteration shifts by this much above the top eigenvalue, and keeps
 # its vector v only if ||S v - lambda v|| is at most _INVIT_RESIDUAL; both
 # are relative to the spectral radius of S. That residual also bounds
@@ -168,33 +188,52 @@ def _eigh_top(s) -> tuple[float, np.ndarray]:
     return float(full[-1]), v[:, int(np.argmax(full == full[-1]))]
 
 
-@functools.cache
-def _dsyevr():
-    """LAPACKE's dsyevr with 64-bit integers, from the OpenBLAS that
-    numpy's wheels bundle, or None where numpy links another LAPACK. It is
-    looked up through the handle of `numpy.linalg._umath_linalg`, which is
-    mapped already, so the lookup loads no library."""
+def _lapacke(name, *argtypes):
+    """LAPACKE's `name` with 64-bit integers, from the OpenBLAS that numpy's
+    wheels bundle, or None where numpy links another LAPACK. It is looked
+    up through the handle of `numpy.linalg._umath_linalg`, which is mapped
+    already, so the lookup loads no library."""
     from numpy.linalg import _umath_linalg
     try:
-        fn = ctypes.CDLL(_umath_linalg.__file__).scipy_LAPACKE_dsyevr64_
+        fn = getattr(ctypes.CDLL(_umath_linalg.__file__), f"scipy_LAPACKE_{name}64_")
     except (OSError, AttributeError):
         return None
-    i64, ptr, dbl, char = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_char
-    # layout, jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz
-    fn.argtypes = [ctypes.c_int, char, char, char, i64, ptr, i64, dbl, dbl, i64, i64, dbl,
-                   ptr, ptr, ptr, i64, ptr]
-    fn.restype = i64
+    fn.argtypes = [ctypes.c_int, *argtypes]  # the layout first
+    fn.restype = ctypes.c_int64
     return fn
 
 
-def _dsyevr_top(s):
-    """Largest eigenvalue of the symmetric ndarray s (of size 2 or more) and
-    a unit eigenvector for it, from one `dsyevr` call for the top two
-    eigenvalues; None when the binding is missing or the call fails.
+_I64, _PTR, _DBL, _CHAR = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_char
+
+
+@functools.cache
+def _dsyevr():
+    # jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz
+    return _lapacke("dsyevr", _CHAR, _CHAR, _CHAR, _I64, _PTR, _I64, _DBL, _DBL, _I64, _I64,
+                    _DBL, _PTR, _PTR, _PTR, _I64, _PTR)
+
+
+@functools.cache
+def _dsytrf():
+    # uplo, n, a, lda, ipiv
+    return _lapacke("dsytrf", _CHAR, _I64, _PTR, _I64, _PTR)
+
+
+@functools.cache
+def _dsyevd():
+    # jobz, uplo, n, a, lda, w
+    return _lapacke("dsyevd", _CHAR, _CHAR, _I64, _PTR, _I64, _PTR)
+
+
+def _dsyevr_rows(s, rng, vu, il, iu, most):
+    """Eigenvalues (ascending) of the symmetric ndarray s and their unit
+    eigenvectors as rows, from one `dsyevr` call over the value range
+    (0, vu] (rng b"V") or the index range il..iu (rng b"I"), with room for
+    at most `most` of them; None when the binding is missing or the call
+    fails.
 
     `dsyevr` overwrites its input, so it works on a copy and s stays intact
-    for a fallback. On an exact tie it returns the last of the tied columns,
-    so a tie takes the first one from `_eigh_top` instead."""
+    for a fallback."""
     fn = _dsyevr()
     if fn is None:
         return None
@@ -204,12 +243,26 @@ def _dsyevr_top(s):
     a = np.array(s, dtype=np.float64, order="C")
     found = np.zeros(1, dtype=np.int64)
     w = np.empty(n)  # dsyevr uses all n entries as workspace
-    z = np.empty((2, n))  # column-major n x 2: z[1] is the top vector
-    isuppz = np.empty(4, dtype=np.int64)
-    info = fn(102, b"V", b"I", b"L", n, a.ctypes.data, n, 0.0, 0.0, n - 1, n, 0.0,
+    z = np.empty((most, n))  # column-major n x most
+    isuppz = np.empty(2 * most, dtype=np.int64)
+    info = fn(102, b"V", rng, b"L", n, a.ctypes.data, n, 0.0, vu, il, iu, 0.0,
               found.ctypes.data, w.ctypes.data, z.ctypes.data, n, isuppz.ctypes.data)
-    if info != 0 or found[0] != 2:
+    if info != 0:
         return None
+    return w[:found[0]], z[:found[0]]
+
+
+def _dsyevr_top(s):
+    """Largest eigenvalue of the symmetric ndarray s (of size 2 or more) and
+    a unit eigenvector for it, from one `dsyevr` call for the top two
+    eigenvalues; None when the binding is missing or the call fails. On an
+    exact tie `dsyevr` returns the last of the tied columns, so a tie takes
+    the first one from `_eigh_top` instead."""
+    n = s.shape[0]
+    pairs = _dsyevr_rows(s, b"I", 0.0, n - 1, n, 2)
+    if pairs is None or pairs[0].shape[0] != 2:
+        return None
+    w, z = pairs
     if w[0] == w[1]:
         return float(w[1]), _eigh_top(s)[1]
     return float(w[1]), z[1]
@@ -254,11 +307,74 @@ def _block_top(s):
     return float(w[-1]), lambda: _top_eigpair(s, w)[1]
 
 
+def _positive_count(s):
+    """Number of positive eigenvalues of the symmetric ndarray s, by
+    Sylvester's law of inertia on one Bunch-Kaufman factorization
+    P S P^T = L D L^T (`dsytrf`); None when the binding is missing or the
+    call fails (info > 0 is an exactly singular D). A 1 x 1 pivot counts
+    when it is positive; a 2 x 2 pivot has a negative determinant, so it
+    holds exactly one positive eigenvalue."""
+    fn = _dsytrf()
+    if fn is None:
+        return None
+    n = s.shape[0]
+    a = np.array(s, dtype=np.float64, order="C")  # dsytrf factors in place
+    ipiv = np.empty(n, dtype=np.int64)
+    if fn(102, b"L", n, a.ctypes.data, n, ipiv.ctypes.data) != 0:
+        return None
+    # the two rows of a 2 x 2 pivot both hold a negative ipiv
+    single = ipiv > 0
+    pairs = (n - int(np.count_nonzero(single))) // 2
+    return int(np.count_nonzero(a.diagonal()[single] > 0.0)) + pairs
+
+
+def _dsyevd_eigh(s):
+    """`np.linalg.eigh(s)` bit for bit, from one direct `dsyevd` call, the
+    routine numpy's `eigh` runs; None when the binding is missing or the
+    call fails."""
+    fn = _dsyevd()
+    if fn is None:
+        return None
+    n = s.shape[0]
+    a = np.array(s, dtype=np.float64, order="C")
+    w = np.empty(n)
+    if fn(102, b"V", b"L", n, a.ctypes.data, n, w.ctypes.data) != 0:
+        return None
+    # the rows of a are the eigenvectors; numpy returns them C-contiguous,
+    # and the product that forms P+ keeps its bits only in that layout
+    return w, np.ascontiguousarray(a.T)
+
+
+def _eigenpairs_above_zero(s):
+    """Eigenvalues (ascending) and eigenvectors, as columns, of the
+    symmetric ndarray s that include every positive eigenpair, from LAPACK;
+    None where a binding is missing or a call fails. The inertia count k
+    picks the routine: for k <= n // _FEW_POSITIVE, `dsyevr` alone on
+    (0, bound], where bound, twice the largest absolute row sum, exceeds
+    the spectral radius; for more, the full `dsyevd`."""
+    bound = 2.0 * float(np.abs(s).sum(axis=1).max())
+    if not bound < np.inf:  # NaN or Inf entries, or a bound that overflows
+        return None
+    k = _positive_count(s)
+    if k is None:
+        return None
+    n = s.shape[0]
+    if k > n // _FEW_POSITIVE:
+        return _dsyevd_eigh(s)
+    # near 0, dsyevr's own count in the range may differ from k, so z has
+    # room for all n
+    pairs = _dsyevr_rows(s, b"V", bound, 0, 0, n)
+    return None if pairs is None else (pairs[0], pairs[1].T)
+
+
 def _positive_part(s) -> tuple[np.ndarray, np.ndarray]:
     """The positive eigenvalues of the symmetric ndarray s (ascending) and
-    its positive part P+ = V+ diag(w+) V+^T over them, from one `eigh`.
-    P+ is exactly 0 when no eigenvalue is positive."""
-    w, v = np.linalg.eigh(s)
+    its positive part P+ = V+ diag(w+) V+^T over them. A block of size
+    >= _INVIT_MIN_DIM takes them from `_eigenpairs_above_zero`; a smaller
+    block, or one where that fails, from one `eigh`. P+ is exactly 0 when
+    no eigenvalue is positive."""
+    pairs = _eigenpairs_above_zero(s) if s.shape[0] >= _INVIT_MIN_DIM else None
+    w, v = np.linalg.eigh(s) if pairs is None else pairs
     cut = int(np.searchsorted(w, 0.0, side="right"))
     side = v[:, cut:]
     return w[cut:], (side * w[cut:]) @ side.T

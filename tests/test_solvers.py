@@ -222,6 +222,31 @@ class TestLevelProject:
         with pytest.raises(NonFiniteInput, match="cut value"):
             level_project([1e300], [-1e300], 0.0, [1e10], 0.0)
 
+    def test_extreme_subgradient_scaled(self):
+        # g @ g overflows at 1e200 and underflows to 0 at 1e-200; the step
+        # comes from g scaled by a power of two, so both meet the cut with
+        # no RuntimeWarning
+        for g in (1e200, 1e-200):
+            assert level_project([0.0], [0.0], 1.0, [g], 0.0)[0] == pytest.approx(-1.0 / g, rel=1e-15)
+        # a step that itself overflows is an error, not an infinite point
+        with pytest.raises(NonFiniteInput, match="projected point"):
+            level_project([0.0], [0.0], 1.0, [1e-310], 0.0)
+
+    def test_scaled_step_bit_equal(self):
+        # where g @ g is a normal number the step is ((h - level) / (g @ g)) g
+        # bit for bit, as before the scaling
+        rng = np.random.default_rng(501)
+        for scale in (1e-100, 1e-3, 1.0, 1e5, 1e100):
+            for m in (1, 3, 20):
+                x_prev, z, g = rng.normal(size=(3, m))
+                g *= scale
+                fz, level = 1.0 + abs(float(rng.normal())), -abs(float(rng.normal()))
+                h = fz + float(g @ (x_prev - z))
+                if h <= level:
+                    continue
+                want = x_prev - ((h - level) / float(g @ g)) * g
+                assert level_project(x_prev, z, fz, g, level).tobytes() == want.tobytes()
+
     def test_halfspace_and_obtuse_angle(self):
         rng = np.random.default_rng(500)
         for _ in range(50):

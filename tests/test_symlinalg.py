@@ -25,14 +25,22 @@ def singular_solve(a, b):
 
 DSYEVR = symlinalg._dsyevr()
 needs_binding = pytest.mark.skipif(DSYEVR is None, reason="this numpy has no scipy_LAPACKE_dsyevr64_")
+needs_lapack = pytest.mark.skipif(
+    None in (DSYEVR, symlinalg._dsytrf(), symlinalg._dsyevd()),
+    reason="this numpy lacks one of scipy_LAPACKE_{dsyevr,dsytrf,dsyevd}64_")
 
 
-def failing_binding(*args):
-    """The dsyevr binding made to report a failure (info > 0) after it has
+def failing(binding):
+    """A LAPACKE binding made to report a failure (info > 0) after it has
     overwritten its matrix."""
-    if DSYEVR is not None:
-        DSYEVR(*args)
-    return 1
+    def call(*args):
+        if binding is not None:
+            binding(*args)
+        return 1
+    return call
+
+
+failing_binding = failing(DSYEVR)
 
 
 def rand_sym(rng, n, scale=1.0):
@@ -468,7 +476,12 @@ class TestTopEigpair:
 
 
 class TestPositivePart:
-    """`_positive_part` against V diag(max(w, 0)) V^T from `np.linalg.eigh`."""
+    """`_positive_part` against V diag(max(w, 0)) V^T from `np.linalg.eigh`.
+    From size 32 an inertia count picks the routine: `dsyevr` for at most
+    n // 8 positive eigenvalues, a direct `dsyevd` for more."""
+
+    # each binding, and the positive counts at n = 60 whose branch calls it
+    BINDINGS = {"_dsytrf": (2, 30), "_dsyevr": (2,), "_dsyevd": (30,)}
 
     def check(self, s):
         w_ref, v_ref = np.linalg.eigh(s)
@@ -478,6 +491,26 @@ class TestPositivePart:
         scale = max(float(np.abs(w_ref).max()), 1e-300)
         np.testing.assert_allclose(part, want, atol=1e-12 * scale)
         return pos, part
+
+    def eigh_formula(self, s):
+        """The path below size 32, and the fallback: one `np.linalg.eigh`."""
+        w, v = np.linalg.eigh(s)
+        cut = int(np.searchsorted(w, 0.0, side="right"))
+        side = v[:, cut:]
+        return w[cut:], (side * w[cut:]) @ side.T
+
+    def spied(self, monkeypatch):
+        """The names of the LAPACK routines each `_positive_part` call runs."""
+        calls = []
+        for name in ("_dsyevr_rows", "_dsyevd_eigh"):
+            real = getattr(symlinalg, name)
+
+            def spy(s, *args, real=real, name=name):
+                calls.append(name)
+                return real(s, *args)
+
+            monkeypatch.setattr(symlinalg, name, spy)
+        return calls
 
     def test_few_and_many_positive(self):
         rng = np.random.default_rng(21)
@@ -500,10 +533,109 @@ class TestPositivePart:
                 assert pos.shape == (0,)
                 np.testing.assert_array_equal(part, np.zeros((n, n)))
 
+    @needs_lapack
+    def test_positive_count_matches_eigvalsh(self):
+        rng = np.random.default_rng(25)
+        for n in (1, 2, 5, 32, 60, 150):
+            for k in sorted({0, 1, n // 3, n - 1, n}):
+                w = np.concatenate([rng.uniform(1e-3, 2.0, k), -rng.uniform(1e-3, 2.0, n - k)])
+                s = with_spectrum(rng, w)
+                want = int(np.count_nonzero(np.linalg.eigvalsh(s) > 0.0))
+                assert symlinalg._positive_count(s) == want
+        assert symlinalg._positive_count(np.diag([1.0, -2.0, 3.0])) == 2
+
+    @needs_lapack
+    @pytest.mark.parametrize("shift", [-0.5, -0.25, 0.0, 0.25, 0.5])
+    def test_positive_count_with_2x2_pivots(self, shift):
+        # a diagonal below 0.64 (Bunch-Kaufman's alpha) under unit
+        # off-diagonal pairs forces 2 x 2 pivots; each holds one eigenvalue
+        # 1 + shift > 0 and one -1 + shift < 0
+        for pairs in (1, 3, 20):
+            s = np.kron(np.eye(pairs), [[0.0, 1.0], [1.0, 0.0]]) + shift * np.eye(2 * pairs)
+            a = s.copy()
+            ipiv = np.empty(2 * pairs, dtype=np.int64)
+            assert symlinalg._dsytrf()(102, b"L", 2 * pairs, a.ctypes.data, 2 * pairs,
+                                      ipiv.ctypes.data) == 0
+            assert (ipiv < 0).all()
+            assert symlinalg._positive_count(s) == pairs
+
+    @needs_lapack
+    @pytest.mark.parametrize("n", [32, 40, 300])
+    def test_branch_by_inertia(self, monkeypatch, n):
+        # n // 8 positive eigenvalues take dsyevr, one more takes dsyevd
+        calls = self.spied(monkeypatch)
+        rng = np.random.default_rng(26 + n)
+        few = n // symlinalg._FEW_POSITIVE
+        for k, routine in ((few, "_dsyevr_rows"), (few + 1, "_dsyevd_eigh")):
+            w = np.concatenate([rng.uniform(0.1, 2.0, k), -rng.uniform(0.1, 2.0, n - k)])
+            del calls[:]
+            pos, _ = self.check(with_spectrum(rng, w))
+            assert calls == [routine]
+            assert pos.shape[0] == k
+
+    @needs_lapack
+    @pytest.mark.parametrize("n", [32, 40, 300])
+    def test_top_at_row_sum_bound(self, monkeypatch, n):
+        # diag(c, -1, ..., -1): its top eigenvalue c is the largest absolute
+        # row sum, so the range (0, 2 c] that dsyevr searches holds it
+        calls = self.spied(monkeypatch)
+        for c in (1.0, 3.0, 1e150):
+            s = np.diag(np.concatenate([[c], -np.ones(n - 1)]))
+            pos, part = symlinalg._positive_part(s)
+            assert calls.pop() == "_dsyevr_rows"
+            assert pos == pytest.approx([c], rel=1e-15)
+            np.testing.assert_allclose(part, c * np.outer(np.eye(n)[0], np.eye(n)[0]),
+                                       atol=1e-15 * c)
+
+    @pytest.mark.parametrize("name", BINDINGS)
+    @pytest.mark.parametrize("broken", ["missing", "fails"])
+    def test_unavailable_binding_falls_back_to_eigh(self, monkeypatch, name, broken):
+        # a missing symbol, or info != 0 from a call that has overwritten its
+        # copy, leaves the intact block to eigh, bit for bit
+        rng = np.random.default_rng(27)
+        binding = None if broken == "missing" else failing(getattr(symlinalg, name)())
+        monkeypatch.setattr(symlinalg, name, lambda: binding)
+        for k in self.BINDINGS[name]:
+            s = with_spectrum(rng, np.concatenate([rng.uniform(0.1, 2.0, k),
+                                                   -rng.uniform(0.1, 2.0, 60 - k)]))
+            kept = s.copy()
+            got, want = symlinalg._positive_part(s), self.eigh_formula(kept)
+            assert s.tobytes() == kept.tobytes()
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+
+    def test_nonfinite_block_skips_lapack(self, monkeypatch):
+        # NaN or Inf, or a row-sum bound that overflows, never reaches the
+        # LAPACKE bindings; eigh decides the outcome, as below size 32
+        calls = []
+        for name in self.BINDINGS:
+            monkeypatch.setattr(symlinalg, name, lambda: lambda *args: calls.append(args) or 0)
+        s = np.zeros((40, 40))
+        for entry in (np.inf, np.nan, 1e308):
+            s[0, 0] = entry
+            assert symlinalg._eigenpairs_above_zero(s) is None
+        assert calls == []
+
+    @needs_lapack
+    def test_many_positive_bit_equal_to_eigh(self, monkeypatch):
+        # the (n, k) pairs include ones where V+ in Fortran order would give
+        # P+ other bits than the C-contiguous V+ that eigh returns
+        calls = self.spied(monkeypatch)
+        rng = np.random.default_rng(28)
+        for n, k in ((32, 31), (33, 32), (60, 30), (100, 99), (150, 37), (300, 150)):
+            w = np.concatenate([rng.uniform(0.1, 2.0, k), -rng.uniform(0.1, 2.0, n - k)])
+            for s in (rand_sym(rng, n).mat, with_spectrum(rng, w)):
+                got, want = symlinalg._positive_part(s), self.eigh_formula(s)
+                assert calls.pop() == "_dsyevd_eigh"
+                assert got[0].tobytes() == want[0].tobytes()
+                assert got[1].tobytes() == want[1].tobytes()
+
     def test_repeat_calls_byte_equal(self):
         rng = np.random.default_rng(24)
-        for n in (6, 50):
-            s = rand_sym(rng, n).mat
-            a, b = symlinalg._positive_part(s), symlinalg._positive_part(s.copy())
-            assert a[0].tobytes() == b[0].tobytes()
-            assert a[1].tobytes() == b[1].tobytes()
+        for n in (6, 50, 300):
+            for k in (1, n // 2):
+                s = with_spectrum(rng, np.concatenate([rng.uniform(0.1, 2.0, k),
+                                                       -rng.uniform(0.1, 2.0, n - k)]))
+                a, b = symlinalg._positive_part(s), symlinalg._positive_part(s.copy())
+                assert a[0].tobytes() == b[0].tobytes()
+                assert a[1].tobytes() == b[1].tobytes()
