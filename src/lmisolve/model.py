@@ -397,9 +397,14 @@ class SdpPair:
 
 
 class OperatorConstants(NamedTuple):
-    """(M, ||A||, L): subgradient bound sqrt(sum ||A_i||_2^2), operator norm
-    sqrt(sum ||A_i||_F^2), and the smooth gradient Lipschitz constant
-    L = 2 ||A||^2. Always M <= ||A||."""
+    """(M, ||A||, L) of the operator x -> A(x) = x_1 A_1 + ... + x_m A_m.
+
+    ||A|| is its exact norm from (R^m, 2-norm) to (S^n, Frobenius),
+    sqrt(lambda_max(G)) for the Gram matrix G_ij = <A_i, A_j>; L = 2 ||A||^2
+    is the Lipschitz constant of the smooth oracle's gradient; and the
+    subgradient bound M = min(sqrt(sum ||A_i||_2^2), ||A||) bounds the
+    non-smooth oracle's subgradients. Always
+    M <= ||A|| <= sqrt(sum ||A_i||_F^2)."""
 
     subgrad_bound: float
     opnorm: float
@@ -431,45 +436,57 @@ def adjoint_apply(p: LmiProblem, z: SymMatrix) -> np.ndarray:
 
 
 def constants(p: LmiProblem) -> OperatorConstants:
-    """Subgradient bound M, operator norm ||A||, and L = 2 ||A||^2,
-    computed on the first call and kept on the immutable problem.
+    """Subgradient bound M, operator norm ||A|| and L = 2 ||A||^2 (see
+    OperatorConstants), computed on the first call and kept on the
+    immutable problem.
 
-    Computed block by block: ||A_i||_2 is the largest of A_i's block norms
-    and ||A_i||_F^2 the sum of theirs, so the dense A_i are never built;
-    each block coefficient is unpacked on its own, for `norms`. Raises
-    NonFiniteInput when a constant overflows."""
+    Computed block by block, so the dense A_i are never built. ||A_i||_2 is
+    the largest of A_i's block norms, each block coefficient unpacked on its
+    own for `norms`. G is the sum of the blocks' Gram matrices, each on its
+    own variables, and ||A||^2 is its largest eigenvalue, from one
+    `eigvalsh`, clamped to at most trace(G) = sum ||A_i||_F^2. G costs
+    O(m^2 P + m^3) for m variables and P stored coefficients; the m^3
+    `eigvalsh` dominates on reductions of SDP pairs (m = 20, one BLAS
+    thread, 2-CPU Xeon: 4-5 ms at 230 variables, 60-80 ms at 840, and
+    0.64-0.71 s at 1850). Raises NonFiniteInput when a constant overflows."""
     if p._constants is not None:
         return p._constants
     spec = np.zeros(p.num_vars)
-    fro_sq = np.zeros(p.num_vars)
+    gram = np.zeros((p.num_vars, p.num_vars))
     table = p._scalars.coeffs
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as NonFiniteInput
         for blk in p._blocks:
+            own = gram[blk.vars, blk.vars]
             if blk.coeffs is None:
-                # E_ii has both norms 1; E_ij + E_ji has spectral norm 1 and
-                # squared Frobenius norm 2, its weight
+                # E_ii and E_ij + E_ji are orthogonal, with spectral norm 1
+                # and squared Frobenius norm their weight
                 spec[blk.vars] = np.maximum(spec[blk.vars], 1.0)
-                fro_sq[blk.vars] += blk.sym.weight
+                own[np.diag_indices_from(own)] += blk.sym.weight
                 continue
             for k, c in zip(range(blk.vars.start, blk.vars.stop), blk.coeffs):
                 try:
-                    fro, s = norms(SymMatrix(c[blk.sym.gather]))
+                    s = norms(SymMatrix(c[blk.sym.gather]))[1]
                 except NonFiniteInput:  # a norm of A_k overflows, so L does
                     raise NonFiniteInput("operator constants overflow") from None
                 spec[k] = max(spec[k], s)
-                fro_sq[k] += fro * fro
+            # <A_i, A_j> = sum_t weight_t c_it c_jt: every packed product
+            # twice, less the diagonal's once; no (k_b, P) temporary
+            diag = blk.coeffs[:, blk.sym.weight == 1.0]
+            own += 2.0 * (blk.coeffs @ blk.coeffs.T) - diag @ diag.T
         spec = np.maximum(spec, np.abs(table).max(axis=1, initial=0.0))
-        fro_sq += np.sum(table * table, axis=1)
-    # summed in variable order, as a dense problem's constants always were
-    spec_total = fro_total = 0.0
-    for s, f in zip(spec.tolist(), fro_sq.tolist()):
-        spec_total += s * s
-        fro_total += f
-    # M <= ||A||, so L = 2 ||A||^2 is the first to overflow
-    if not 2.0 * fro_total < np.inf:
+        gram += table @ table.T
+    fro_total = float(np.trace(gram))
+    # a finite 2 trace(G) bounds 2 ||A||^2 and every |G_ij|, so eigvalsh stays finite
+    if not (2.0 * fro_total < np.inf and np.isfinite(gram).all()):
         raise NonFiniteInput("operator constants overflow")
-    opnorm = float(np.sqrt(fro_total))
-    p._constants = OperatorConstants(float(np.sqrt(spec_total)), opnorm, 2.0 * fro_total)
+    norm_sq = min(float(np.linalg.eigvalsh(gram)[-1]), fro_total)
+    opnorm = float(np.sqrt(norm_sq))
+    # summed in variable order, as a dense problem's M always was
+    spec_total = 0.0
+    for s in spec.tolist():
+        spec_total += s * s
+    p._constants = OperatorConstants(min(float(np.sqrt(spec_total)), opnorm), opnorm,
+                                     2.0 * norm_sq)
     return p._constants
 
 

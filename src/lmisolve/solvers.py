@@ -4,7 +4,9 @@ Four drivers share three inner engines and one restart loop:
 
 - solve_nonsmooth: projected subgradient phases of K = ceil(4 M^2 mu^2)
   steps, step length mu f(x_phase_start) / (M sqrt(K));
-- solve_smooth: accelerated-gradient phases of K = ceil(4 mu ||A||) steps;
+- solve_smooth: accelerated-gradient phases of K = ceil(4 mu ||A||) steps,
+  ||A|| = sqrt(lambda_max(G)) the exact norm of x -> A(x), G_ij = <A_i, A_j>
+  (see model.constants);
 - solve_linsys: accelerated-gradient phases of K = ceil(sqrt(8 ||A||^2 L_H^2))
   steps on the clipped-residual objective;
 - solve_bundle: bundle-level phases (gap reduction) that run until the
@@ -466,7 +468,9 @@ def solve_smooth(p: LmiProblem, mu: float, eps: float, cap: int = DEFAULT_CAP,
     """Restarted accelerated gradient method on the squared cone distance.
 
     Each phase runs K = ceil(4 mu ||A||) accelerated steps with
-    L = 2 ||A||^2 and restarts from the final point.
+    L = 2 ||A||^2 and restarts from the final point. ||A|| is the exact
+    operator norm from constants(p), the least value the accelerated bound
+    admits, so phases are as short and steps 1/L as long as it allows.
     """
     _positive("mu", mu)
     oracle = smooth_oracle(p)

@@ -315,15 +315,30 @@ class TestConstants:
         assert c.grad_lipschitz == pytest.approx(4.0)
 
     def test_diag_pair(self):
+        # ||A(x)||_F = ||diag(x)||_F = ||x||, so ||A|| = 1, below the
+        # Frobenius sum sqrt(2); M = min(sqrt(2), ||A||)
         c = constants(diag_pair_problem())
-        assert c.subgrad_bound == pytest.approx(math.sqrt(2.0))
-        assert c.opnorm == pytest.approx(math.sqrt(2.0))
-        assert c.grad_lipschitz == pytest.approx(4.0)
+        assert c.subgrad_bound == 1.0
+        assert c.opnorm == 1.0
+        assert c.grad_lipschitz == 2.0
 
     def test_overflow_raises(self):
         # ||A_1||_F^2 = 4e400 overflows although every entry is finite
         p = LmiProblem([np.full((2, 2), 1e200)], np.zeros((2, 2)))
         for _ in range(2):  # a failed call keeps nothing
+            with pytest.raises(NonFiniteInput, match="operator constants overflow"):
+                constants(p)
+        # the all-v 2 x 2 matrix has ||A|| = ||A_1||_F = 2v and L = 8 v^2:
+        # finite at v = 1e150; at v = 5e153, ||A_1||_F^2 = 1e308 is finite
+        # but L = 2e308 is not, and from about 6e153 up the Gram matrix
+        # itself overflows. Each raises before any eigenvalue of G is
+        # computed: no LinAlgError, and no RuntimeWarning (an error under
+        # the tier-1 warning filter)
+        c = constants(LmiProblem([np.full((2, 2), 1e150)], np.zeros((2, 2))))
+        assert all(math.isfinite(v) for v in c)
+        assert c.opnorm == pytest.approx(2e150, rel=1e-12)
+        for v in (5e153, 6e153, 1e154, 1e160, 1e300):
+            p = LmiProblem([np.full((2, 2), v), np.eye(2)], np.zeros((2, 2)))
             with pytest.raises(NonFiniteInput, match="operator constants overflow"):
                 constants(p)
 
@@ -636,22 +651,41 @@ class TestBlockLayout:
             assert_close(got.gradient, want.gradient, size * coeff_scale)
             assert_close(eval_nonsmooth(p, x).value, eval_nonsmooth(dense, x).value, size)
 
+        # ||A|| bounds ||A(x)||_F / ||x||, is reached at G's top eigenvector,
+        # and lies between M and the Frobenius sum
+        bound, norm = constants(p)[:2]
+        flat = np.array([c.mat.ravel() for c in dense.coeffs])
+        top = np.linalg.eigh(flat @ flat.T)[1][:, -1]
+        fro_sum = math.sqrt(sum(float(np.sum(c.mat * c.mat)) for c in dense.coeffs))
+        for x in [top, *rng.standard_normal((3, p.num_vars))]:
+            size = np.linalg.norm(apply_operator(p, x).mat)
+            assert size <= norm * np.linalg.norm(x) * (1.0 + 1e-12)
+        assert np.linalg.norm(apply_operator(p, top).mat) == pytest.approx(norm, rel=1e-10)
+        assert bound <= norm <= fro_sum * (1.0 + 1e-12)
+
     def test_one_block_constants_unchanged(self):
-        # a problem from the constructor sums its norms in variable order,
-        # exactly as the constants were always computed; each packed
-        # coefficient unpacks to the bits of the matrix it was packed from
+        # a problem from the constructor sums its spectral norms in variable
+        # order, so M keeps its bits; each packed coefficient unpacks to the
+        # bits of the matrix it was packed from. ||A||^2 is the top
+        # eigenvalue of the dense Gram matrix of the A_i
         for n, m, seed in [(5, 4, s) for s in range(4)] + [(33, 6, 0), (60, 10, 1)]:
             p = gen_lmi(n, m, 1.0, seed).problem
-            spec_sq = fro_sq = 0.0
+            spec_sq = 0.0
             for c in p.coeffs:
-                fro, spec = np.linalg.norm(c.mat), np.abs(np.linalg.eigvalsh(c.mat)).max()
+                spec = np.abs(np.linalg.eigvalsh(c.mat)).max()
                 spec_sq += float(spec) * float(spec)
-                fro_sq += float(fro) * float(fro)
-            assert constants(p) == (math.sqrt(spec_sq), math.sqrt(fro_sq), 2.0 * fro_sq)
-            # doubling each term is exact, so a stack of p with itself sums
-            # to exactly twice
+            flat = np.array([c.mat.ravel() for c in p.coeffs])
+            norm_sq = float(np.linalg.eigvalsh(flat @ flat.T)[-1])
+            c = constants(p)
+            assert c.subgrad_bound == math.sqrt(spec_sq)
+            assert c.opnorm**2 == pytest.approx(norm_sq, rel=1e-12)
+            assert c.grad_lipschitz == pytest.approx(2.0 * norm_sq, rel=1e-12)
+            # a stack of p with itself doubles G, so ||A||^2 doubles; the
+            # spectral norms, and so M, stay as they are
             twice = constants(stack([p, p]))
-            assert twice == (math.sqrt(spec_sq), math.sqrt(2.0 * fro_sq), 4.0 * fro_sq)
+            assert twice.subgrad_bound == c.subgrad_bound
+            assert twice.opnorm**2 == pytest.approx(2.0 * c.opnorm**2, rel=1e-12)
+            assert twice.grad_lipschitz == pytest.approx(2.0 * c.grad_lipschitz, rel=1e-12)
 
     def test_stored_arrays_are_read_only(self):
         # a dense problem, a stack with scalar rows, and a reduction

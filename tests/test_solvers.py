@@ -409,6 +409,24 @@ class TestSolveSmooth:
         assert res.status is SolveStatus.SOLVED
         assert completed_phases_halve(res)
 
+    def test_budget_from_exact_operator_norm(self):
+        # A(x) = diag(x) (+) diag(-x) and B = diag(b) (+) diag(-b) pin x = b,
+        # with f(x) = ||x - b||^2 = dist(x, X)^2, so mu = 1 is valid. ||A(x)||_F
+        # = sqrt(2) ||x||, so ||A|| = sqrt(2), while the Frobenius sum
+        # sqrt(sum ||A_i||_F^2) = 4 is sqrt(8) times larger and would plan
+        # phases of ceil(16) = 16 steps instead of ceil(4 sqrt(2)) = 6
+        b = np.linspace(-1.0, 1.0, 8)
+        e = [np.diag(row) for row in np.eye(8)]
+        p = stack([LmiProblem(e, np.diag(b)), LmiProblem([-a for a in e], -np.diag(b))])
+        assert constants(p).opnorm == pytest.approx(math.sqrt(2.0), rel=1e-15)
+        res = solve_smooth(p, 1.0, 1e-12, x0=np.full(8, 3.0))
+        assert res.status is SolveStatus.SOLVED
+        done = [ph for ph in res.trace.phases if ph.completed]
+        assert len(done) >= 2 and done == list(res.trace.phases[:-1])
+        assert [ph.iterations for ph in done] == [6] * len(done)
+        assert res.trace.phases[-1].iterations <= 6
+        assert completed_phases_halve(res)
+
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameter):
             solve_smooth(one_d_problem(), -1.0, 1e-8)
