@@ -26,12 +26,15 @@ Cholesky factorization per block and computes no eigenvalues.
 
 from __future__ import annotations
 
+import threading
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NonFiniteInput
-from .symlinalg import SymMatrix, _freeze, lambda_max, norms  # noqa: F401 (perfbench traces lambda_max)
+# lambda_max and norms stay importable here for perfbench's tracer
+from .symlinalg import (_INVIT_MIN_DIM, SymMatrix, _blas_threads, _dsyevd, _freeze,  # noqa: F401
+                        lambda_max, norms)
 
 __all__ = [
     "LmiProblem",
@@ -180,11 +183,11 @@ class LmiProblem:
     (the dense A_1..A_m as SymMatrix values) is built on each read and not
     kept. `rhs` is always dense.
 
-    The problem is immutable, so `_constants` keeps constants(p) from its
-    first call on.
+    The problem is immutable, so `_norm` keeps _operator_norm(p) and
+    `_constants` keeps constants(p) from their first calls on.
     """
 
-    __slots__ = ("rhs", "num_vars", "dim", "_blocks", "_scalars", "_constants")
+    __slots__ = ("rhs", "num_vars", "dim", "_blocks", "_scalars", "_norm", "_constants")
 
     def __init__(self, coeffs, rhs):
         coeffs = list(coeffs)
@@ -256,6 +259,7 @@ def _lay_out(p: LmiProblem, b: SymMatrix, num_vars, blocks, rows, table) -> LmiP
     p._blocks = tuple(_Block(at, variables, coeffs, b.mat[at, at], sym)
                       for at, variables, coeffs, sym in blocks)
     p._scalars = _Scalars(rows, _freeze(table), _freeze(b.mat[rows, rows]))
+    p._norm = None
     p._constants = None
     return p
 
@@ -435,58 +439,120 @@ def adjoint_apply(p: LmiProblem, z: SymMatrix) -> np.ndarray:
     return _finite(g, "A^T(Z)")
 
 
-def constants(p: LmiProblem) -> OperatorConstants:
-    """Subgradient bound M, operator norm ||A|| and L = 2 ||A||^2 (see
-    OperatorConstants), computed on the first call and kept on the
-    immutable problem.
+def _block_norms(blk: _Block) -> np.ndarray:
+    """||A_k||_2 for each coefficient A_k of a dense block, in the order of
+    its variables: the largest |lambda| over the eigenvalues that
+    `eigvalsh` gives for A_k, bit for bit, or NaN or Inf where they
+    overflow.
 
-    Computed block by block, so the dense A_i are never built. ||A_i||_2 is
-    the largest of A_i's block norms, each block coefficient unpacked on its
-    own for `norms`. G is the sum of the blocks' Gram matrices, each on its
-    own variables, and ||A||^2 is its largest eigenvalue, from one
-    `eigvalsh`, clamped to at most trace(G) = sum ||A_i||_F^2. G costs
-    O(m^2 P + m^3) for m variables and P stored coefficients; the m^3
-    `eigvalsh` dominates on reductions of SDP pairs (m = 20, one BLAS
-    thread, 2-CPU Xeon: 4-5 ms at 230 variables, 60-80 ms at 840, and
-    0.64-0.71 s at 1850). Raises NonFiniteInput when a constant overflows."""
-    if p._constants is not None:
-        return p._constants
+    On a block of size >= _INVIT_MIN_DIM the eigenvalues come from `dsyevd`
+    with jobz "N", the call behind `eigvalsh`, made through ctypes, which
+    releases the GIL. Where OpenBLAS runs one thread per call, one more
+    thread takes the second half of the coefficients, and it is joined
+    before this returns; where OpenBLAS runs several, a second caller
+    would only compete with them. Each thread unpacks its coefficients
+    into one buffer of its own, exactly symmetric, and `dsyevd` works on
+    it in place. A smaller block, a missing binding and a failed call
+    take `eigvalsh` on the calling thread."""
+    coeffs, gather = blk.coeffs, blk.sym.gather
+    k, n = coeffs.shape[0], gather.shape[0]
+    out = np.full(k, -1.0)  # -1 marks a norm not yet computed
+    fn = _dsyevd() if n >= _INVIT_MIN_DIM else None
+    if fn is not None:
+        def run(lo, hi):
+            a, w = np.empty((n, n)), np.empty(n)
+            for i in range(lo, hi):
+                # mode="clip": the indices are in range, and it spares take
+                # a buffered copy of `a`
+                np.take(coeffs[i], gather, out=a, mode="clip")
+                if fn(102, b"N", b"L", n, a.ctypes.data, n, w.ctypes.data) == 0:
+                    out[i] = np.abs(w).max()
+
+        half = k // 2 if k > 1 and _blas_threads() == 1 else k
+        worker = threading.Thread(target=run, args=(half, k)) if half < k else None
+        if worker is not None:
+            worker.start()
+        try:
+            run(0, half)
+        finally:
+            if worker is not None:
+                worker.join()
+    for i in np.flatnonzero(out < 0.0):
+        out[i] = np.abs(np.linalg.eigvalsh(coeffs[i][gather])).max()
+    return out
+
+
+def _spectral_bound(p: LmiProblem) -> float:
+    """sqrt(sum ||A_i||_2^2), summed in variable order, as a dense
+    problem's always was. ||A_i||_2 is the largest of A_i's block norms;
+    the dense blocks take theirs from `_block_norms`. Raises NonFiniteInput
+    when a norm overflows."""
     spec = np.zeros(p.num_vars)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as NonFiniteInput
+        for blk in p._blocks:
+            own = spec[blk.vars]
+            # E_ii and E_ij + E_ji have spectral norm 1
+            np.maximum(own, 1.0 if blk.coeffs is None else _block_norms(blk), out=own)
+        spec = np.maximum(spec, np.abs(p._scalars.coeffs).max(axis=1, initial=0.0))
+    if not np.isfinite(spec).all():
+        raise NonFiniteInput("operator constants overflow")
+    total = 0.0
+    for s in spec.tolist():
+        total += s * s
+    return float(np.sqrt(total))
+
+
+def _operator_norm(p: LmiProblem) -> tuple[float, float]:
+    """(||A||, L = 2 ||A||^2) of p (see OperatorConstants), computed on the
+    first call and kept on the immutable problem; the smooth oracle and
+    solver read only these, so they never pay for M.
+
+    G is the sum of the blocks' Gram matrices, each on its own variables,
+    and ||A||^2 is its largest eigenvalue, from one `eigvalsh`, clamped to
+    at most trace(G) = sum ||A_i||_F^2. G costs O(m^2 P + m^3) for m
+    variables and P stored coefficients; the m^3 `eigvalsh` dominates on
+    reductions of SDP pairs (m = 20, one BLAS thread, 2-CPU Xeon: 4-5 ms at
+    230 variables, 60-80 ms at 840, and 0.64-0.71 s at 1850). Raises
+    NonFiniteInput when a constant overflows."""
+    if p._norm is not None:
+        return p._norm
     gram = np.zeros((p.num_vars, p.num_vars))
     table = p._scalars.coeffs
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as NonFiniteInput
         for blk in p._blocks:
             own = gram[blk.vars, blk.vars]
             if blk.coeffs is None:
-                # E_ii and E_ij + E_ji are orthogonal, with spectral norm 1
-                # and squared Frobenius norm their weight
-                spec[blk.vars] = np.maximum(spec[blk.vars], 1.0)
+                # E_ii and E_ij + E_ji are orthogonal, with squared
+                # Frobenius norm their weight
                 own[np.diag_indices_from(own)] += blk.sym.weight
                 continue
-            for k, c in zip(range(blk.vars.start, blk.vars.stop), blk.coeffs):
-                try:
-                    s = norms(SymMatrix(c[blk.sym.gather]))[1]
-                except NonFiniteInput:  # a norm of A_k overflows, so L does
-                    raise NonFiniteInput("operator constants overflow") from None
-                spec[k] = max(spec[k], s)
             # <A_i, A_j> = sum_t weight_t c_it c_jt: every packed product
             # twice, less the diagonal's once; no (k_b, P) temporary
             diag = blk.coeffs[:, blk.sym.weight == 1.0]
             own += 2.0 * (blk.coeffs @ blk.coeffs.T) - diag @ diag.T
-        spec = np.maximum(spec, np.abs(table).max(axis=1, initial=0.0))
         gram += table @ table.T
     fro_total = float(np.trace(gram))
     # a finite 2 trace(G) bounds 2 ||A||^2 and every |G_ij|, so eigvalsh stays finite
     if not (2.0 * fro_total < np.inf and np.isfinite(gram).all()):
         raise NonFiniteInput("operator constants overflow")
     norm_sq = min(float(np.linalg.eigvalsh(gram)[-1]), fro_total)
-    opnorm = float(np.sqrt(norm_sq))
-    # summed in variable order, as a dense problem's M always was
-    spec_total = 0.0
-    for s in spec.tolist():
-        spec_total += s * s
-    p._constants = OperatorConstants(min(float(np.sqrt(spec_total)), opnorm), opnorm,
-                                     2.0 * norm_sq)
+    p._norm = (float(np.sqrt(norm_sq)), 2.0 * norm_sq)
+    return p._norm
+
+
+def constants(p: LmiProblem) -> OperatorConstants:
+    """Subgradient bound M, operator norm ||A|| and L = 2 ||A||^2 (see
+    OperatorConstants), computed on the first call and kept on the
+    immutable problem.
+
+    Computed block by block, so the dense A_i are never built: M from
+    `_spectral_bound`, whose one eigenvalue computation per coefficient
+    runs on two threads where it can, and ||A|| and L from
+    `_operator_norm`. Raises NonFiniteInput when a constant overflows."""
+    if p._constants is None:
+        bound = _spectral_bound(p)
+        opnorm, lipschitz = _operator_norm(p)
+        p._constants = OperatorConstants(min(bound, opnorm), opnorm, lipschitz)
     return p._constants
 
 

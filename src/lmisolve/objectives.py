@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .model import (LinIneqSystem, LmiProblem, _adjoint, _as_vector, _block_adjoint, _clip,
-                    _finite, _residuals, constants)
+                    _finite, _operator_norm, _residuals, constants)
 # lambda_max and project_neg_semidef stay importable here for perfbench's tracer
 from .symlinalg import (EigDecomposition, SymMatrix, _block_top, _positive_part,  # noqa: F401
                         eig_sym, lambda_max, project_neg_semidef)
@@ -156,8 +156,8 @@ def nonsmooth_oracle(p: LmiProblem) -> Oracle:
 
 
 def smooth_oracle(p: LmiProblem) -> Oracle:
-    """Oracle for eval_smooth with (L, M) = (2 ||A||^2, 0)."""
-    return Oracle(lambda x: eval_smooth(p, x), p.num_vars, constants(p).grad_lipschitz, 0.0)
+    """Oracle for eval_smooth with (L, M) = (2 ||A||^2, 0); it computes no M."""
+    return Oracle(lambda x: eval_smooth(p, x), p.num_vars, _operator_norm(p)[1], 0.0)
 
 
 def _gram(rows) -> EigDecomposition:

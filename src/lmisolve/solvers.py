@@ -57,7 +57,9 @@ from .errors import (
     IterationCapReached,
     NonFiniteInput,
 )
-from .model import LinIneqSystem, LmiProblem, _count, _finite, _positive, _vector, constants
+# constants stays importable here for perfbench's tracer
+from .model import (LinIneqSystem, LmiProblem, _count, _finite, _operator_norm,  # noqa: F401
+                    _positive, _vector, constants)
 from .objectives import Oracle, linsys_oracle, nonsmooth_oracle, smooth_oracle
 from .symlinalg import _freeze
 
@@ -469,12 +471,13 @@ def solve_smooth(p: LmiProblem, mu: float, eps: float, cap: int = DEFAULT_CAP,
 
     Each phase runs K = ceil(4 mu ||A||) accelerated steps with
     L = 2 ||A||^2 and restarts from the final point. ||A|| is the exact
-    operator norm from constants(p), the least value the accelerated bound
+    operator norm (see constants), the least value the accelerated bound
     admits, so phases are as short and steps 1/L as long as it allows.
+    The subgradient bound M is not computed.
     """
     _positive("mu", mu)
     oracle = smooth_oracle(p)
-    K = _budget(4.0 * mu * constants(p).opnorm)
+    K = _budget(4.0 * mu * _operator_norm(p)[0])
     return _restart(oracle, x0, eps, cap, _accelerated_steps, oracle.grad_lipschitz, K)
 
 

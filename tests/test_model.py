@@ -1,6 +1,8 @@
 """LMI data model: operator maps, constants, certificates, reductions."""
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,6 +26,7 @@ from lmisolve import (
     eval_smooth,
     gen_lmi,
     mu_of,
+    norms,
     reduce_primal_dual,
     residual_map,
     serialize_lmi,
@@ -349,6 +352,115 @@ class TestConstants:
             c = constants(inst.problem)
             assert c.subgrad_bound <= c.opnorm + 1e-12
             assert c.grad_lipschitz == pytest.approx(2.0 * c.opnorm**2)
+
+
+def dense_bound(p):
+    """M as a dense problem's constants always computed it: the spectral
+    norms of the dense A_i from `norms`, summed in variable order, capped
+    at ||A||."""
+    total = 0.0
+    for a in p.coeffs:
+        s = norms(a)[1]
+        total += s * s
+    return min(float(np.sqrt(total)), constants(p).opnorm)
+
+
+class TestSpectralNormThreads:
+    """M's per-coefficient spectral norms: a dense block of size >= 32
+    takes them from `dsyevd`, with its second half of coefficients on one
+    more thread where OpenBLAS runs one thread per call, and every path
+    gives M the same bits."""
+
+    @staticmethod
+    def started_threads(monkeypatch, blas_threads):
+        """Make `_block_norms` see `blas_threads` OpenBLAS threads, and
+        return the list of threads it starts."""
+        started = []
+
+        class Recorded(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        monkeypatch.setattr(model, "_blas_threads", lambda: blas_threads)
+        monkeypatch.setattr(model.threading, "Thread", Recorded)
+        return started
+
+    def bounds(self, monkeypatch, build):
+        """M of a fresh build() with two threads, with one, and with the
+        dsyevd binding missing, and the number of threads each started."""
+        out = []
+        for blas_threads, binding in ((1, True), (2, True), (1, False)):
+            started = self.started_threads(monkeypatch, blas_threads)
+            if not binding:
+                monkeypatch.setattr(model, "_dsyevd", lambda: None)
+            out.append((constants(build()).subgrad_bound, len(started)))
+        return out
+
+    def test_odd_count_same_bits(self, monkeypatch):
+        # m = 7 splits 3 + 4; n = 40 is above the dsyevd threshold of 32
+        def build():
+            return random_problem(np.random.default_rng(7), 40, 7)
+
+        have = model._dsyevd() is not None
+        (two, started), (one, none), (fallback, _) = self.bounds(monkeypatch, build)
+        assert (started, none) == (int(have), 0)
+        assert two == one == fallback == dense_bound(build())
+        # the bound is below the cap ||A||, so it is the sum itself
+        assert two < constants(build()).opnorm
+
+    def test_stacked_blocks_and_rows_same_bits(self, monkeypatch):
+        def build():
+            rng = np.random.default_rng(8)
+            rows = LmiProblem([[[v]] for v in rng.standard_normal(5)], [[0.0]])
+            return stack([random_problem(rng, 40, 5), rows, random_problem(rng, 33, 5)])
+
+        have = model._dsyevd() is not None
+        (two, started), (one, none), (fallback, _) = self.bounds(monkeypatch, build)
+        assert (started, none) == (2 * int(have), 0)
+        assert two == one == fallback == dense_bound(build())
+
+    def test_no_thread_outlives_constants(self, monkeypatch):
+        started = self.started_threads(monkeypatch, 1)
+        before = threading.active_count()
+        constants(random_problem(np.random.default_rng(9), 40, 3))
+        assert threading.active_count() == before
+        # the fourth coefficient, in the worker's half, has the eigenvalue
+        # 40e307, beyond the float range
+        coeffs = [a.mat for a in random_problem(np.random.default_rng(9), 40, 3).coeffs]
+        p = LmiProblem([*coeffs, np.full((40, 40), 1e307)], np.zeros((40, 40)))
+        with pytest.raises(NonFiniteInput, match="operator constants overflow"):
+            constants(p)
+        assert threading.active_count() == before
+        # M's own check raises, not only the Gram matrix's after it
+        with pytest.raises(NonFiniteInput, match="operator constants overflow"):
+            model._spectral_bound(p)
+        assert threading.active_count() == before
+        assert len(started) == 3 * int(model._dsyevd() is not None)
+        assert not any(t.is_alive() for t in started)
+
+    def test_concurrent_callers_same_bits(self, monkeypatch):
+        # four callers at once, each with its own worker, on two CPUs and a
+        # short switch interval: every M keeps the one-thread bits
+        self.started_threads(monkeypatch, 1)
+        want = [dense_bound(random_problem(np.random.default_rng(s), 40, 5)) for s in range(4)]
+        got = [None] * 4
+
+        def call(s):
+            got[s] = constants(random_problem(np.random.default_rng(s), 40, 5)).subgrad_bound
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(s,)) for s in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert got == want
 
 
 class TestStack:

@@ -20,7 +20,6 @@ from lmisolve import (
     linsys_oracle,
     mu_of,
     nonsmooth_oracle,
-    norms,
     residual_map,
     smooth_oracle,
     solve_smooth,
@@ -280,28 +279,52 @@ class TestFiniteDifferences:
             assert rel <= 1e-4
 
 
+def count_norm_work(monkeypatch):
+    """A list that gains one entry per coefficient whose spectral norm
+    `model._block_norms` computes, on either of its paths."""
+    done = []
+    block_norms = model._block_norms
+
+    def counted(blk):
+        done.extend(range(blk.coeffs.shape[0]))
+        return block_norms(blk)
+
+    monkeypatch.setattr(model, "_block_norms", counted)
+    return done
+
+
 class TestConstantsOnce:
     def test_computed_once_per_problem(self, monkeypatch):
         # the work is counted, not the calls: every oracle factory and
-        # solve_smooth call constants(p), and only the first one computes
-        inst = gen_lmi(6, 3, 1.0, 21)
+        # solve_smooth read the constants, and only the first call computes;
+        # n = 6 takes eigvalsh, n = 40 dsyevd (on two threads where it can)
+        done = count_norm_work(monkeypatch)
+        for n in (6, 40):
+            inst = gen_lmi(n, 3, 1.0, 21)
+            p = inst.problem
+            done.clear()
+            expected = constants(p)
+            assert len(done) == p.num_vars
+            ns, sm = nonsmooth_oracle(p), smooth_oracle(p)
+            for _ in range(2):
+                solve_smooth(p, mu_of(inst.certificate), 1e-6, x0=3.0 * inst.witness)
+            assert len(done) == p.num_vars
+            assert constants(p) is expected
+            assert ns.subgrad_bound == expected.subgrad_bound
+            assert sm.grad_lipschitz == expected.grad_lipschitz
+
+    def test_smooth_solve_computes_no_spectral_norm(self, monkeypatch):
+        # solve_smooth reads ||A|| and L alone, so M's per-coefficient
+        # eigenvalues are never computed; constants(p) computes them later
+        inst = gen_lmi(40, 3, 1.0, 22)
         p = inst.problem
-        calls = []
-
-        def counted(s):
-            calls.append(s)
-            return norms(s)
-
-        monkeypatch.setattr(model, "norms", counted)
-        expected = constants(p)
-        assert len(calls) == p.num_vars
-        ns, sm = nonsmooth_oracle(p), smooth_oracle(p)
-        for _ in range(2):
-            solve_smooth(p, mu_of(inst.certificate), 1e-6, x0=3.0 * inst.witness)
-        assert len(calls) == p.num_vars
-        assert constants(p) is expected
-        assert ns.subgrad_bound == expected.subgrad_bound
-        assert sm.grad_lipschitz == expected.grad_lipschitz
+        done = count_norm_work(monkeypatch)
+        res = solve_smooth(p, mu_of(inst.certificate), 1e-6, x0=3.0 * inst.witness)
+        assert res.iterations > 0
+        assert done == []
+        c = constants(p)
+        assert len(done) == p.num_vars
+        assert c.grad_lipschitz == smooth_oracle(p).grad_lipschitz
 
 
 def eigen_paths(monkeypatch):
