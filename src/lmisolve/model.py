@@ -33,8 +33,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NonFiniteInput
 # lambda_max and norms stay importable here for perfbench's tracer
-from .symlinalg import (_INVIT_MIN_DIM, SymMatrix, _blas_threads, _dsyevd, _freeze,  # noqa: F401
-                        lambda_max, norms)
+from .symlinalg import SymMatrix, _dsyevd, _freeze, lambda_max, norms  # noqa: F401
 
 __all__ = [
     "LmiProblem",
@@ -445,19 +444,17 @@ def _block_norms(blk: _Block) -> np.ndarray:
     `eigvalsh` gives for A_k, bit for bit, or NaN or Inf where they
     overflow.
 
-    On a block of size >= _INVIT_MIN_DIM the eigenvalues come from `dsyevd`
-    with jobz "N", the call behind `eigvalsh`, made through ctypes, which
-    releases the GIL. Where OpenBLAS runs one thread per call, one more
-    thread takes the second half of the coefficients, and it is joined
-    before this returns; where OpenBLAS runs several, a second caller
-    would only compete with them. Each thread unpacks its coefficients
-    into one buffer of its own, exactly symmetric, and `dsyevd` works on
-    it in place. A smaller block, a missing binding and a failed call
-    take `eigvalsh` on the calling thread."""
+    The eigenvalues come from `dsyevd` with jobz "N", the call behind
+    `eigvalsh`, made through ctypes, which releases the GIL, so where the
+    block has two or more coefficients one more thread takes the second
+    half; it is joined before this returns. Each thread unpacks its coefficients into one buffer of
+    its own, exactly symmetric, and `dsyevd` works on it in place. A
+    missing binding or a failed call takes `eigvalsh` on the calling
+    thread."""
     coeffs, gather = blk.coeffs, blk.sym.gather
     k, n = coeffs.shape[0], gather.shape[0]
     out = np.full(k, -1.0)  # -1 marks a norm not yet computed
-    fn = _dsyevd() if n >= _INVIT_MIN_DIM else None
+    fn = _dsyevd()
     if fn is not None:
         def run(lo, hi):
             a, w = np.empty((n, n)), np.empty(n)
@@ -468,15 +465,15 @@ def _block_norms(blk: _Block) -> np.ndarray:
                 if fn(102, b"N", b"L", n, a.ctypes.data, n, w.ctypes.data) == 0:
                     out[i] = np.abs(w).max()
 
-        half = k // 2 if k > 1 and _blas_threads() == 1 else k
-        worker = threading.Thread(target=run, args=(half, k)) if half < k else None
-        if worker is not None:
+        if k > 1:
+            worker = threading.Thread(target=run, args=(k // 2, k))
             worker.start()
-        try:
-            run(0, half)
-        finally:
-            if worker is not None:
+            try:
+                run(0, k // 2)
+            finally:
                 worker.join()
+        else:
+            run(0, k)
     for i in np.flatnonzero(out < 0.0):
         out[i] = np.abs(np.linalg.eigvalsh(coeffs[i][gather])).max()
     return out

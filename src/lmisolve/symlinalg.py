@@ -43,8 +43,7 @@ Their results are deterministic functions of the input but not
 canonical. `lambda_max` and `project_neg_semidef` are built on them.
 
 `model.constants` calls `dsyevd` for eigenvalues alone (jobz "N", as
-`eigvalsh` does) on two threads, and `_blas_threads` tells it whether
-OpenBLAS runs one thread per call.
+`eigvalsh` does) on two threads.
 """
 
 from __future__ import annotations
@@ -192,24 +191,19 @@ def _eigh_top(s) -> tuple[float, np.ndarray]:
     return float(full[-1]), v[:, int(np.argmax(full == full[-1]))]
 
 
-def _openblas(name, restype, *argtypes):
-    """The function `name` with 64-bit integers from the OpenBLAS that
-    numpy's wheels bundle, or None where numpy links another BLAS. It is
-    looked up through the handle of `numpy.linalg._umath_linalg`, which is
-    mapped already, so the lookup loads no library."""
+def _lapacke(name, *argtypes):
+    """LAPACKE's `name` with 64-bit integers, from the OpenBLAS that numpy's
+    wheels bundle, or None where numpy links another LAPACK. It is looked
+    up through the handle of `numpy.linalg._umath_linalg`, which is mapped
+    already, so the lookup loads no library."""
     from numpy.linalg import _umath_linalg
     try:
-        fn = getattr(ctypes.CDLL(_umath_linalg.__file__), f"scipy_{name}64_")
+        fn = getattr(ctypes.CDLL(_umath_linalg.__file__), f"scipy_LAPACKE_{name}64_")
     except (OSError, AttributeError):
         return None
-    fn.argtypes = list(argtypes)
-    fn.restype = restype
+    fn.argtypes = [ctypes.c_int, *argtypes]  # the layout first
+    fn.restype = ctypes.c_int64
     return fn
-
-
-def _lapacke(name, *argtypes):
-    """LAPACKE's `name`, the layout its first argument, or None."""
-    return _openblas(f"LAPACKE_{name}", ctypes.c_int64, ctypes.c_int, *argtypes)
 
 
 _I64, _PTR, _DBL, _CHAR = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_char
@@ -232,18 +226,6 @@ def _dsytrf():
 def _dsyevd():
     # jobz, uplo, n, a, lda, w
     return _lapacke("dsyevd", _CHAR, _CHAR, _I64, _PTR, _I64, _PTR)
-
-
-@functools.cache
-def _get_num_threads():
-    return _openblas("openblas_get_num_threads", ctypes.c_int)
-
-
-def _blas_threads():
-    """The number of threads OpenBLAS runs each call on now (a caller may
-    change it at run time), or None where the binding is missing."""
-    fn = _get_num_threads()
-    return None if fn is None else int(fn())
 
 
 def _dsyevr_rows(s, rng, vu, il, iu, most):

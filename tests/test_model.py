@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -366,45 +367,51 @@ def dense_bound(p):
 
 
 class TestSpectralNormThreads:
-    """M's per-coefficient spectral norms: a dense block of size >= 32
-    takes them from `dsyevd`, with its second half of coefficients on one
-    more thread where OpenBLAS runs one thread per call, and every path
-    gives M the same bits."""
+    """M's per-coefficient spectral norms: each dense block takes them from
+    `dsyevd`, its second half of coefficients on one more thread, and
+    every path gives M the same bits."""
 
     @staticmethod
-    def started_threads(monkeypatch, blas_threads):
-        """Make `_block_norms` see `blas_threads` OpenBLAS threads, and
-        return the list of threads it starts."""
+    def started_threads(monkeypatch, inline=False):
+        """Return the list of threads `_block_norms` starts; with inline,
+        each runs its share on the calling thread when started."""
         started = []
 
         class Recorded(threading.Thread):
             def start(self):
                 started.append(self)
-                super().start()
+                if inline:
+                    self.run()
+                else:
+                    super().start()
 
-        monkeypatch.setattr(model, "_blas_threads", lambda: blas_threads)
-        monkeypatch.setattr(model.threading, "Thread", Recorded)
+            def join(self, timeout=None):
+                if not inline:
+                    super().join(timeout)
+
+        monkeypatch.setattr(model, "threading", SimpleNamespace(Thread=Recorded))
         return started
 
     def bounds(self, monkeypatch, build):
-        """M of a fresh build() with two threads, with one, and with the
-        dsyevd binding missing, and the number of threads each started."""
+        """M of a fresh build() with two threads, on the calling thread
+        alone, and with the dsyevd binding missing, and the number of
+        threads each started."""
         out = []
-        for blas_threads, binding in ((1, True), (2, True), (1, False)):
-            started = self.started_threads(monkeypatch, blas_threads)
+        for inline, binding in ((False, True), (True, True), (False, False)):
+            started = self.started_threads(monkeypatch, inline)
             if not binding:
                 monkeypatch.setattr(model, "_dsyevd", lambda: None)
             out.append((constants(build()).subgrad_bound, len(started)))
         return out
 
     def test_odd_count_same_bits(self, monkeypatch):
-        # m = 7 splits 3 + 4; n = 40 is above the dsyevd threshold of 32
+        # m = 7 splits 3 + 4
         def build():
             return random_problem(np.random.default_rng(7), 40, 7)
 
-        have = model._dsyevd() is not None
-        (two, started), (one, none), (fallback, _) = self.bounds(monkeypatch, build)
-        assert (started, none) == (int(have), 0)
+        have = int(model._dsyevd() is not None)
+        (two, started), (one, inlined), (fallback, none) = self.bounds(monkeypatch, build)
+        assert (started, inlined, none) == (have, have, 0)
         assert two == one == fallback == dense_bound(build())
         # the bound is below the cap ||A||, so it is the sum itself
         assert two < constants(build()).opnorm
@@ -413,15 +420,16 @@ class TestSpectralNormThreads:
         def build():
             rng = np.random.default_rng(8)
             rows = LmiProblem([[[v]] for v in rng.standard_normal(5)], [[0.0]])
-            return stack([random_problem(rng, 40, 5), rows, random_problem(rng, 33, 5)])
+            return stack([random_problem(rng, 40, 5), rows, random_problem(rng, 33, 5),
+                          random_problem(rng, 3, 5)])
 
-        have = model._dsyevd() is not None
-        (two, started), (one, none), (fallback, _) = self.bounds(monkeypatch, build)
-        assert (started, none) == (2 * int(have), 0)
+        have = int(model._dsyevd() is not None)
+        (two, started), (one, inlined), (fallback, none) = self.bounds(monkeypatch, build)
+        assert (started, inlined, none) == (3 * have, 3 * have, 0)
         assert two == one == fallback == dense_bound(build())
 
     def test_no_thread_outlives_constants(self, monkeypatch):
-        started = self.started_threads(monkeypatch, 1)
+        started = self.started_threads(monkeypatch)
         before = threading.active_count()
         constants(random_problem(np.random.default_rng(9), 40, 3))
         assert threading.active_count() == before
@@ -439,10 +447,9 @@ class TestSpectralNormThreads:
         assert len(started) == 3 * int(model._dsyevd() is not None)
         assert not any(t.is_alive() for t in started)
 
-    def test_concurrent_callers_same_bits(self, monkeypatch):
+    def test_concurrent_callers_same_bits(self):
         # four callers at once, each with its own worker, on two CPUs and a
         # short switch interval: every M keeps the one-thread bits
-        self.started_threads(monkeypatch, 1)
         want = [dense_bound(random_problem(np.random.default_rng(s), 40, 5)) for s in range(4)]
         got = [None] * 4
 

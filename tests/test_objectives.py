@@ -279,51 +279,60 @@ class TestFiniteDifferences:
             assert rel <= 1e-4
 
 
-def count_norm_work(monkeypatch):
-    """A list that gains one entry per coefficient whose spectral norm
-    `model._block_norms` computes, on either of its paths."""
+def count_eigen_work(monkeypatch):
+    """A list that gains "dsyevd" for each call `model` makes to LAPACK's
+    dsyevd, and "eigvalsh" for each `np.linalg.eigvalsh` call."""
     done = []
-    block_norms = model._block_norms
+    dsyevd, eigvalsh = model._dsyevd(), np.linalg.eigvalsh
 
-    def counted(blk):
-        done.extend(range(blk.coeffs.shape[0]))
-        return block_norms(blk)
+    def counted_dsyevd(*args):
+        done.append("dsyevd")
+        return dsyevd(*args)
 
-    monkeypatch.setattr(model, "_block_norms", counted)
+    def counted_eigvalsh(a, *args, **kwargs):
+        done.append("eigvalsh")
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(model, "_dsyevd", lambda: None if dsyevd is None else counted_dsyevd)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     return done
 
 
 class TestConstantsOnce:
     def test_computed_once_per_problem(self, monkeypatch):
         # the work is counted, not the calls: every oracle factory and
-        # solve_smooth read the constants, and only the first call computes;
-        # n = 6 takes eigvalsh, n = 40 dsyevd (on two threads where it can)
-        done = count_norm_work(monkeypatch)
+        # solve_smooth read the constants, and only the first call computes:
+        # one dsyevd per coefficient (eigvalsh where the binding is
+        # missing), then one eigvalsh of the Gram matrix for ||A||
+        per_coeff = "eigvalsh" if model._dsyevd() is None else "dsyevd"
+        done = count_eigen_work(monkeypatch)
         for n in (6, 40):
             inst = gen_lmi(n, 3, 1.0, 21)
             p = inst.problem
             done.clear()
             expected = constants(p)
-            assert len(done) == p.num_vars
+            assert done == [per_coeff] * p.num_vars + ["eigvalsh"]
             ns, sm = nonsmooth_oracle(p), smooth_oracle(p)
             for _ in range(2):
                 solve_smooth(p, mu_of(inst.certificate), 1e-6, x0=3.0 * inst.witness)
-            assert len(done) == p.num_vars
+            assert len(done) == p.num_vars + 1
             assert constants(p) is expected
             assert ns.subgrad_bound == expected.subgrad_bound
             assert sm.grad_lipschitz == expected.grad_lipschitz
 
     def test_smooth_solve_computes_no_spectral_norm(self, monkeypatch):
-        # solve_smooth reads ||A|| and L alone, so M's per-coefficient
-        # eigenvalues are never computed; constants(p) computes them later
+        # solve_smooth reads ||A|| and L alone: its one eigvalsh is the
+        # Gram matrix's, and M's per-coefficient eigenvalues are computed
+        # only when constants(p) asks
+        per_coeff = "eigvalsh" if model._dsyevd() is None else "dsyevd"
         inst = gen_lmi(40, 3, 1.0, 22)
         p = inst.problem
-        done = count_norm_work(monkeypatch)
+        done = count_eigen_work(monkeypatch)
         res = solve_smooth(p, mu_of(inst.certificate), 1e-6, x0=3.0 * inst.witness)
         assert res.iterations > 0
-        assert done == []
+        assert done == ["eigvalsh"]
         c = constants(p)
-        assert len(done) == p.num_vars
+        assert done == ["eigvalsh"] + [per_coeff] * p.num_vars
         assert c.grad_lipschitz == smooth_oracle(p).grad_lipschitz
 
 
