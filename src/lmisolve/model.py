@@ -578,11 +578,15 @@ def validate_certificate(p: LmiProblem, cert: SlaterCertificate, tol: float = 1e
     A(d) - B passes when level I - S is positive definite, that is, when
     `np.linalg.cholesky` factors it; a failed factorization means False.
     The 1 x 1 rows pass when their largest value is below level. At the
-    exact boundary lambda_max = -sigma + tol the answer is False."""
+    exact boundary lambda_max = -sigma + tol the answer is False. A NaN tol
+    raises InvalidParameter: `cholesky` factors a NaN diagonal without
+    raising, so it would pass every block."""
+    level = tol - cert.margin
+    if np.isnan(level):
+        raise InvalidParameter(f"tol must be a number, got {tol}")
     d = _as_vector(cert.point, p.num_vars, "certificate point")
     with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteInput
         mats, scalars = _residuals(p, d)
-    level = tol - cert.margin
     if not (scalars < level).all():
         return False
     for s in mats:

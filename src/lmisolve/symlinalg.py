@@ -22,13 +22,13 @@ works on a copy, and where its symbol is missing or a call fails the
 kernel takes numpy's own routine instead, on the intact block. Blocks
 below size 32 use numpy's routines throughout.
 
-`_top_eigpair` finds the top eigenvalue and one eigenvector for it. On
-blocks of size 32 and up it takes both from one `dsyevr` call
-(`_dsyevr_top`): a tridiagonal reduction, then only the top two
-eigenvalues and the top vector; the fallback is `eigvalsh` and inverse
-iteration (at most two LU solves). `_block_top` gives the non-smooth
-oracle the top eigenvalue of a block and finds a vector only for the block
-that needs one.
+`_block_top` gives the non-smooth oracle the top eigenvalue of a block and
+finds a vector only for the block that needs one. On blocks of size 32 and
+up it takes both from one `dsyevr` call (`_dsyevr_top`): a tridiagonal
+reduction, then only the top two eigenvalues and the top vector. The
+fallback, and the route of smaller blocks, is `eigvalsh` for the value and,
+for the block that needs a vector, the first top column of one `eigh`
+(`_eigh_top`).
 
 `_positive_part` gives the smooth oracle the positive eigenvalues and the
 positive part V+ diag(w+) V+^T. On blocks of size 32 and up it first
@@ -40,7 +40,9 @@ direct `dsyevd` call, the routine behind `np.linalg.eigh`, gives `eigh`'s
 eigenpairs bit for bit for less overhead. The fallback is one `eigh`.
 
 Their results are deterministic functions of the input but not
-canonical. `lambda_max` and `project_neg_semidef` are built on them.
+canonical. `lambda_max` takes its pair as `_block_top` does, from
+`_dsyevr_top` or else from one `eigh`; `project_neg_semidef` is built on
+`_positive_part`.
 
 `model.constants` calls `dsyevd` for eigenvalues alone (jobz "N", as
 `eigvalsh` does) on two threads.
@@ -69,23 +71,17 @@ __all__ = [
 # as numerical noise when fixing the sign convention.
 _SIGN_EPS = 1e-12
 
-# Blocks smaller than this take their top eigenvector from one `eigh`: at
-# n = 20 neither inverse iteration nor `dsyevr` is faster, and their
-# vectors carry roundoff where `eigh` returns exact zeros (a diagonal
-# block, for example).
-_INVIT_MIN_DIM = 32
+# Blocks smaller than this take numpy's routines throughout: at n = 20 one
+# `dsyevr` call took 0.065 ms against 0.063 ms for `eigh`, and its vectors
+# carry roundoff where `eigh` returns exact zeros (a diagonal block, for
+# example).
+_LAPACKE_MIN_DIM = 32
 # From that size, a block with at most n // _FEW_POSITIVE positive
 # eigenvalues takes them alone from `dsyevr`; more take a full `dsyevd`.
 # On random spectra at n = 300 (one BLAS thread), `dsyevr` took 3.6 ms for
 # k = 0 of them, 9.8 ms for k = 31 and 12.2 ms for k = 37, against 12.5 ms
 # for `dsyevd`; at n = 60 and 150 the two cross near n / 8 as well.
 _FEW_POSITIVE = 8
-# Inverse iteration shifts by this much above the top eigenvalue, and keeps
-# its vector v only if ||S v - lambda v|| is at most _INVIT_RESIDUAL; both
-# are relative to the spectral radius of S. That residual also bounds
-# lambda - v^T S v, the error of the Rayleigh quotient.
-_INVIT_SHIFT = 1e-12
-_INVIT_RESIDUAL = 1e-10
 
 
 def _freeze(a):
@@ -152,35 +148,6 @@ def _canonical_signs(v):
     signs = np.sign(v[lead, np.arange(v.shape[1])])
     signs[signs == 0.0] = 1.0
     return v * signs
-
-
-def _inverse_iteration(s, w):
-    """Unit top eigenvector of s by at most two solves with
-    S - (lambda + delta) I from a fixed start vector, or None when they fail
-    or the residual bound is still missed after the second. The bound is
-    checked after each solve: after the first the relative residual is
-    about delta / |<u, v0>| for the top eigenvector u and the unit start v0,
-    so the second runs only when v0 is nearly orthogonal to u. w holds all
-    eigenvalues of s, ascending, with w[-1] > w[-2]."""
-    n = w.shape[0]
-    radius = max(w[-1], -w[0])
-    # scaled to spectral radius 1, so the solves cannot overflow
-    shifted = s / radius
-    shifted.flat[:: n + 1] -= w[-1] / radius + _INVIT_SHIFT
-    v = 0.5 + (np.arange(n) * 0.6180339887498949) % 1.0
-    for _ in range(2):
-        try:
-            v = np.linalg.solve(shifted, v)
-        except np.linalg.LinAlgError:  # the shift met an eigenvalue exactly
-            return None
-        size = np.linalg.norm(v)
-        if not 0.0 < size < np.inf:
-            return None
-        v = v / size
-        # (S - lambda I) v / radius = shifted v + delta v
-        if np.linalg.norm(shifted @ v + _INVIT_SHIFT * v) <= _INVIT_RESIDUAL:
-            return v
-    return None
 
 
 def _eigh_top(s) -> tuple[float, np.ndarray]:
@@ -271,43 +238,19 @@ def _dsyevr_top(s):
     return float(w[1]), z[1]
 
 
-def _top_eigpair(s, w=None) -> tuple[float, np.ndarray]:
-    """Largest eigenvalue of the symmetric ndarray s and a unit eigenvector
-    for it. w, if given, holds all eigenvalues of s in ascending order (from
-    `np.linalg.eigvalsh`), and the value returned is w[-1].
-
-    A block of size >= _INVIT_MIN_DIM gets both from `_dsyevr_top` unless w
-    is given. Where that fails, or w is given, a simple top eigenvalue gets
-    `_inverse_iteration`'s vector. Smaller blocks, a repeated top and a
-    missed residual bound fall back to the column of one full `eigh`
-    (`_eigh_top`)."""
-    if s.shape[0] >= _INVIT_MIN_DIM:
-        if w is None:
-            pair = _dsyevr_top(s)
-            if pair is not None:
-                return pair
-            w = np.linalg.eigvalsh(s)
-        if w[-2] < w[-1]:
-            v = _inverse_iteration(s, w)
-            if v is not None:
-                return float(w[-1]), v
-    top, v = _eigh_top(s)
-    return (top if w is None else float(w[-1])), v
-
-
 def _block_top(s):
     """Largest eigenvalue of the symmetric ndarray s, and a function that
-    returns the unit eigenvector `_top_eigpair(s)` gives for it. A block of
-    size >= _INVIT_MIN_DIM gets both at once from `_dsyevr_top`, for less
-    than `eigvalsh` alone costs at n = 300; a smaller block, or one that
-    `dsyevr` fails on, gets its eigenvalues from `eigvalsh` and finds the
-    vector only when the function is called."""
-    if s.shape[0] >= _INVIT_MIN_DIM:
+    returns a unit eigenvector for it. A block of size >= _LAPACKE_MIN_DIM
+    gets both at once from `_dsyevr_top`, for less than `eigvalsh` alone
+    costs at n = 300; a smaller block, or one that `dsyevr` fails on, gets
+    its eigenvalues from `eigvalsh` and the vector, only when the function
+    is called, from `_eigh_top`."""
+    if s.shape[0] >= _LAPACKE_MIN_DIM:
         pair = _dsyevr_top(s)
         if pair is not None:
             return pair[0], lambda: pair[1]
     w = np.linalg.eigvalsh(s)
-    return float(w[-1]), lambda: _top_eigpair(s, w)[1]
+    return float(w[-1]), lambda: _eigh_top(s)[1]
 
 
 def _positive_count(s):
@@ -373,10 +316,10 @@ def _eigenpairs_above_zero(s):
 def _positive_part(s) -> tuple[np.ndarray, np.ndarray]:
     """The positive eigenvalues of the symmetric ndarray s (ascending) and
     its positive part P+ = V+ diag(w+) V+^T over them. A block of size
-    >= _INVIT_MIN_DIM takes them from `_eigenpairs_above_zero`; a smaller
+    >= _LAPACKE_MIN_DIM takes them from `_eigenpairs_above_zero`; a smaller
     block, or one where that fails, from one `eigh`. P+ is exactly 0 when
     no eigenvalue is positive."""
-    pairs = _eigenpairs_above_zero(s) if s.shape[0] >= _INVIT_MIN_DIM else None
+    pairs = _eigenpairs_above_zero(s) if s.shape[0] >= _LAPACKE_MIN_DIM else None
     w, v = np.linalg.eigh(s) if pairs is None else pairs
     cut = int(np.searchsorted(w, 0.0, side="right"))
     side = v[:, cut:]
@@ -409,7 +352,8 @@ def lambda_max(s: SymMatrix) -> tuple[float, np.ndarray]:
     first standard basis vector).
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _no_overflow
-        top, v = _top_eigpair(s.mat)
+        pair = _dsyevr_top(s.mat) if s.dim >= _LAPACKE_MIN_DIM else None
+        top, v = _eigh_top(s.mat) if pair is None else pair
     _no_overflow(top, v)
     return top, _freeze(_canonical_signs(v[:, None])[:, 0])
 

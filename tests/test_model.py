@@ -234,6 +234,16 @@ class TestCertificateCheck:
         for margin in (middle, 1000.0):
             assert validate_certificate(p, SlaterCertificate(d, margin)) is False
 
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_nan_tol_raises(self, n):
+        # a NaN level diagonal does not stop cholesky, so without the check
+        # a dense block would pass even at margin 1000
+        inst = gen_lmi(n, 3, 1.0, 0)
+        cert = SlaterCertificate(inst.certificate.point, 1000.0)
+        assert not validate_certificate(inst.problem, cert, 0.0)
+        with pytest.raises(InvalidParameter, match="tol"):
+            validate_certificate(inst.problem, cert, float("nan"))
+
     def test_computes_no_eigenvalues(self, monkeypatch):
         inst = gen_lmi(40, 4, 1.0, 5)
         p = stack([inst.problem, scalar_row(inst.problem, inst.certificate.point, -2.0)])

@@ -338,8 +338,7 @@ class TestConstantsOnce:
 
 def eigen_paths(monkeypatch):
     """Run a loop body on both paths that blocks of size >= 32 take: with
-    the dsyevr binding, then with it missing (eigvalsh and inverse
-    iteration)."""
+    the dsyevr binding, then with it missing (eigvalsh and one eigh)."""
     yield
     monkeypatch.setattr(symlinalg, "_dsyevr", lambda: None)
     yield
@@ -355,8 +354,8 @@ def block_reference(prob, x):
 
 
 class TestLargeBlocks:
-    """Above the crossover where `dsyevr` (or, without it, inverse
-    iteration) takes over, both oracles agree with values and gradients
+    """Above the crossover where `dsyevr` (or, without it, eigvalsh and
+    one eigh) takes over, both oracles agree with values and gradients
     built from one `np.linalg.eigh` of A(x) - B."""
 
     def test_match_eigh_reference(self, monkeypatch):

@@ -19,10 +19,6 @@ from lmisolve import symlinalg
 RT2 = math.sqrt(2.0)
 
 
-def singular_solve(a, b):
-    raise np.linalg.LinAlgError("Singular matrix")
-
-
 DSYEVR = symlinalg._dsyevr()
 needs_binding = pytest.mark.skipif(DSYEVR is None, reason="this numpy has no scipy_LAPACKE_dsyevr64_")
 needs_lapack = pytest.mark.skipif(
@@ -239,8 +235,8 @@ class TestOverflowingSpectrum:
     @pytest.mark.parametrize("n, entry", [(2, 1.5e308), (40, 1e307)])
     def test_raises_named_overflow(self, kernel, n, entry):
         # the top eigenvalue n * entry is beyond the float range; n = 40
-        # takes lambda_max through dsyevr (or inverse iteration where the
-        # binding is missing)
+        # takes lambda_max through dsyevr (or one eigh where the binding is
+        # missing)
         with pytest.raises(NonFiniteInput, match="eigenvalues or norms of the matrix overflow"):
             kernel(SymMatrix(np.full((n, n), entry)))
 
@@ -267,6 +263,11 @@ def with_spectrum(rng, w):
     return 0.5 * (s + s.T)
 
 
+def signed(v):
+    """v with lambda_max's canonical sign."""
+    return symlinalg._canonical_signs(v[:, None])[:, 0]
+
+
 def top_space(s, tol):
     """Reference eigenvectors (from np.linalg.eigh) of the eigenvalues within
     tol of the largest."""
@@ -275,24 +276,26 @@ def top_space(s, tol):
 
 
 class TestTopEigpair:
-    """`_top_eigpair` against an `np.linalg.eigh` reference, on both sides of
-    the size where `dsyevr` and inverse iteration take over. Given the
-    eigenvalues w it takes inverse iteration, the path used where the
-    `dsyevr` binding is missing; without them, `dsyevr`."""
+    """`_block_top`, the non-smooth oracle's per-block entry, and
+    `lambda_max` against an `np.linalg.eigh` reference, on both sides of the
+    size where `dsyevr` takes over. Below it, or where the binding is
+    missing or fails, both take numpy's routines: `_block_top` the top of
+    `eigvalsh` and the first top column of one `eigh`, `lambda_max` the
+    pair of that `eigh`."""
 
-    SIZES = (5, symlinalg._INVIT_MIN_DIM - 1, symlinalg._INVIT_MIN_DIM, 60, 150)
+    SIZES = (5, symlinalg._LAPACKE_MIN_DIM - 1, symlinalg._LAPACKE_MIN_DIM, 60, 150)
 
     def check(self, s, gap_tol):
         w = np.linalg.eigvalsh(s)
         radius = max(np.abs(w).max(), 1e-300)
-        given = symlinalg._top_eigpair(s, w)
-        assert given[0] == w[-1]
-        # dsyevr's top may differ from eigvalsh's in the last bits
-        alone = symlinalg._top_eigpair(s)
-        assert abs(alone[0] - w[-1]) <= 1e-13 * radius
-        for top, v in (given, alone):
+        top, vector = symlinalg._block_top(s)
+        if s.shape[0] < symlinalg._LAPACKE_MIN_DIM:
+            assert top == w[-1]
+        for val, v in ((top, vector()), lambda_max(SymMatrix(s))):
+            # dsyevr's and eigh's tops may differ from eigvalsh's in the last bits
+            assert abs(val - w[-1]) <= 1e-13 * radius
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
-            assert np.linalg.norm(s @ v - top * v) <= symlinalg._INVIT_RESIDUAL * radius
+            assert np.linalg.norm(s @ v - val * v) <= 1e-10 * radius
             # v lies in the reference eigenspace of the top eigenvalue(s)
             assert np.linalg.norm(top_space(s, gap_tol).T @ v) == pytest.approx(1.0, abs=1e-9)
 
@@ -305,57 +308,7 @@ class TestTopEigpair:
                 # the public function agrees up to its canonical sign
                 val, vec = lambda_max(SymMatrix(s))
                 assert val == pytest.approx(np.linalg.eigvalsh(s)[-1], rel=1e-14)
-                assert abs(float(vec @ symlinalg._top_eigpair(s)[1])) == pytest.approx(1.0)
-
-    def test_inverse_iteration_runs_above_crossover(self):
-        rng = np.random.default_rng(12)
-        s = rand_sym(rng, symlinalg._INVIT_MIN_DIM).mat
-        assert symlinalg._inverse_iteration(s, np.linalg.eigvalsh(s)) is not None
-
-    @pytest.mark.parametrize("start_share, solves", [(None, 1), (1e-6, 2)],
-                             ids=["generic-start", "start-nearly-orthogonal"])
-    def test_inverse_iteration_solve_count(self, monkeypatch, start_share, solves):
-        # after one solve the residual is about delta ||v0|| / |<u, v0>| for
-        # the top eigenvector u, so it meets the bound at once unless the
-        # start vector v0 is nearly orthogonal to u
-        rng = np.random.default_rng(15)
-        n = 40
-        if start_share is None:
-            s = rand_sym(rng, n).mat
-        else:
-            v0 = 0.5 + (np.arange(n) * 0.6180339887498949) % 1.0
-            v0 /= np.linalg.norm(v0)
-            u = rng.standard_normal(n)
-            u -= (u @ v0) * v0
-            u = u / np.linalg.norm(u) + start_share * v0
-            q, _ = np.linalg.qr(np.column_stack([u, rng.standard_normal((n, n - 1))]))
-            s = (q * np.concatenate([[1.0], rng.uniform(-1.0, 0.5, n - 1)])) @ q.T
-            s = 0.5 * (s + s.T)
-        calls = []
-        solve = np.linalg.solve
-
-        def counted(a, b):
-            calls.append(b)
-            return solve(a, b)
-
-        monkeypatch.setattr(np.linalg, "solve", counted)
-        w = np.linalg.eigvalsh(s)
-        v = symlinalg._inverse_iteration(s, w)
-        assert len(calls) == solves
-        assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
-        radius = max(w[-1], -w[0])
-        assert np.linalg.norm(s @ v - w[-1] * v) <= symlinalg._INVIT_RESIDUAL * radius
-
-    @pytest.mark.parametrize("solve", [singular_solve, lambda a, b: np.zeros_like(b)],
-                             ids=["solve-raises", "solve-returns-zeros"])
-    def test_failed_solve_falls_back_to_eigh(self, monkeypatch, solve):
-        # a shift that meets an eigenvalue exactly, or a solve with no
-        # vector to normalize, leaves the top eigenpair to one full eigh
-        s = rand_sym(np.random.default_rng(17), 40).mat
-        w = np.linalg.eigvalsh(s)
-        monkeypatch.setattr(np.linalg, "solve", solve)
-        assert symlinalg._inverse_iteration(s, w) is None
-        self.check(s, 0.0)
+                assert abs(float(vec @ symlinalg._block_top(s)[1]())) == pytest.approx(1.0)
 
     def test_top_gap_1e10(self):
         rng = np.random.default_rng(13)
@@ -363,8 +316,6 @@ class TestTopEigpair:
             rest = rng.uniform(-1.0, 0.9, n - 2)
             s = with_spectrum(rng, np.concatenate([[1.0, 1.0 - 1e-10], rest]))
             self.check(s, 1e-9)
-            if n >= symlinalg._INVIT_MIN_DIM:
-                assert symlinalg._inverse_iteration(s, np.linalg.eigvalsh(s)) is not None
 
     def test_repeated_top(self):
         rng = np.random.default_rng(14)
@@ -375,13 +326,15 @@ class TestTopEigpair:
             # the canonical order
             s = np.diag(np.concatenate([rest, [1.0, 1.0]]))
             w_ref, v_ref = np.linalg.eigh(s)
-            for top, v in (symlinalg._top_eigpair(s, np.linalg.eigvalsh(s)),
-                           symlinalg._top_eigpair(s)):
-                assert top == 1.0
-                assert v.tobytes() == v_ref[:, np.flatnonzero(w_ref == 1.0)[0]].tobytes()
+            first = v_ref[:, np.flatnonzero(w_ref == 1.0)[0]]
+            top, vector = symlinalg._block_top(s)
+            val, vec = lambda_max(SymMatrix(s))
+            assert top == val == 1.0
+            assert vector().tobytes() == first.tobytes()
+            assert vec.tobytes() == signed(first).tobytes()
 
     @needs_binding
-    @pytest.mark.parametrize("n", [symlinalg._INVIT_MIN_DIM, 60])
+    @pytest.mark.parametrize("n", [symlinalg._LAPACKE_MIN_DIM, 60])
     def test_dsyevr_tie_takes_first_column(self, n):
         # on an exact tie dsyevr returns the last tied column (e_n for these
         # two); the kernel returns the first, as eigh and eig_sym order them
@@ -401,37 +354,47 @@ class TestTopEigpair:
             w = np.linalg.eigvalsh(s)
             top, v = symlinalg._dsyevr_top(s)
             assert abs(top - w[-1]) <= 1e-13 * np.abs(w).max()
-            assert np.linalg.norm(s @ v - top * v) <= symlinalg._INVIT_RESIDUAL * np.abs(w).max()
+            assert np.linalg.norm(s @ v - top * v) <= 1e-10 * np.abs(w).max()
 
     @pytest.mark.parametrize("binding", [None, failing_binding],
                              ids=["binding-missing", "binding-fails"])
-    def test_dsyevr_unavailable_takes_inverse_iteration(self, monkeypatch, binding):
+    def test_dsyevr_unavailable_takes_eigh(self, monkeypatch, binding):
         # a missing symbol, or info != 0 from a call that has overwritten its
-        # matrix, leaves the intact block to eigvalsh and inverse iteration
+        # matrix, leaves the intact block to eigvalsh for the top and one
+        # eigh for the vector; lambda_max takes that eigh's pair
         monkeypatch.setattr(symlinalg, "_dsyevr", lambda: binding)
         rng = np.random.default_rng(19)
-        for n in (symlinalg._INVIT_MIN_DIM, 60, 150):
+        for n in (symlinalg._LAPACKE_MIN_DIM, 60, 150):
             s = rand_sym(rng, n).mat
             kept = s.copy()
             assert symlinalg._dsyevr_top(s) is None
-            want = symlinalg._top_eigpair(kept, np.linalg.eigvalsh(kept))
+            w = np.linalg.eigvalsh(kept)
+            w_ref, v_ref = np.linalg.eigh(kept)
+            first = v_ref[:, np.flatnonzero(w_ref == w_ref[-1])[0]]
             top, vector = symlinalg._block_top(s)
-            for got in (symlinalg._top_eigpair(s), (top, vector())):
-                assert got[0] == want[0]
-                assert got[1].tobytes() == want[1].tobytes()
+            assert top == w[-1]
+            assert vector().tobytes() == first.tobytes()
+            val, vec = lambda_max(SymMatrix(s))
+            assert val == w_ref[-1]
+            assert vec.tobytes() == signed(first).tobytes()
             assert s.tobytes() == kept.tobytes()
 
     def test_block_top_matches_top_eigpair(self):
-        # the non-smooth oracle's per-block entry: from size 32 the pair of
-        # _top_eigpair(s), below it eigvalsh's top and the vector for it
+        # the oracle's per-block entry and lambda_max find the same top
+        # eigenpair: from size 32 both take dsyevr's, below it _block_top
+        # takes eigvalsh's top and the column of lambda_max's eigh
         rng = np.random.default_rng(21)
         for n in self.SIZES:
             s = rand_sym(rng, n).mat
             w = np.linalg.eigvalsh(s)
             top, vector = symlinalg._block_top(s)
-            want = symlinalg._top_eigpair(s, None if n >= symlinalg._INVIT_MIN_DIM else w)
-            assert top == want[0]
-            assert vector().tobytes() == want[1].tobytes()
+            val, vec = lambda_max(SymMatrix(s))
+            if n >= symlinalg._LAPACKE_MIN_DIM and DSYEVR is not None:
+                assert top == val
+            else:
+                assert top == w[-1]
+                assert abs(top - val) <= 1e-13 * np.abs(w).max()
+            assert vec.tobytes() == signed(vector()).tobytes()
 
     @needs_binding
     def test_dsyevr_leaves_input_intact(self):
@@ -444,34 +407,23 @@ class TestTopEigpair:
     def test_zero_matrix(self):
         for n in self.SIZES:
             z = np.zeros((n, n))
-            for w in (None, np.linalg.eigvalsh(z)):
-                top, v = symlinalg._top_eigpair(z, w)
-                assert top == 0.0
-                np.testing.assert_array_equal(np.abs(v), np.eye(n)[0])
+            top, vector = symlinalg._block_top(z)
+            assert top == 0.0
+            np.testing.assert_array_equal(np.abs(vector()), np.eye(n)[0])
             val, vec = lambda_max(SymMatrix(z))
             assert val == 0.0
             np.testing.assert_array_equal(vec, np.eye(n)[0])
-
-    def test_forced_fallback(self, monkeypatch):
-        # no inverse-iteration vector passes a negative bound, so each call
-        # takes the column of one full eigh
-        monkeypatch.setattr(symlinalg, "_INVIT_RESIDUAL", -1.0)
-        rng = np.random.default_rng(15)
-        for n in self.SIZES:
-            s = rand_sym(rng, n).mat
-            top, v = symlinalg._top_eigpair(s, np.linalg.eigvalsh(s))
-            assert v.tobytes() == np.linalg.eigh(s)[1][:, -1].tobytes()
 
     def test_repeat_calls_byte_equal(self):
         rng = np.random.default_rng(16)
         for n in self.SIZES:
             s = rand_sym(rng, n).mat
-            w = np.linalg.eigvalsh(s)
-            for first, again in ((symlinalg._top_eigpair(s, w),
-                                  symlinalg._top_eigpair(s.copy(), w.copy())),
-                                 (symlinalg._top_eigpair(s), symlinalg._top_eigpair(s.copy()))):
-                assert first[0] == again[0]
-                assert first[1].tobytes() == again[1].tobytes()
+            first, again = symlinalg._block_top(s), symlinalg._block_top(s.copy())
+            assert first[0] == again[0]
+            assert first[1]().tobytes() == again[1]().tobytes()
+            first, again = lambda_max(SymMatrix(s)), lambda_max(SymMatrix(s.copy()))
+            assert first[0] == again[0]
+            assert first[1].tobytes() == again[1].tobytes()
 
 
 class TestPositivePart:
