@@ -26,14 +26,13 @@ Cholesky factorization per block and computes no eigenvalues.
 
 from __future__ import annotations
 
-import threading
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NonFiniteInput
-# lambda_max and norms stay importable here for perfbench's tracer
-from .symlinalg import SymMatrix, _dsyevd, _freeze, lambda_max, norms  # noqa: F401
+from .symlinalg import SymMatrix, _freeze, _scaled_norm, _spectral_norms
+from .symlinalg import lambda_max, norms  # noqa: F401 (perfbench's tracer wraps them here)
 
 __all__ = [
     "LmiProblem",
@@ -77,7 +76,7 @@ def _vector(x, length, what):
 
 
 def _count(name, value):
-    if not isinstance(value, (int, np.integer)) or value < 1:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise InvalidParameter(f"{name} must be a positive integer, got {value!r}")
     return int(value)
 
@@ -438,58 +437,22 @@ def adjoint_apply(p: LmiProblem, z: SymMatrix) -> np.ndarray:
     return _finite(g, "A^T(Z)")
 
 
-def _block_norms(blk: _Block) -> np.ndarray:
-    """||A_k||_2 for each coefficient A_k of a dense block, in the order of
-    its variables: the largest |lambda| over the eigenvalues that
-    `eigvalsh` gives for A_k, bit for bit, or NaN or Inf where they
-    overflow.
-
-    The eigenvalues come from `dsyevd` with jobz "N", the call behind
-    `eigvalsh`, made through ctypes, which releases the GIL, so where the
-    block has two or more coefficients one more thread takes the second
-    half; it is joined before this returns. Each thread unpacks its coefficients into one buffer of
-    its own, exactly symmetric, and `dsyevd` works on it in place. A
-    missing binding or a failed call takes `eigvalsh` on the calling
-    thread."""
-    coeffs, gather = blk.coeffs, blk.sym.gather
-    k, n = coeffs.shape[0], gather.shape[0]
-    out = np.full(k, -1.0)  # -1 marks a norm not yet computed
-    fn = _dsyevd()
-    if fn is not None:
-        def run(lo, hi):
-            a, w = np.empty((n, n)), np.empty(n)
-            for i in range(lo, hi):
-                # mode="clip": the indices are in range, and it spares take
-                # a buffered copy of `a`
-                np.take(coeffs[i], gather, out=a, mode="clip")
-                if fn(102, b"N", b"L", n, a.ctypes.data, n, w.ctypes.data) == 0:
-                    out[i] = np.abs(w).max()
-
-        if k > 1:
-            worker = threading.Thread(target=run, args=(k // 2, k))
-            worker.start()
-            try:
-                run(0, k // 2)
-            finally:
-                worker.join()
-        else:
-            run(0, k)
-    for i in np.flatnonzero(out < 0.0):
-        out[i] = np.abs(np.linalg.eigvalsh(coeffs[i][gather])).max()
-    return out
-
-
 def _spectral_bound(p: LmiProblem) -> float:
     """sqrt(sum ||A_i||_2^2), summed in variable order, as a dense
     problem's always was. ||A_i||_2 is the largest of A_i's block norms;
-    the dense blocks take theirs from `_block_norms`. Raises NonFiniteInput
-    when a norm overflows."""
+    each dense block unpacks its coefficients for `_spectral_norms`, in the
+    order of its variables. Raises NonFiniteInput when a norm overflows."""
     spec = np.zeros(p.num_vars)
     with np.errstate(over="ignore", invalid="ignore"):  # reported below as NonFiniteInput
         for blk in p._blocks:
             own = spec[blk.vars]
-            # E_ii and E_ij + E_ji have spectral norm 1
-            np.maximum(own, 1.0 if blk.coeffs is None else _block_norms(blk), out=own)
+            coeffs, gather = blk.coeffs, blk.sym.gather
+            # E_ii and E_ij + E_ji have spectral norm 1. A dense block's A_i
+            # is unpacked into the kernel's buffer; mode="clip" (the indices
+            # are in range) spares `take` a buffered copy of it
+            np.maximum(own, 1.0 if coeffs is None else _spectral_norms(
+                gather.shape[0], coeffs.shape[0],
+                lambda i, a: np.take(coeffs[i], gather, out=a, mode="clip")), out=own)
         spec = np.maximum(spec, np.abs(p._scalars.coeffs).max(axis=1, initial=0.0))
     if not np.isfinite(spec).all():
         raise NonFiniteInput("operator constants overflow")
@@ -554,21 +517,10 @@ def constants(p: LmiProblem) -> OperatorConstants:
 
 
 def mu_of(cert: SlaterCertificate) -> float:
-    """Error-bound modulus mu = ||d||_2 / sigma.
-
-    ||d|| is the plain `np.linalg.norm` whenever that lies in
-    [1e-100, 1e100]: there no square of an entry overflows, and those that
-    underflow are negligible. Otherwise d is divided by its largest entry
-    in absolute value before the norm is taken and multiplied back after,
-    so ||d|| is neither inf nor 0 when d is finite and nonzero. mu itself
-    is inf only when ||d|| / sigma exceeds the largest float."""
-    d = cert.point
-    with np.errstate(over="ignore"):
-        size = float(np.linalg.norm(d))
-    if not 1e-100 <= size <= 1e100:
-        scale = float(np.abs(d).max())
-        size = scale * float(np.linalg.norm(d / scale)) if scale > 0.0 else 0.0
-    return size / cert.margin
+    """Error-bound modulus mu = ||d||_2 / sigma, with ||d|| from
+    `_scaled_norm`, so mu is 0 only for d = 0 and inf only when
+    ||d|| / sigma exceeds the largest float."""
+    return _scaled_norm(cert.point) / cert.margin
 
 
 def validate_certificate(p: LmiProblem, cert: SlaterCertificate, tol: float = 1e-9) -> bool:

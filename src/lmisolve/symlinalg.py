@@ -34,24 +34,28 @@ for the block that needs a vector, the first top column of one `eigh`
 positive part V+ diag(w+) V+^T. On blocks of size 32 and up it first
 counts the positive eigenvalues k by Sylvester's law of inertia on one
 Bunch-Kaufman LDL^T (`_positive_count`, about a tenth of an `eigh`). For
-k <= n / 8 one `dsyevr` call computes only the eigenpairs in (0, bound],
-with twice the largest absolute row sum as the bound; for more, one
-direct `dsyevd` call, the routine behind `np.linalg.eigh`, gives `eigh`'s
-eigenpairs bit for bit for less overhead. The fallback is one `eigh`.
+0 < k <= n / 8 one `dsyevr` call computes only the top k eigenpairs, by
+index (n - k + 1 .. n); k = 0 needs no call. For more, one direct `dsyevd`
+call, the routine behind `np.linalg.eigh`, gives `eigh`'s eigenpairs bit
+for bit for less overhead. The fallback, also for a factorization whose D
+holds NaN or Inf, is one `eigh`.
 
 Their results are deterministic functions of the input but not
 canonical. `lambda_max` takes its pair as `_block_top` does, from
 `_dsyevr_top` or else from one `eigh`; `project_neg_semidef` is built on
 `_positive_part`.
 
-`model.constants` calls `dsyevd` for eigenvalues alone (jobz "N", as
-`eigvalsh` does) on two threads.
+`_spectral_norms`, behind `norms` and M in `model.constants`, is the one
+spectral-norm kernel: `dsyevd` for eigenvalues alone (jobz "N", as
+`eigvalsh` runs it) on two threads. `_scaled_norm`, behind `norms` and
+`model.mu_of`, is the one 2-norm rule.
 """
 
 from __future__ import annotations
 
 import ctypes
 import functools
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,10 +81,10 @@ _SIGN_EPS = 1e-12
 # example).
 _LAPACKE_MIN_DIM = 32
 # From that size, a block with at most n // _FEW_POSITIVE positive
-# eigenvalues takes them alone from `dsyevr`; more take a full `dsyevd`.
-# On random spectra at n = 300 (one BLAS thread), `dsyevr` took 3.6 ms for
-# k = 0 of them, 9.8 ms for k = 31 and 12.2 ms for k = 37, against 12.5 ms
-# for `dsyevd`; at n = 60 and 150 the two cross near n / 8 as well.
+# eigenvalues takes them alone from `dsyevr`, by index; more take a full
+# `dsyevd`. On random spectra at n = 300 (one BLAS thread) `dsyevr` took
+# 2.9 ms for k = 1 and 8.3 ms for k = 37, against 8.4 ms for `dsyevd`; at
+# n = 60 and 150 the two cross near n / 8 as well.
 _FEW_POSITIVE = 8
 
 
@@ -195,19 +199,17 @@ def _dsyevd():
     return _lapacke("dsyevd", _CHAR, _CHAR, _I64, _PTR, _I64, _PTR)
 
 
-def _dsyevr_rows(s, rng, vu, il, iu, most):
-    """Eigenvalues (ascending) of the symmetric ndarray s and their unit
-    eigenvectors as rows, from one `dsyevr` call over the value range
-    (0, vu] (rng b"V") or the index range il..iu (rng b"I"), with room for
-    at most `most` of them; None when the binding is missing or the call
-    fails.
+def _dsyevr_rows(s, il, iu):
+    """Eigenvalues il..iu (1-based, ascending) of the symmetric ndarray s
+    and their unit eigenvectors as rows, from one `dsyevr` call over that
+    index range; None when the binding is missing or the call fails.
 
     `dsyevr` overwrites its input, so it works on a copy and s stays intact
     for a fallback."""
     fn = _dsyevr()
     if fn is None:
         return None
-    n = s.shape[0]
+    n, most = s.shape[0], iu - il + 1
     # a C-order copy read column-major (layout 102) is s^T = s, and LAPACKE
     # then works on it in place
     a = np.array(s, dtype=np.float64, order="C")
@@ -215,11 +217,10 @@ def _dsyevr_rows(s, rng, vu, il, iu, most):
     w = np.empty(n)  # dsyevr uses all n entries as workspace
     z = np.empty((most, n))  # column-major n x most
     isuppz = np.empty(2 * most, dtype=np.int64)
-    info = fn(102, b"V", rng, b"L", n, a.ctypes.data, n, 0.0, vu, il, iu, 0.0,
+    info = fn(102, b"V", b"I", b"L", n, a.ctypes.data, n, 0.0, 0.0, il, iu, 0.0,
               found.ctypes.data, w.ctypes.data, z.ctypes.data, n, isuppz.ctypes.data)
-    if info != 0:
-        return None
-    return w[:found[0]], z[:found[0]]
+    # for the index range, found[0] is always iu - il + 1
+    return None if info != 0 else (w[:most], z)
 
 
 def _dsyevr_top(s):
@@ -229,8 +230,8 @@ def _dsyevr_top(s):
     exact tie `dsyevr` returns the last of the tied columns, so a tie takes
     the first one from `_eigh_top` instead."""
     n = s.shape[0]
-    pairs = _dsyevr_rows(s, b"I", 0.0, n - 1, n, 2)
-    if pairs is None or pairs[0].shape[0] != 2:
+    pairs = _dsyevr_rows(s, n - 1, n)
+    if pairs is None:
         return None
     w, z = pairs
     if w[0] == w[1]:
@@ -240,11 +241,9 @@ def _dsyevr_top(s):
 
 def _block_top(s):
     """Largest eigenvalue of the symmetric ndarray s, and a function that
-    returns a unit eigenvector for it. A block of size >= _LAPACKE_MIN_DIM
-    gets both at once from `_dsyevr_top`, for less than `eigvalsh` alone
-    costs at n = 300; a smaller block, or one that `dsyevr` fails on, gets
-    its eigenvalues from `eigvalsh` and the vector, only when the function
-    is called, from `_eigh_top`."""
+    returns a unit eigenvector for it: both from `_dsyevr_top` from size
+    _LAPACKE_MIN_DIM, else `eigvalsh`'s value and, only when the function
+    is called, `_eigh_top`'s vector."""
     if s.shape[0] >= _LAPACKE_MIN_DIM:
         pair = _dsyevr_top(s)
         if pair is not None:
@@ -256,60 +255,98 @@ def _block_top(s):
 def _positive_count(s):
     """Number of positive eigenvalues of the symmetric ndarray s, by
     Sylvester's law of inertia on one Bunch-Kaufman factorization
-    P S P^T = L D L^T (`dsytrf`); None when the binding is missing or the
-    call fails (info > 0 is an exactly singular D). A 1 x 1 pivot counts
-    when it is positive; a 2 x 2 pivot has a negative determinant, so it
-    holds exactly one positive eigenvalue."""
+    P S P^T = L D L^T (`dsytrf`); None when the binding is missing, the
+    call fails (info < 0; info > 0 is an exactly zero pivot, and D is
+    complete), or D's diagonal holds NaN or Inf (from s or an overflow). A
+    1 x 1 pivot counts when it is positive; a 2 x 2 pivot has a negative
+    determinant, so it holds exactly one positive eigenvalue."""
     fn = _dsytrf()
     if fn is None:
         return None
     n = s.shape[0]
     a = np.array(s, dtype=np.float64, order="C")  # dsytrf factors in place
     ipiv = np.empty(n, dtype=np.int64)
-    if fn(102, b"L", n, a.ctypes.data, n, ipiv.ctypes.data) != 0:
+    d = a.diagonal()
+    if fn(102, b"L", n, a.ctypes.data, n, ipiv.ctypes.data) < 0 or not np.isfinite(d).all():
         return None
     # the two rows of a 2 x 2 pivot both hold a negative ipiv
     single = ipiv > 0
     pairs = (n - int(np.count_nonzero(single))) // 2
-    return int(np.count_nonzero(a.diagonal()[single] > 0.0)) + pairs
+    return int(np.count_nonzero(d[single] > 0.0)) + pairs
 
 
-def _dsyevd_eigh(s):
-    """`np.linalg.eigh(s)` bit for bit, from one direct `dsyevd` call, the
-    routine numpy's `eigh` runs; None when the binding is missing or the
-    call fails."""
+def _dsyevd_in_place(a, jobz):
+    """Eigenvalues (ascending) of the symmetric C-order ndarray a from one
+    `dsyevd` call in place, as `eigh` (jobz b"V", leaving the eigenvectors
+    as the rows of a) or `eigvalsh` (b"N") runs it; None where the binding
+    is missing or the call fails."""
     fn = _dsyevd()
     if fn is None:
         return None
-    n = s.shape[0]
-    a = np.array(s, dtype=np.float64, order="C")
+    n = a.shape[0]
     w = np.empty(n)
-    if fn(102, b"V", b"L", n, a.ctypes.data, n, w.ctypes.data) != 0:
-        return None
-    # the rows of a are the eigenvectors; numpy returns them C-contiguous,
-    # and the product that forms P+ keeps its bits only in that layout
-    return w, np.ascontiguousarray(a.T)
+    # a C-order array read column-major (layout 102) is a^T = a
+    return w if fn(102, jobz, b"L", n, a.ctypes.data, n, w.ctypes.data) == 0 else None
+
+
+def _dsyevd_eigh(s):
+    """`np.linalg.eigh(s)` bit for bit, from one direct `dsyevd` call on a
+    copy; None when the binding is missing or the call fails."""
+    a = np.array(s, dtype=np.float64, order="C")
+    w = _dsyevd_in_place(a, b"V")
+    # numpy returns the eigenvectors C-contiguous, and the product that
+    # forms P+ keeps its bits only in that layout
+    return None if w is None else (w, np.ascontiguousarray(a.T))
+
+
+def _spectral_norms(n, k, unpack):
+    """||S_i||_2 for i < k: the largest |lambda| over the eigenvalues that
+    `eigvalsh` gives for the symmetric n x n S_i, bit for bit, or NaN or Inf
+    where they overflow; unpack(i, a) writes S_i, exactly symmetric, into
+    the C-order n x n buffer a. They come from `dsyevd` (jobz "N") through
+    ctypes, which releases the GIL, so for k > 1 one more thread, joined
+    before this returns, takes the second half, each thread with a buffer
+    of its own; a missing binding or a failed call takes `eigvalsh` on the
+    calling thread."""
+    out = np.full(k, -1.0)  # -1 marks a norm not yet computed
+
+    def run(lo, hi):
+        a = np.empty((n, n))
+        for i in range(lo, hi):
+            unpack(i, a)
+            w = _dsyevd_in_place(a, b"N")
+            if w is not None:
+                out[i] = np.abs(w).max()
+
+    if k > 1 and _dsyevd() is not None:
+        worker = threading.Thread(target=run, args=(k // 2, k))
+        worker.start()
+        try:
+            run(0, k // 2)
+        finally:
+            worker.join()
+    else:
+        run(0, k)
+    for i in np.flatnonzero(out < 0.0):
+        a = np.empty((n, n))
+        unpack(i, a)
+        out[i] = np.abs(np.linalg.eigvalsh(a)).max()
+    return out
 
 
 def _eigenpairs_above_zero(s):
     """Eigenvalues (ascending) and eigenvectors, as columns, of the
     symmetric ndarray s that include every positive eigenpair, from LAPACK;
     None where a binding is missing or a call fails. The inertia count k
-    picks the routine: for k <= n // _FEW_POSITIVE, `dsyevr` alone on
-    (0, bound], where bound, twice the largest absolute row sum, exceeds
-    the spectral radius; for more, the full `dsyevd`."""
-    bound = 2.0 * float(np.abs(s).sum(axis=1).max())
-    if not bound < np.inf:  # NaN or Inf entries, or a bound that overflows
-        return None
+    picks the routine: for k <= n // _FEW_POSITIVE, `dsyevr` alone for the
+    top k by index (none at all for k = 0); for more, the full `dsyevd`."""
     k = _positive_count(s)
     if k is None:
         return None
     n = s.shape[0]
     if k > n // _FEW_POSITIVE:
         return _dsyevd_eigh(s)
-    # near 0, dsyevr's own count in the range may differ from k, so z has
-    # room for all n
-    pairs = _dsyevr_rows(s, b"V", bound, 0, 0, n)
+    pairs = _dsyevr_rows(s, n - k + 1, n) if k else (np.empty(0), np.empty((0, n)))
     return None if pairs is None else (pairs[0], pairs[1].T)
 
 
@@ -324,6 +361,20 @@ def _positive_part(s) -> tuple[np.ndarray, np.ndarray]:
     cut = int(np.searchsorted(w, 0.0, side="right"))
     side = v[:, cut:]
     return w[cut:], (side * w[cut:]) @ side.T
+
+
+def _scaled_norm(a) -> float:
+    """The 2-norm of the ndarray a (Frobenius for a matrix): the plain
+    `np.linalg.norm` wherever that lies in [1e-100, 1e100], where no square
+    of an entry overflows and those that underflow are negligible; else
+    that of a divided by its largest |entry|, multiplied back. So it is
+    neither inf nor 0 for a finite nonzero a, unless beyond the float range."""
+    with np.errstate(over="ignore"):
+        size = float(np.linalg.norm(a))
+    if not 1e-100 <= size <= 1e100:
+        scale = float(np.abs(a).max())
+        size = scale * float(np.linalg.norm(a / scale)) if scale > 0.0 else 0.0
+    return size
 
 
 def _no_overflow(*results):
@@ -363,8 +414,8 @@ def project_neg_semidef(s: SymMatrix) -> tuple[SymMatrix, SymMatrix]:
 
     Returns ``(proj, residual)`` with ``proj`` the eigenexpansion over
     min(eigenvalue, 0) and ``residual = s - proj`` the complementary
-    positive part, so ``proj + residual == s`` exactly, ``proj`` is NSD,
-    ``residual`` is PSD and ``<proj, residual> = 0`` up to roundoff.
+    positive part, so ``proj`` is NSD, ``residual`` is PSD, and
+    ``proj + residual = s`` and ``<proj, residual> = 0`` up to roundoff.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _no_overflow
         proj = s.mat - _positive_part(s.mat)[1]
@@ -376,16 +427,12 @@ def project_neg_semidef(s: SymMatrix) -> tuple[SymMatrix, SymMatrix]:
 
 
 def norms(s: SymMatrix) -> tuple[float, float]:
-    """(Frobenius norm, spectral norm) of a symmetric matrix. The Frobenius
-    norm is the square root of the plain sum of squares; where that sum
-    overflows, S is divided by its largest entry in absolute value first
-    and the norm multiplied back after, so only a norm beyond the float
-    range raises NonFiniteInput."""
+    """(Frobenius norm, spectral norm) of a symmetric matrix: `_scaled_norm`
+    of its entries, and the largest |eigenvalue| that `eigvalsh` gives,
+    from `_spectral_norms`. Only a norm beyond the float range raises
+    NonFiniteInput."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _no_overflow
-        fro = float(np.linalg.norm(s.mat))
-        if fro == np.inf:
-            scale = float(np.abs(s.mat).max())
-            fro = scale * float(np.linalg.norm(s.mat / scale))
-        w = np.linalg.eigvalsh(s.mat)
-    _no_overflow(fro, w)
-    return fro, float(np.abs(w).max())
+        fro = _scaled_norm(s.mat)
+        spec = float(_spectral_norms(s.dim, 1, lambda i, a: np.copyto(a, s.mat))[0])
+    _no_overflow(fro, spec)
+    return fro, spec

@@ -27,14 +27,13 @@ from lmisolve import (
     eval_smooth,
     gen_lmi,
     mu_of,
-    norms,
     reduce_primal_dual,
     residual_map,
     serialize_lmi,
     stack,
     validate_certificate,
 )
-from lmisolve import model
+from lmisolve import model, symlinalg
 from lmisolve.model import _adjoint, _residuals
 
 
@@ -136,7 +135,9 @@ class TestCertificate:
         for point, want in (([-1e200], 1e200), ([3e200, 4e200], 5e200),
                             ([3e-200, -4e-200], 5e-200), ([1e308, 1e308], math.sqrt(2.0) * 1e308),
                             ([5e-324, 0.0], 5e-324)):
-            assert mu_of(SlaterCertificate(point, 2.0)) == pytest.approx(want / 2.0, rel=1e-15)
+            got = mu_of(SlaterCertificate(point, 2.0))
+            # abs=0: approx's default abs of 1e-12 would let 0 pass for 2.5e-200
+            assert got == pytest.approx(want / 2.0, rel=1e-15, abs=0.0)
         # only a quotient above the largest float is inf
         assert mu_of(SlaterCertificate([1e154], 1e-160)) == math.inf
 
@@ -367,11 +368,11 @@ class TestConstants:
 
 def dense_bound(p):
     """M as a dense problem's constants always computed it: the spectral
-    norms of the dense A_i from `norms`, summed in variable order, capped
-    at ||A||."""
+    norms of the dense A_i, the largest |eigenvalue| from `eigvalsh`,
+    summed in variable order, capped at ||A||."""
     total = 0.0
     for a in p.coeffs:
-        s = norms(a)[1]
+        s = float(np.abs(np.linalg.eigvalsh(a.mat)).max())
         total += s * s
     return min(float(np.sqrt(total)), constants(p).opnorm)
 
@@ -383,7 +384,7 @@ class TestSpectralNormThreads:
 
     @staticmethod
     def started_threads(monkeypatch, inline=False):
-        """Return the list of threads `_block_norms` starts; with inline,
+        """Return the list of threads `_spectral_norms` starts; with inline,
         each runs its share on the calling thread when started."""
         started = []
 
@@ -399,7 +400,7 @@ class TestSpectralNormThreads:
                 if not inline:
                     super().join(timeout)
 
-        monkeypatch.setattr(model, "threading", SimpleNamespace(Thread=Recorded))
+        monkeypatch.setattr(symlinalg, "threading", SimpleNamespace(Thread=Recorded))
         return started
 
     def bounds(self, monkeypatch, build):
@@ -410,7 +411,7 @@ class TestSpectralNormThreads:
         for inline, binding in ((False, True), (True, True), (False, False)):
             started = self.started_threads(monkeypatch, inline)
             if not binding:
-                monkeypatch.setattr(model, "_dsyevd", lambda: None)
+                monkeypatch.setattr(symlinalg, "_dsyevd", lambda: None)
             out.append((constants(build()).subgrad_bound, len(started)))
         return out
 
@@ -419,7 +420,7 @@ class TestSpectralNormThreads:
         def build():
             return random_problem(np.random.default_rng(7), 40, 7)
 
-        have = int(model._dsyevd() is not None)
+        have = int(symlinalg._dsyevd() is not None)
         (two, started), (one, inlined), (fallback, none) = self.bounds(monkeypatch, build)
         assert (started, inlined, none) == (have, have, 0)
         assert two == one == fallback == dense_bound(build())
@@ -433,7 +434,7 @@ class TestSpectralNormThreads:
             return stack([random_problem(rng, 40, 5), rows, random_problem(rng, 33, 5),
                           random_problem(rng, 3, 5)])
 
-        have = int(model._dsyevd() is not None)
+        have = int(symlinalg._dsyevd() is not None)
         (two, started), (one, inlined), (fallback, none) = self.bounds(monkeypatch, build)
         assert (started, inlined, none) == (3 * have, 3 * have, 0)
         assert two == one == fallback == dense_bound(build())
@@ -454,7 +455,7 @@ class TestSpectralNormThreads:
         with pytest.raises(NonFiniteInput, match="operator constants overflow"):
             model._spectral_bound(p)
         assert threading.active_count() == before
-        assert len(started) == 3 * int(model._dsyevd() is not None)
+        assert len(started) == 3 * int(symlinalg._dsyevd() is not None)
         assert not any(t.is_alive() for t in started)
 
     def test_concurrent_callers_same_bits(self):

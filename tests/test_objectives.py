@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lmisolve import model, symlinalg
+from lmisolve import symlinalg
 from lmisolve import (
     DimensionMismatch,
     LinIneqSystem,
@@ -280,20 +280,23 @@ class TestFiniteDifferences:
 
 
 def count_eigen_work(monkeypatch):
-    """A list that gains "dsyevd" for each call `model` makes to LAPACK's
-    dsyevd, and "eigvalsh" for each `np.linalg.eigvalsh` call."""
+    """A list that gains "dsyevd" for each call to LAPACK's dsyevd for
+    eigenvalues alone (jobz "N", as M's kernel makes; the smooth oracle's
+    calls with vectors are not counted), and "eigvalsh" for each
+    `np.linalg.eigvalsh` call."""
     done = []
-    dsyevd, eigvalsh = model._dsyevd(), np.linalg.eigvalsh
+    dsyevd, eigvalsh = symlinalg._dsyevd(), np.linalg.eigvalsh
 
-    def counted_dsyevd(*args):
-        done.append("dsyevd")
-        return dsyevd(*args)
+    def counted_dsyevd(layout, jobz, *args):
+        if jobz == b"N":
+            done.append("dsyevd")
+        return dsyevd(layout, jobz, *args)
 
     def counted_eigvalsh(a, *args, **kwargs):
         done.append("eigvalsh")
         return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(model, "_dsyevd", lambda: None if dsyevd is None else counted_dsyevd)
+    monkeypatch.setattr(symlinalg, "_dsyevd", lambda: None if dsyevd is None else counted_dsyevd)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     return done
 
@@ -304,7 +307,7 @@ class TestConstantsOnce:
         # solve_smooth read the constants, and only the first call computes:
         # one dsyevd per coefficient (eigvalsh where the binding is
         # missing), then one eigvalsh of the Gram matrix for ||A||
-        per_coeff = "eigvalsh" if model._dsyevd() is None else "dsyevd"
+        per_coeff = "eigvalsh" if symlinalg._dsyevd() is None else "dsyevd"
         done = count_eigen_work(monkeypatch)
         for n in (6, 40):
             inst = gen_lmi(n, 3, 1.0, 21)
@@ -324,7 +327,7 @@ class TestConstantsOnce:
         # solve_smooth reads ||A|| and L alone: its one eigvalsh is the
         # Gram matrix's, and M's per-coefficient eigenvalues are computed
         # only when constants(p) asks
-        per_coeff = "eigvalsh" if model._dsyevd() is None else "dsyevd"
+        per_coeff = "eigvalsh" if symlinalg._dsyevd() is None else "dsyevd"
         inst = gen_lmi(40, 3, 1.0, 22)
         p = inst.problem
         done = count_eigen_work(monkeypatch)

@@ -119,6 +119,20 @@ class TestStepsizes:
             with pytest.raises(InvalidParameter):
                 stepsizes(policy, t)
 
+    def test_bool_is_no_count(self):
+        # True is an int; taken as 1 it would run one step or one iteration
+        p, orc = one_d_problem(), quadratic_oracle()
+        calls = {
+            "t": lambda: stepsizes(HARMONIC, True),
+            "K": lambda: subgradient_phase(orc, [1.0], True, 1.0),
+            "cap": lambda: solve_smooth(p, 1.0, 1e-8, cap=True, x0=[1.0]),
+        }
+        for name, call in calls.items():
+            with pytest.raises(InvalidParameter, match=f"{name} must be a positive integer, got True"):
+                call()
+        with pytest.raises(InvalidParameter, match="K must be a positive integer, got False"):
+            accelerated_phase(orc, 2.0, [1.0], False)
+
     def test_constants_attached(self):
         assert (HARMONIC.c1, HARMONIC.c2) == (2.0, 2.0)
         assert HARMONIC.c3 == pytest.approx(2.0 / math.sqrt(3.0))

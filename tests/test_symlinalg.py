@@ -26,13 +26,13 @@ needs_lapack = pytest.mark.skipif(
     reason="this numpy lacks one of scipy_LAPACKE_{dsyevr,dsytrf,dsyevd}64_")
 
 
-def failing(binding):
-    """A LAPACKE binding made to report a failure (info > 0) after it has
-    overwritten its matrix."""
+def failing(binding, info=1):
+    """A LAPACKE binding made to report a failure (info > 0 by default)
+    after it has overwritten its matrix."""
     def call(*args):
         if binding is not None:
             binding(*args)
-        return 1
+        return info
     return call
 
 
@@ -222,6 +222,27 @@ class TestNorms:
             s = rand_sym(rng, int(rng.integers(1, 25)))
             fro, spec = norms(s)
             assert spec <= fro + 1e-12
+
+    def test_tiny_entries_do_not_underflow(self):
+        # the squares underflow (to 0 or a subnormal), so a plain sum of squares
+        # would give a Frobenius norm below the spectral norm
+        for entry in (1e-200, 1e-160):
+            fro, spec = norms(SymMatrix(np.diag([entry, entry])))
+            assert spec == entry
+            assert fro == pytest.approx(RT2 * entry, rel=1e-15, abs=0.0)
+
+    def test_frobenius_bits_unchanged_on_ordinary_matrices(self):
+        rng = np.random.default_rng(32)
+        for scale in (1e-45, 1e-3, 1.0, 1e45):
+            s = rand_sym(rng, 30, scale)
+            assert norms(s)[0] == float(np.linalg.norm(s.mat))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 40, 300])
+    def test_spectral_is_eigvalsh_bit_for_bit(self, n):
+        rng = np.random.default_rng(33 + n)
+        for scale in (1e-3, 1.0, 1e3):
+            s = rand_sym(rng, n, scale)
+            assert norms(s)[1] == float(np.abs(np.linalg.eigvalsh(s.mat)).max())
 
 
 class TestOverflowingSpectrum:
@@ -428,8 +449,9 @@ class TestTopEigpair:
 
 class TestPositivePart:
     """`_positive_part` against V diag(max(w, 0)) V^T from `np.linalg.eigh`.
-    From size 32 an inertia count picks the routine: `dsyevr` for at most
-    n // 8 positive eigenvalues, a direct `dsyevd` for more."""
+    From size 32 an inertia count k picks the routine: `dsyevr` for the top
+    k eigenpairs by index where k <= n // 8 (no call for k = 0), a direct
+    `dsyevd` for more."""
 
     # each binding, and the positive counts at n = 60 whose branch calls it
     BINDINGS = {"_dsytrf": (2, 30), "_dsyevr": (2,), "_dsyevd": (30,)}
@@ -513,22 +535,23 @@ class TestPositivePart:
     @needs_lapack
     @pytest.mark.parametrize("n", [32, 40, 300])
     def test_branch_by_inertia(self, monkeypatch, n):
-        # n // 8 positive eigenvalues take dsyevr, one more takes dsyevd
+        # n // 8 positive eigenvalues take dsyevr, one more takes dsyevd,
+        # and none take neither
         calls = self.spied(monkeypatch)
         rng = np.random.default_rng(26 + n)
         few = n // symlinalg._FEW_POSITIVE
-        for k, routine in ((few, "_dsyevr_rows"), (few + 1, "_dsyevd_eigh")):
+        for k, routines in ((0, []), (few, ["_dsyevr_rows"]), (few + 1, ["_dsyevd_eigh"])):
             w = np.concatenate([rng.uniform(0.1, 2.0, k), -rng.uniform(0.1, 2.0, n - k)])
             del calls[:]
             pos, _ = self.check(with_spectrum(rng, w))
-            assert calls == [routine]
+            assert calls == routines
             assert pos.shape[0] == k
 
     @needs_lapack
     @pytest.mark.parametrize("n", [32, 40, 300])
-    def test_top_at_row_sum_bound(self, monkeypatch, n):
-        # diag(c, -1, ..., -1): its top eigenvalue c is the largest absolute
-        # row sum, so the range (0, 2 c] that dsyevr searches holds it
+    def test_one_positive_by_index(self, monkeypatch, n):
+        # diag(c, -1, ..., -1): dsyevr takes its one positive eigenpair by
+        # index, at any scale
         calls = self.spied(monkeypatch)
         for c in (1.0, 3.0, 1e150):
             s = np.diag(np.concatenate([[c], -np.ones(n - 1)]))
@@ -544,7 +567,10 @@ class TestPositivePart:
         # a missing symbol, or info != 0 from a call that has overwritten its
         # copy, leaves the intact block to eigh, bit for bit
         rng = np.random.default_rng(27)
-        binding = None if broken == "missing" else failing(getattr(symlinalg, name)())
+        # dsytrf reports a failure with info < 0: info > 0, an exactly zero
+        # pivot, still ends a complete factorization
+        info = -1 if name == "_dsytrf" else 1
+        binding = None if broken == "missing" else failing(getattr(symlinalg, name)(), info)
         monkeypatch.setattr(symlinalg, name, lambda: binding)
         for k in self.BINDINGS[name]:
             s = with_spectrum(rng, np.concatenate([rng.uniform(0.1, 2.0, k),
@@ -556,16 +582,42 @@ class TestPositivePart:
             assert got[1].tobytes() == want[1].tobytes()
 
     def test_nonfinite_block_skips_lapack(self, monkeypatch):
-        # NaN or Inf, or a row-sum bound that overflows, never reaches the
-        # LAPACKE bindings; eigh decides the outcome, as below size 32
+        # NaN or Inf, or an LDL^T whose D overflows, never reaches the
+        # eigenvalue routines: the inertia count gives up on a non-finite
+        # D, and eigh decides the outcome, as below size 32
         calls = []
-        for name in self.BINDINGS:
+        for name in ("_dsyevr", "_dsyevd"):
             monkeypatch.setattr(symlinalg, name, lambda: lambda *args: calls.append(args) or 0)
         s = np.zeros((40, 40))
-        for entry in (np.inf, np.nan, 1e308):
+        for entry in (np.inf, np.nan):
             s[0, 0] = entry
+            assert symlinalg._positive_count(s) is None
             assert symlinalg._eigenpairs_above_zero(s) is None
+        # the first pivot 1e308 leaves -1e308 - 1e308 = -inf in D
+        s[0, 0], s[1, 1], s[0, 1], s[1, 0] = 1e308, -1e308, 1e308, 1e308
+        assert symlinalg._positive_count(s) is None
+        assert symlinalg._eigenpairs_above_zero(s) is None
         assert calls == []
+
+    @needs_lapack
+    def test_exactly_zero_pivot_still_counts(self, monkeypatch):
+        # dsytrf ends these with info 1, an exactly zero 1 x 1 pivot, and
+        # its inertia is exact: they take LAPACK's path, not eigh
+        n = 40
+        cases = [(np.diag(np.concatenate([[0.0, 1.0, 1.0, 1.0], -np.ones(n - 4)])), 3),
+                 (np.zeros((n, n)), 0)]
+        wants = [self.eigh_formula(s) for s, _ in cases]
+        calls = self.spied(monkeypatch)
+        monkeypatch.setattr(np.linalg, "eigh", None)
+        for (s, k), (w_want, part_want) in zip(cases, wants):
+            a, ipiv = s.copy(), np.empty(n, dtype=np.int64)
+            assert symlinalg._dsytrf()(102, b"L", n, a.ctypes.data, n, ipiv.ctypes.data) == 1
+            assert symlinalg._positive_count(s) == k
+            del calls[:]
+            pos, part = symlinalg._positive_part(s)
+            assert calls == (["_dsyevr_rows"] if k else [])
+            np.testing.assert_allclose(pos, w_want, rtol=1e-15)
+            np.testing.assert_allclose(part, part_want, atol=1e-15)
 
     @needs_lapack
     def test_many_positive_bit_equal_to_eigh(self, monkeypatch):
