@@ -68,6 +68,7 @@ class _Lines:
 
     def __init__(self, text):
         self.lines = text.splitlines()
+        self.size = len(text)  # a row of k reals takes at least 2k - 1 characters
         self.next = 0  # index of the next line to look at
         self.last = 0  # number of the last line taken
 
@@ -130,7 +131,7 @@ def _matrix(lines, n, what):
     """The next n lines as one n x n float64 array, checked for symmetry;
     an asymmetric entry is named by the first (row-major) in the strict
     upper triangle, at the block's first line."""
-    out = np.empty((n, n))
+    out = np.empty((min(n, lines.size // (2 * n - 1)), n))
     for i in range(n):
         lineno, tokens = lines.take(f"row {i + 1} of {what}")
         out[i] = _reals(tokens, n, lineno, what)
@@ -175,7 +176,7 @@ def parse_problem(text: str):
         return LmiProblem(coeffs, rhs), cert
     if tokens[0] == "lis":
         p, q = _header(tokens, lineno, ("p", "q"))
-        data = np.empty((p, q + 1))  # row i is a_i then b_i
+        data = np.empty((min(p, lines.size // (2 * q + 1)), q + 1))  # row i: a_i, b_i
         kinds = []
         for i in range(p):
             lineno, tokens = lines.take(f"row {i + 1} of the system")
@@ -323,7 +324,7 @@ def main(argv=None) -> int:
             print(f"p={problem.num_rows}")
             print(f"q={problem.num_vars}")
         return 0
-    except (LmiSolveError, OSError) as exc:
+    except (LmiSolveError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

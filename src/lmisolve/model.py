@@ -20,8 +20,9 @@ block is one matrix product and one gather, and the adjoint one gather and
 one matrix product, on every evaluation; the y block of a reduction is the
 same layout with identity coefficients.
 
-`validate_certificate` decides lambda_max(A(d) - B) < -sigma + tol with one
-Cholesky factorization per block and computes no eigenvalues.
+Every spectrum comes from `symlinalg`; there `validate_certificate` decides
+lambda_max(A(d) - B) < -sigma + tol with one Cholesky factorization per
+block and computes no eigenvalues.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidParameter, NonFiniteInput
-from .symlinalg import SymMatrix, _freeze, _scaled_norm, _spectral_norms
+from .symlinalg import (SymMatrix, _eigenvalues_below, _freeze, _scaled_norm, _spectral_norm,
+                        _spectral_norms)
 from .symlinalg import lambda_max, norms  # noqa: F401 (perfbench's tracer wraps them here)
 
 __all__ = [
@@ -467,9 +469,9 @@ def _operator_norm(p: LmiProblem) -> tuple[float, float]:
     first call and kept on the immutable problem; the smooth oracle and
     solver read only these, so they never pay for M.
 
-    G is the sum of the blocks' Gram matrices, each on its own variables,
-    and ||A||^2 is its largest eigenvalue, from one `eigvalsh`, clamped to
-    at most trace(G) = sum ||A_i||_F^2. G costs O(m^2 P + m^3) for m
+    G is the sum of the blocks' Gram matrices, each on its own variables;
+    ||A||^2 = ||G||_2 (G is PSD), from `symlinalg._spectral_norm`, clamped
+    to at most trace(G) = sum ||A_i||_F^2. G costs O(m^2 P + m^3) for m
     variables and P stored coefficients; the m^3 `eigvalsh` dominates on
     reductions of SDP pairs (m = 20, one BLAS thread, 2-CPU Xeon: 4-5 ms at
     230 variables, 60-80 ms at 840, and 0.64-0.71 s at 1850). Raises
@@ -492,10 +494,10 @@ def _operator_norm(p: LmiProblem) -> tuple[float, float]:
             own += 2.0 * (blk.coeffs @ blk.coeffs.T) - diag @ diag.T
         gram += table @ table.T
     fro_total = float(np.trace(gram))
-    # a finite 2 trace(G) bounds 2 ||A||^2 and every |G_ij|, so eigvalsh stays finite
+    # a finite 2 trace(G) bounds 2 ||A||^2 and every |G_ij|, so ||G||_2 stays finite
     if not (2.0 * fro_total < np.inf and np.isfinite(gram).all()):
         raise NonFiniteInput("operator constants overflow")
-    norm_sq = min(float(np.linalg.eigvalsh(gram)[-1]), fro_total)
+    norm_sq = min(_spectral_norm(gram), fro_total)
     p._norm = (float(np.sqrt(norm_sq)), 2.0 * norm_sq)
     return p._norm
 
@@ -527,10 +529,10 @@ def validate_certificate(p: LmiProblem, cert: SlaterCertificate, tol: float = 1e
     """True when lambda_max(A(d) - B) < -sigma + tol, strictly.
 
     No eigenvalue is computed. With level = tol - sigma, each block S of
-    A(d) - B passes when level I - S is positive definite, that is, when
-    `np.linalg.cholesky` factors it; a failed factorization means False.
-    The 1 x 1 rows pass when their largest value is below level. At the
-    exact boundary lambda_max = -sigma + tol the answer is False. A NaN tol
+    A(d) - B passes when level I - S is positive definite, decided by one
+    Cholesky factorization in `symlinalg._eigenvalues_below`. The 1 x 1
+    rows pass when their largest value is below level. At the exact
+    boundary lambda_max = -sigma + tol the answer is False. A NaN tol
     raises InvalidParameter: `cholesky` factors a NaN diagonal without
     raising, so it would pass every block."""
     level = tol - cert.margin
@@ -541,14 +543,7 @@ def validate_certificate(p: LmiProblem, cert: SlaterCertificate, tol: float = 1e
         mats, scalars = _residuals(p, d)
     if not (scalars < level).all():
         return False
-    for s in mats:
-        np.negative(s, out=s)
-        s.flat[:: s.shape[0] + 1] += level
-        try:
-            np.linalg.cholesky(s)
-        except np.linalg.LinAlgError:
-            return False
-    return True
+    return all(_eigenvalues_below(s, level) for s in mats)
 
 
 def stack(problems) -> LmiProblem:

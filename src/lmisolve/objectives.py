@@ -14,9 +14,9 @@ entries raises NonFiniteInput instead, and only a value may overflow to
 inf (which a solve rejects).
 
 The non-smooth oracle's kink rule (`_KINK_TOL`) and its choice of block or
-row for the subgradient live in `eval_nonsmooth`. `_gram` is the one
-routine that forms and decomposes A^T A, for `linsys_oracle` and
-`testbench`.
+row for the subgradient live in `eval_nonsmooth`. Every spectrum comes from
+`symlinalg`: the linear system's L = ||A^T A||_2 from its spectral-norm
+kernel, with no eigenvector computed.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import numpy as np
 
 from .model import (LinIneqSystem, LmiProblem, _adjoint, _as_vector, _block_adjoint, _clip,
                     _finite, _operator_norm, _residuals, constants)
-# lambda_max and project_neg_semidef stay importable here for perfbench's tracer
-from .symlinalg import (EigDecomposition, SymMatrix, _block_top, _positive_part,  # noqa: F401
+# eig_sym, lambda_max and project_neg_semidef stay importable here for perfbench's tracer
+from .symlinalg import (_block_top, _no_overflow, _positive_part, _spectral_norm,  # noqa: F401
                         eig_sym, lambda_max, project_neg_semidef)
 
 __all__ = [
@@ -160,15 +160,10 @@ def smooth_oracle(p: LmiProblem) -> Oracle:
     return Oracle(lambda x: eval_smooth(p, x), p.num_vars, _operator_norm(p)[1], 0.0)
 
 
-def _gram(rows) -> EigDecomposition:
-    """The eigendecomposition of A^T A for the float matrix `rows` = A.
-    Finite rows whose A^T A overflows raise NonFiniteInput."""
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below as NonFiniteInput
-        gram = SymMatrix(_finite(rows.T @ rows, "A^T A"))
-    return eig_sym(gram)
-
-
 def linsys_oracle(sys: LinIneqSystem) -> Oracle:
-    """Oracle for eval_linsys with L = ||A||_2^2 = lambda_max(A^T A)."""
-    lip = max(float(_gram(sys.rows).eigenvalues[0]), 0.0)
+    """Oracle for eval_linsys with L = ||A||_2^2 = ||A^T A||_2. Finite rows
+    whose A^T A, or its norm, overflows raise NonFiniteInput."""
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as NonFiniteInput
+        lip = _spectral_norm(_finite(sys.rows.T @ sys.rows, "A^T A"))
+    _no_overflow(lip)
     return Oracle(lambda x: eval_linsys(sys, x), sys.num_vars, lip, 0.0)

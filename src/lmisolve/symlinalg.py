@@ -1,16 +1,15 @@
 """Dense symmetric-matrix kernel.
 
-Everything downstream (oracles, solvers, instance generators) funnels its
-linear algebra through here. The public API takes and returns checked,
-immutable `SymMatrix` values: full eigendecomposition, extreme eigenvalue
-with a unit eigenvector, projection onto the cone of negative-semidefinite
-matrices, and the Frobenius/spectral norms. Its decompositions are
-post-processed into a canonical form (eigenvalues descending, stable order
-under ties, first non-negligible eigenvector component nonnegative) so that
-identical inputs always yield identical outputs; the canonical form is for
-the public API only. A finite `SymMatrix` whose eigenvalues or norms
-overflow makes each public kernel raise NonFiniteInput, with no
-RuntimeWarning.
+Everything downstream funnels its linear algebra through here: no other
+module calls a `np.linalg` eigensolver or factorization. The public API
+takes and returns checked, immutable `SymMatrix` values: full
+eigendecomposition, extreme eigenvalue with a unit eigenvector, projection
+onto the cone of negative-semidefinite matrices, and the Frobenius/spectral
+norms. Its decompositions are post-processed into a canonical form
+(eigenvalues descending, stable order under ties, first non-negligible
+eigenvector component nonnegative) so that identical inputs always yield
+identical outputs. A finite `SymMatrix` whose eigenvalues or norms overflow
+makes each public kernel raise NonFiniteInput, with no RuntimeWarning.
 
 The oracles call the private ndarray kernels directly, on blocks of
 A(x) - B that are exactly symmetric and finite, and compute only the
@@ -18,37 +17,31 @@ spectrum they need, with LAPACKE routines of the OpenBLAS that numpy's own
 wheels bundle and have loaded: `dsyevr`, `dsytrf` and `dsyevd` (the
 `scipy_LAPACKE_*64_` symbols), bound with ctypes through the handle of
 `numpy.linalg._umath_linalg` (`_lapacke`), so no library is loaded. Each
-works on a copy, and where its symbol is missing or a call fails the
-kernel takes numpy's own routine instead, on the intact block. Blocks
-below size 32 use numpy's routines throughout.
+works on a copy; where its symbol is missing or a call fails, the kernel
+takes numpy's own routine on the intact block, as blocks below size 32 do.
 
 `_block_top` gives the non-smooth oracle the top eigenvalue of a block and
-finds a vector only for the block that needs one. On blocks of size 32 and
-up it takes both from one `dsyevr` call (`_dsyevr_top`): a tridiagonal
-reduction, then only the top two eigenvalues and the top vector. The
-fallback, and the route of smaller blocks, is `eigvalsh` for the value and,
-for the block that needs a vector, the first top column of one `eigh`
-(`_eigh_top`).
-
-`_positive_part` gives the smooth oracle the positive eigenvalues and the
-positive part V+ diag(w+) V+^T. On blocks of size 32 and up it first
-counts the positive eigenvalues k by Sylvester's law of inertia on one
-Bunch-Kaufman LDL^T (`_positive_count`, about a tenth of an `eigh`). For
-0 < k <= n / 8 one `dsyevr` call computes only the top k eigenpairs, by
-index (n - k + 1 .. n); k = 0 needs no call. For more, one direct `dsyevd`
-call, the routine behind `np.linalg.eigh`, gives `eigh`'s eigenpairs bit
-for bit for less overhead. The fallback, also for a factorization whose D
-holds NaN or Inf, is one `eigh`.
-
-Their results are deterministic functions of the input but not
-canonical. `lambda_max` takes its pair as `_block_top` does, from
-`_dsyevr_top` or else from one `eigh`; `project_neg_semidef` is built on
+a vector only for the block that needs one: from size 32, both from one
+`dsyevr` call for the top two eigenvalues and the top vector
+(`_dsyevr_top`); else `eigvalsh` and the first top column of one `eigh`
+(`_eigh_top`). `_positive_part` gives the smooth oracle the positive
+eigenvalues and the positive part V+ diag(w+) V+^T. From size 32 it counts
+them, k, by Sylvester's law of inertia on one Bunch-Kaufman LDL^T
+(`_positive_count`, about a tenth of an `eigh`); for 0 < k <= n / 8 one
+`dsyevr` call computes only the top k eigenpairs, by index, k = 0 needs
+none, and more take one direct `dsyevd` call, `eigh`'s eigenpairs bit for
+bit for less overhead. Else, also for a D with NaN or Inf, one `eigh`.
+These results are deterministic but not canonical; `lambda_max` takes its
+pair as `_block_top` does, and `project_neg_semidef` is built on
 `_positive_part`.
 
-`_spectral_norms`, behind `norms` and M in `model.constants`, is the one
-spectral-norm kernel: `dsyevd` for eigenvalues alone (jobz "N", as
-`eigvalsh` runs it) on two threads. `_scaled_norm`, behind `norms` and
-`model.mu_of`, is the one 2-norm rule.
+`_spectral_norms`, behind M, is the one spectral-norm kernel: `dsyevd` for
+eigenvalues alone (jobz "N", as `eigvalsh` runs it) on two threads, the one
+place the package starts a thread; a lone matrix (`norms`, M's single
+coefficients, the Gram matrices of ||A|| and of the linear system's L)
+takes one `eigvalsh` (`_spectral_norm`). `_eigenvalues_below` decides
+`model.validate_certificate` by one Cholesky factorization. `_scaled_norm`,
+behind `norms` and `model.mu_of`, is the one 2-norm rule.
 """
 
 from __future__ import annotations
@@ -95,7 +88,7 @@ def _freeze(a):
 
 
 class SymMatrix:
-    """Dense real symmetric n x n matrix.
+    """Dense real symmetric n x n matrix, n >= 1.
 
     The constructor symmetrizes the input as 0.5 * (A + A.T), which makes
     ``mat[i, j] == mat[j, i]`` hold exactly (IEEE addition commutes), and
@@ -109,8 +102,8 @@ class SymMatrix:
 
     def __init__(self, entries):
         a = np.asarray(entries, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
+            raise DimensionMismatch(f"expected a nonempty square matrix, got shape {a.shape}")
         with np.errstate(over="ignore", invalid="ignore"):  # reported below as NonFiniteInput
             s = 0.5 * (a + a.T)
             if not np.isfinite(s).all():
@@ -300,14 +293,12 @@ def _dsyevd_eigh(s):
 
 
 def _spectral_norms(n, k, unpack):
-    """||S_i||_2 for i < k: the largest |lambda| over the eigenvalues that
-    `eigvalsh` gives for the symmetric n x n S_i, bit for bit, or NaN or Inf
-    where they overflow; unpack(i, a) writes S_i, exactly symmetric, into
-    the C-order n x n buffer a. They come from `dsyevd` (jobz "N") through
-    ctypes, which releases the GIL, so for k > 1 one more thread, joined
-    before this returns, takes the second half, each thread with a buffer
-    of its own; a missing binding or a failed call takes `eigvalsh` on the
-    calling thread."""
+    """||S_i||_2 for i < k, bit for bit `_spectral_norm`'s; unpack(i, a)
+    writes S_i, exactly symmetric, into the C-order n x n buffer a. For
+    k > 1 they come from `dsyevd` (jobz "N") through ctypes, which releases
+    the GIL: one more thread, with a buffer of its own and joined before
+    this returns, takes the second half. A lone matrix, a missing binding
+    or a failed call takes `_spectral_norm` on the calling thread."""
     out = np.full(k, -1.0)  # -1 marks a norm not yet computed
 
     def run(lo, hi):
@@ -325,13 +316,29 @@ def _spectral_norms(n, k, unpack):
             run(0, k // 2)
         finally:
             worker.join()
-    else:
-        run(0, k)
     for i in np.flatnonzero(out < 0.0):
         a = np.empty((n, n))
         unpack(i, a)
-        out[i] = np.abs(np.linalg.eigvalsh(a)).max()
+        out[i] = _spectral_norm(a)
     return out
+
+
+def _spectral_norm(s) -> float:
+    """||s||_2 of the symmetric ndarray s, the largest |lambda| from one
+    `eigvalsh` (NaN or Inf where they overflow)."""
+    return float(np.abs(np.linalg.eigvalsh(s)).max())
+
+
+def _eigenvalues_below(s, level) -> bool:
+    """Whether every eigenvalue of the symmetric ndarray s is below level:
+    one Cholesky factorization of level I - s, written over s, succeeds."""
+    np.negative(s, out=s)
+    s.flat[:: s.shape[0] + 1] += level
+    try:
+        np.linalg.cholesky(s)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def _eigenpairs_above_zero(s):
@@ -427,12 +434,10 @@ def project_neg_semidef(s: SymMatrix) -> tuple[SymMatrix, SymMatrix]:
 
 
 def norms(s: SymMatrix) -> tuple[float, float]:
-    """(Frobenius norm, spectral norm) of a symmetric matrix: `_scaled_norm`
-    of its entries, and the largest |eigenvalue| that `eigvalsh` gives,
-    from `_spectral_norms`. Only a norm beyond the float range raises
-    NonFiniteInput."""
+    """(Frobenius norm, spectral norm) of a symmetric matrix, from
+    `_scaled_norm` and `_spectral_norm`. Only a norm beyond the float range
+    raises NonFiniteInput."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _no_overflow
-        fro = _scaled_norm(s.mat)
-        spec = float(_spectral_norms(s.dim, 1, lambda i, a: np.copyto(a, s.mat))[0])
+        fro, spec = _scaled_norm(s.mat), _spectral_norm(s.mat)
     _no_overflow(fro, spec)
     return fro, spec

@@ -23,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameter, LmiSolveError, NonFiniteInput, ZeroMatrix
-from .model import (LinIneqSystem, LmiProblem, SlaterCertificate, _count, _positive,
+from .model import (LinIneqSystem, LmiProblem, SlaterCertificate, _count, _finite, _positive,
                     _row_kinds, validate_certificate)
-from .objectives import Oracle, _gram, eval_nonsmooth
+from .objectives import Oracle, eval_nonsmooth
+from .symlinalg import SymMatrix, eig_sym
 
 __all__ = [
     "Lcg64",
@@ -176,7 +177,8 @@ def _gram_spectrum(a):
     the eigenvalues that count as nonzero under the relative cutoff
     _RANK_CUTOFF; None when A is zero. An A^T A that overflows raises
     NonFiniteInput."""
-    dec = _gram(a)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below as NonFiniteInput
+        dec = eig_sym(SymMatrix(_finite(a.T @ a, "A^T A")))
     w = dec.eigenvalues
     lam_max = float(w[0])
     if lam_max <= 0.0:

@@ -115,6 +115,20 @@ class TestParse:
         assert fragment in str(info.value)
 
 
+    @pytest.mark.parametrize("text, error", [
+        ("lis 1000000 1000000\nle 1 2\n", "line 2: row 1: expected 1000001 values, got 2"),
+        ("lmi 1000000 1\nB\n1\n", "line 3: matrix B: expected 1000000 values, got 1"),
+        ("lmi 1000000 1\nB\n", "line 3: expected row 1 of matrix B, found end of input"),
+    ], ids=["lis-row", "lmi-row", "lmi-end"])
+    def test_header_claiming_more_than_the_file(self, tmp_path, capsys, text, error):
+        # a 10^6 x 10^6 array would need 7.28 TiB: the arrays are cut to the
+        # rows the text can hold, so the row reader reports what is missing
+        with pytest.raises(ParseError) as info:
+            parse_problem(text)
+        assert str(info.value) == error
+        assert main(["check", write(tmp_path, "big.txt", text)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+
     def test_parse_peak_memory(self):
         # a block is split into tokens only as it is read, and each block is
         # one float64 array
@@ -388,6 +402,13 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert "certificate=invalid" in captured.out
         assert "error:" in captured.err
+
+    def test_file_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "latin.lmi"
+        path.write_bytes(b"lmi 1 1\nB\n\xff\n")
+        assert main(["check", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "utf-8" in err[0]
 
     def test_linsys_file(self, tmp_path, capsys):
         sys_, _ = gen_linsys(3, 5, 8, kinds="mixed")

@@ -59,6 +59,11 @@ class TestLmiProblem:
         with pytest.raises(InvalidParameter):
             LmiProblem([], SymMatrix([[0.0]]))
 
+    def test_rejects_empty_matrices(self):
+        # a 0 x 0 B is refused, so no problem has n = 0
+        with pytest.raises(DimensionMismatch):
+            LmiProblem([np.zeros((0, 0))], np.zeros((0, 0)))
+
     def test_rejects_mixed_dims(self):
         with pytest.raises(DimensionMismatch):
             LmiProblem([SymMatrix(np.eye(2))], SymMatrix([[0.0]]))

@@ -7,10 +7,14 @@ import pytest
 
 from lmisolve import (
     DimensionMismatch,
+    LinIneqSystem,
+    LmiProblem,
     NonFiniteInput,
     SymMatrix,
+    constants,
     eig_sym,
     lambda_max,
+    linsys_oracle,
     norms,
     project_neg_semidef,
 )
@@ -55,6 +59,13 @@ class TestSymMatrix:
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
             SymMatrix(np.zeros((2, 3)))
+
+    def test_rejects_empty(self):
+        # n = 0 would reach every kernel, and LAPACK, as an IndexError or a
+        # ValueError; it is refused where the matrix comes in
+        for empty in (np.zeros((0, 0)), []):
+            with pytest.raises(DimensionMismatch, match="nonempty square"):
+                SymMatrix(empty)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(NonFiniteInput):
@@ -243,6 +254,21 @@ class TestNorms:
         for scale in (1e-3, 1.0, 1e3):
             s = rand_sym(rng, n, scale)
             assert norms(s)[1] == float(np.abs(np.linalg.eigvalsh(s.mat)).max())
+
+
+    def test_lone_matrix_takes_eigvalsh_alone(self, monkeypatch):
+        # one matrix, as in norms, a single-coefficient block's M and both
+        # Gram norms, makes no dsyevd call and starts no thread
+        calls = []
+        monkeypatch.setattr(symlinalg, "_dsyevd", lambda: calls.append("dsyevd"))
+        monkeypatch.setattr(symlinalg, "threading", None)
+        s = rand_sym(np.random.default_rng(35), 40)
+        want = float(np.abs(np.linalg.eigvalsh(s.mat)).max())
+        assert norms(s)[1] == want
+        assert symlinalg._spectral_norms(40, 1, lambda i, a: np.copyto(a, s.mat))[0] == want
+        constants(LmiProblem([s.mat], np.zeros((40, 40))))
+        linsys_oracle(LinIneqSystem(s.mat, np.zeros(40), ["eq"] * 40))
+        assert calls == []
 
 
 class TestOverflowingSpectrum:
