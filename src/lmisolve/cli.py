@@ -280,6 +280,18 @@ def _build_parser():
     return parser
 
 
+def _read_text(path):
+    """The text of the UTF-8 file at path; a ParseError names the file and
+    the line of the first byte that is not valid UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: line {line}: not valid UTF-8") from None
+
+
 def main(argv=None) -> int:
     """Run one `lmisolve` command; `solve` prints status, final_value,
     iterations and phases as key=value lines. Returns the exit code."""
@@ -289,9 +301,7 @@ def main(argv=None) -> int:
             inst = gen_lmi(ns.n, ns.m, ns.sigma, ns.seed)
             sys.stdout.write(serialize_lmi(inst.problem, inst.certificate))
             return 0
-        with open(ns.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        problem, certificate = parse_problem(text)
+        problem, certificate = parse_problem(_read_text(ns.file))
         if ns.command == "solve":
             result = _dispatch(ns, problem, certificate)
             if ns.trace is not None:
@@ -324,7 +334,7 @@ def main(argv=None) -> int:
             print(f"p={problem.num_rows}")
             print(f"q={problem.num_vars}")
         return 0
-    except (LmiSolveError, OSError, UnicodeDecodeError) as exc:
+    except (LmiSolveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -14,14 +14,21 @@ entries raises NonFiniteInput instead, and only a value may overflow to
 inf (which a solve rejects).
 
 The non-smooth oracle's kink rule (`_KINK_TOL`) and its choice of block or
-row for the subgradient live in `eval_nonsmooth`. Every spectrum comes from
-`symlinalg`: the linear system's L = ||A^T A||_2 from its spectral-norm
-kernel, with no eigenvector computed.
+row for the subgradient live in `_nonsmooth`, behind `eval_nonsmooth`.
+Every spectrum comes from `symlinalg`: the linear system's L = ||A^T A||_2
+from its spectral-norm kernel, with no eigenvector computed.
+
+On problems with a block of size 32 or more, `nonsmooth_oracle` and
+`smooth_oracle` attach a private screen (`Oracle._screen`): `_nonsmooth` or
+`_smooth` with each large block's term a float64 lower bound built from
+float32 eigenvectors, so the pair lies below f. `eval_*` and `evaluate`
+stay float64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -29,8 +36,9 @@ import numpy as np
 from .model import (LinIneqSystem, LmiProblem, _adjoint, _as_vector, _block_adjoint, _clip,
                     _finite, _operator_norm, _residuals, constants)
 # eig_sym, lambda_max and project_neg_semidef stay importable here for perfbench's tracer
-from .symlinalg import (_block_top, _no_overflow, _positive_part, _spectral_norm,  # noqa: F401
-                        eig_sym, lambda_max, project_neg_semidef)
+from .symlinalg import (_LAPACKE_MIN_DIM, _block_top, _block_top_bound,  # noqa: F401
+                        _no_overflow, _positive_part, _positive_part_bound, _single_precision,
+                        _spectral_norm, eig_sym, lambda_max, project_neg_semidef)
 
 __all__ = [
     "OracleEval",
@@ -69,12 +77,18 @@ class Oracle:
     for the oracles built here.
 
     `evaluate` must be a deterministic function of x: a solve never repeats
-    a call at the point it has just evaluated, and reuses that result."""
+    a call at the point it has just evaluated, and reuses that result.
+
+    The private `_screen(x, floor)`, set by `_screened` alone, is a cheaper
+    pair below f (value + <g, y - x> <= f(y) for all y, up to roundoff)
+    whose value is above floor, or None; a constructed Oracle has none."""
 
     evaluate: Callable[[np.ndarray], OracleEval]
     dim: int
     grad_lipschitz: float
     subgrad_bound: float
+    _screen: Callable[[np.ndarray, float], OracleEval | None] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
 
 def eval_nonsmooth(p: LmiProblem, x) -> OracleEval:
@@ -91,14 +105,22 @@ def eval_nonsmooth(p: LmiProblem, x) -> OracleEval:
     is its column of coefficients. A tie goes to the block or row that
     comes first in the matrix.
     """
-    x = _finite(_as_vector(x, p.num_vars, "point"))
+    return _nonsmooth(p, _finite(_as_vector(x, p.num_vars, "point")), _block_top)
+
+
+def _nonsmooth(p, x, block_top):
+    """eval_nonsmooth at the checked point x, with block_top(s) giving each
+    block's (top, function returning its unit vector), or None, which makes
+    this return None."""
     grad = np.zeros(p.num_vars)
     with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteInput
         mats, scalars = _residuals(p, x)
         found = []
         for s, blk in zip(mats, p._blocks):
-            top, vector = _block_top(s)
-            found.append((top, blk.at.start, blk, vector))
+            pair = block_top(s)
+            if pair is None:
+                return None
+            found.append((pair[0], blk.at.start, blk, pair[1]))
         if scalars.size:
             k = int(np.argmax(scalars))  # the first of equal rows, since rows ascend
             found.append((float(scalars[k]), int(p._scalars.rows[k]), None, k))
@@ -122,16 +144,24 @@ def eval_smooth(p: LmiProblem, x) -> OracleEval:
     clipped at 0. The value is the sum of the squared positive eigenvalues
     and clipped rows, in Python floats, so it overflows to inf silently.
     """
-    x = _finite(_as_vector(x, p.num_vars, "point"))
+    return _smooth(p, _finite(_as_vector(x, p.num_vars, "point")), _positive_part)
+
+
+def _smooth(p, x, positive_part):
+    """eval_smooth at the checked point x, with positive_part(s) giving each
+    block's (eigenvalues to square, matrix to take the adjoint of), or
+    None, which makes this return None."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteInput
         mats, scalars = _residuals(p, x)
         pos = np.maximum(scalars, 0.0)
         parts = []
         value = 0.0
         for s in mats:
-            w, part = _positive_part(s)
-            parts.append(part)
-            for e in w.tolist():
+            pair = positive_part(s)
+            if pair is None:
+                return None
+            parts.append(pair[1])
+            for e in pair[0].tolist():
                 value += e * e
         for e in pos.tolist():
             value += e * e
@@ -150,14 +180,36 @@ def eval_linsys(sys: LinIneqSystem, x) -> OracleEval:
     return OracleEval(value, _finite(grad, "gradient"))
 
 
+def _screened(oracle, p, core, kernel):
+    """oracle, with a `_screen` running core(p, x, kernel) where p has a
+    block of size _LAPACKE_MIN_DIM or more and the single-precision bindings
+    resolve. Each large block's bound term is linear in x and lies below its
+    term of f, and every other block and row keeps its exact pair."""
+    if any(blk.rhs.shape[0] >= _LAPACKE_MIN_DIM for blk in p._blocks) and _single_precision():
+        def screen(x, floor):
+            ev = core(p, _finite(_as_vector(x, p.num_vars, "point")), kernel)
+            # an overflowing value is left to `evaluate`, which reports it
+            return ev if ev is not None and floor < ev.value < math.inf else None
+
+        object.__setattr__(oracle, "_screen", screen)
+    return oracle
+
+
 def nonsmooth_oracle(p: LmiProblem) -> Oracle:
-    """Oracle for eval_nonsmooth with (L, M) = (0, sqrt(sum ||A_i||_2^2))."""
-    return Oracle(lambda x: eval_nonsmooth(p, x), p.num_vars, 0.0, constants(p).subgrad_bound)
+    """Oracle for eval_nonsmooth with (L, M) = (0, sqrt(sum ||A_i||_2^2)).
+    Its screen takes each large block's top from a float32 eigenvector: the
+    value v^T S v and the subgradient A^T(v v^T)."""
+    oracle = Oracle(lambda x: eval_nonsmooth(p, x), p.num_vars, 0.0, constants(p).subgrad_bound)
+    return _screened(oracle, p, _nonsmooth, _block_top_bound)
 
 
 def smooth_oracle(p: LmiProblem) -> Oracle:
-    """Oracle for eval_smooth with (L, M) = (2 ||A||^2, 0); it computes no M."""
-    return Oracle(lambda x: eval_smooth(p, x), p.num_vars, _operator_norm(p)[1], 0.0)
+    """Oracle for eval_smooth with (L, M) = (2 ||A||^2, 0); it computes no M.
+    Its screen takes each large block's positive part from float32
+    eigenpairs, Z = P / ||P||_F: the term h^2 and its gradient 2 h A^T Z,
+    h = <S, Z>."""
+    oracle = Oracle(lambda x: eval_smooth(p, x), p.num_vars, _operator_norm(p)[1], 0.0)
+    return _screened(oracle, p, _smooth, _positive_part_bound)
 
 
 def linsys_oracle(sys: LinIneqSystem) -> Oracle:

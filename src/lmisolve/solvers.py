@@ -25,7 +25,12 @@ ms in two float64 columns, and builds its TraceRows from them on read.
 
 A solve calls the oracle once per new point: the restart loop evaluates
 each phase's start point, and the phase reuses that evaluation for its
-first probe instead of calling the oracle there again.
+first probe instead of calling the oracle there again. The restart loop
+asks the oracle's screen first (objectives.Oracle): a pair below f whose
+value is above eps, or else `evaluate`. So trace values may be lower bounds
+of f, but every value <= eps, and so every Solved, is `evaluate`'s, and a
+solve that ends otherwise reports `evaluate`'s value at its point. The
+single-phase operations never screen.
 
 Each driver is one `_restart` call. An engine runs one phase from (x, f(x))
 and returns (point, f(point) or None, completed); the bundle engine appends
@@ -212,13 +217,17 @@ class SolveResult:
 
 class _Run:
     """One solve's oracle, stopping tolerance eps, and each inner iteration's
-    f and elapsed ms in two growing float64 columns, held against a cap."""
+    f and elapsed ms in two growing float64 columns, held against a cap.
 
-    __slots__ = ("_evaluate", "_last_key", "_last_eval", "eps", "cap", "f_values",
+    A `screened` run (the restart loop's) asks the oracle's `_screen` first,
+    with floor eps, and runs `evaluate` only where that gives no pair."""
+
+    __slots__ = ("_evaluate", "_screen", "_last_key", "_last_eval", "eps", "cap", "f_values",
                  "elapsed_ms", "t0")
 
-    def __init__(self, oracle, eps, cap):
+    def __init__(self, oracle, eps, cap, screened=False):
         self._evaluate = oracle.evaluate
+        self._screen = oracle._screen if screened else None
         self._last_key = None
         self._last_eval = None
         self.eps = eps
@@ -234,9 +243,11 @@ class _Run:
         key = x.tobytes()
         if key == self._last_key:
             return self._last_eval
-        ev = self._evaluate(x)
-        if not math.isfinite(ev.value):
-            raise NonFiniteInput(f"oracle returned the non-finite value {ev.value}")
+        ev = None if self._screen is None else self._screen(x, self.eps)
+        if ev is None:
+            ev = self._evaluate(x)
+            if not math.isfinite(ev.value):
+                raise NonFiniteInput(f"oracle returned the non-finite value {ev.value}")
         self._last_key, self._last_eval = key, ev
         return ev
 
@@ -418,7 +429,7 @@ def _restart(oracle, x0, eps, cap, engine, *args, sized=True):
     A phase starts only while iterations remain, so every engine takes a step;
     a `sized` engine (steps from oracle constants) raises on a zero operator."""
     _positive("eps", eps)
-    run = _Run(oracle, eps, _count("cap", cap))
+    run = _Run(oracle, eps, _count("cap", cap), screened=True)
     x = _point(x0, oracle.dim)
     fx = float(run.evaluate(x).value)
     if fx > eps and sized and max(oracle.grad_lipschitz, oracle.subgrad_bound) <= 0.0:
@@ -438,6 +449,8 @@ def _restart(oracle, x0, eps, cap, engine, *args, sized=True):
         if fx > eps and run.remaining() <= 0:
             status = SolveStatus.ITERATION_CAP
             break
+    if status is not SolveStatus.SOLVED and run._screen is not None:
+        fx = float(oracle.evaluate(x).value)  # f itself, where fx may be a screened bound
     return SolveResult(
         solution=x,
         value=fx,

@@ -35,6 +35,13 @@ These results are deterministic but not canonical; `lambda_max` takes its
 pair as `_block_top` does, and `project_neg_semidef` is built on
 `_positive_part`.
 
+The oracles' screened evaluations take lower bounds from `ssyevr`,
+`ssytrf` and `ssyevd`, which `_dsyevr_rows`, `_positive_count` and
+`_dsyevd_eigh` run on a float32 copy when `single`: from size 32,
+`_block_top_bound` gives the Rayleigh quotient of the float32 top vector,
+and `_positive_part_bound` h = <S, P / ||P||_F> for the positive part P over
+the float32 eigenpairs. Both are float64 and bounds whatever float32's error.
+
 `_spectral_norms`, behind M, is the one spectral-norm kernel: `dsyevd` for
 eigenvalues alone (jobz "N", as `eigvalsh` runs it) on two threads, the one
 place the package starts a thread; a lone matrix (`norms`, M's single
@@ -48,6 +55,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import threading
 from dataclasses import dataclass
 
@@ -170,7 +178,8 @@ def _lapacke(name, *argtypes):
     return fn
 
 
-_I64, _PTR, _DBL, _CHAR = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double, ctypes.c_char
+_I64, _PTR, _CHAR = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
+_DBL, _FLT = ctypes.c_double, ctypes.c_float
 
 
 @functools.cache
@@ -192,28 +201,56 @@ def _dsyevd():
     return _lapacke("dsyevd", _CHAR, _CHAR, _I64, _PTR, _I64, _PTR)
 
 
-def _dsyevr_rows(s, il, iu):
+# single precision, for the screened evaluations; ssyevr's vl, vu and abstol are floats
+@functools.cache
+def _ssyevr():
+    return _lapacke("ssyevr", _CHAR, _CHAR, _CHAR, _I64, _PTR, _I64, _FLT, _FLT, _I64, _I64,
+                    _FLT, _PTR, _PTR, _PTR, _I64, _PTR)
+
+
+@functools.cache
+def _ssytrf():
+    return _lapacke("ssytrf", _CHAR, _I64, _PTR, _I64, _PTR)
+
+
+@functools.cache
+def _ssyevd():
+    return _lapacke("ssyevd", _CHAR, _CHAR, _I64, _PTR, _I64, _PTR)
+
+
+def _single_precision() -> bool:
+    """Whether `ssyevr`, `ssytrf` and `ssyevd` all resolve."""
+    return None not in (_ssyevr(), _ssytrf(), _ssyevd())
+
+
+def _dsyevr_rows(s, il, iu, single=False):
     """Eigenvalues il..iu (1-based, ascending) of the symmetric ndarray s
     and their unit eigenvectors as rows, from one `dsyevr` call over that
-    index range; None when the binding is missing or the call fails.
+    index range (`ssyevr` on a float32 copy when `single`; the results are
+    float64 either way); None when the binding is missing or the call fails.
 
     `dsyevr` overwrites its input, so it works on a copy and s stays intact
     for a fallback."""
-    fn = _dsyevr()
+    fn = _ssyevr() if single else _dsyevr()
     if fn is None:
         return None
+    dtype = np.float32 if single else np.float64
     n, most = s.shape[0], iu - il + 1
     # a C-order copy read column-major (layout 102) is s^T = s, and LAPACKE
     # then works on it in place
-    a = np.array(s, dtype=np.float64, order="C")
+    a = np.array(s, dtype=dtype, order="C")
+    if single and not np.isfinite(a).all():  # s overflows float32
+        return None
     found = np.zeros(1, dtype=np.int64)
-    w = np.empty(n)  # dsyevr uses all n entries as workspace
-    z = np.empty((most, n))  # column-major n x most
+    w = np.empty(n, dtype)  # dsyevr uses all n entries as workspace
+    z = np.empty((most, n), dtype)  # column-major n x most
     isuppz = np.empty(2 * most, dtype=np.int64)
     info = fn(102, b"V", b"I", b"L", n, a.ctypes.data, n, 0.0, 0.0, il, iu, 0.0,
               found.ctypes.data, w.ctypes.data, z.ctypes.data, n, isuppz.ctypes.data)
     # for the index range, found[0] is always iu - il + 1
-    return None if info != 0 else (w[:most], z)
+    if info != 0:
+        return None
+    return np.asarray(w[:most], dtype=np.float64), np.asarray(z, dtype=np.float64)
 
 
 def _dsyevr_top(s):
@@ -245,51 +282,55 @@ def _block_top(s):
     return float(w[-1]), lambda: _eigh_top(s)[1]
 
 
-def _positive_count(s):
+def _positive_count(s, single=False):
     """Number of positive eigenvalues of the symmetric ndarray s, by
     Sylvester's law of inertia on one Bunch-Kaufman factorization
-    P S P^T = L D L^T (`dsytrf`); None when the binding is missing, the
+    P S P^T = L D L^T (`dsytrf`, or `ssytrf` on a float32 copy when
+    `single`); None when the binding is missing, the
     call fails (info < 0; info > 0 is an exactly zero pivot, and D is
     complete), or D's diagonal holds NaN or Inf (from s or an overflow). A
     1 x 1 pivot counts when it is positive; a 2 x 2 pivot has a negative
     determinant, so it holds exactly one positive eigenvalue."""
-    fn = _dsytrf()
+    fn = _ssytrf() if single else _dsytrf()
     if fn is None:
         return None
     n = s.shape[0]
-    a = np.array(s, dtype=np.float64, order="C")  # dsytrf factors in place
+    a = np.array(s, dtype=np.float32 if single else np.float64, order="C")  # factored in place
     ipiv = np.empty(n, dtype=np.int64)
     d = a.diagonal()
     if fn(102, b"L", n, a.ctypes.data, n, ipiv.ctypes.data) < 0 or not np.isfinite(d).all():
         return None
     # the two rows of a 2 x 2 pivot both hold a negative ipiv
-    single = ipiv > 0
-    pairs = (n - int(np.count_nonzero(single))) // 2
-    return int(np.count_nonzero(d[single] > 0.0)) + pairs
+    alone = ipiv > 0
+    pairs = (n - int(np.count_nonzero(alone))) // 2
+    return int(np.count_nonzero(d[alone] > 0.0)) + pairs
 
 
 def _dsyevd_in_place(a, jobz):
     """Eigenvalues (ascending) of the symmetric C-order ndarray a from one
-    `dsyevd` call in place, as `eigh` (jobz b"V", leaving the eigenvectors
-    as the rows of a) or `eigvalsh` (b"N") runs it; None where the binding
-    is missing or the call fails."""
-    fn = _dsyevd()
+    `dsyevd` call in place (`ssyevd` for a float32 a), as `eigh` (jobz b"V",
+    leaving the eigenvectors as the rows of a) or `eigvalsh` (b"N") runs it;
+    None where the binding is missing or the call fails."""
+    fn = _ssyevd() if a.dtype == np.float32 else _dsyevd()
     if fn is None:
         return None
     n = a.shape[0]
-    w = np.empty(n)
+    w = np.empty(n, a.dtype)
     # a C-order array read column-major (layout 102) is a^T = a
     return w if fn(102, jobz, b"L", n, a.ctypes.data, n, w.ctypes.data) == 0 else None
 
 
-def _dsyevd_eigh(s):
+def _dsyevd_eigh(s, single=False):
     """`np.linalg.eigh(s)` bit for bit, from one direct `dsyevd` call on a
-    copy; None when the binding is missing or the call fails."""
-    a = np.array(s, dtype=np.float64, order="C")
+    copy (`ssyevd` on a float32 copy when `single`, returned as float64);
+    None when the binding is missing or the call fails."""
+    a = np.array(s, dtype=np.float32 if single else np.float64, order="C")
     w = _dsyevd_in_place(a, b"V")
     # numpy returns the eigenvectors C-contiguous, and the product that
     # forms P+ keeps its bits only in that layout
-    return None if w is None else (w, np.ascontiguousarray(a.T))
+    if w is None:
+        return None
+    return np.asarray(w, dtype=np.float64), np.ascontiguousarray(a.T, dtype=np.float64)
 
 
 def _spectral_norms(n, k, unpack):
@@ -341,20 +382,29 @@ def _eigenvalues_below(s, level) -> bool:
     return True
 
 
-def _eigenpairs_above_zero(s):
+def _eigenpairs_above_zero(s, single=False):
     """Eigenvalues (ascending) and eigenvectors, as columns, of the
-    symmetric ndarray s that include every positive eigenpair, from LAPACK;
-    None where a binding is missing or a call fails. The inertia count k
-    picks the routine: for k <= n // _FEW_POSITIVE, `dsyevr` alone for the
-    top k by index (none at all for k = 0); for more, the full `dsyevd`."""
-    k = _positive_count(s)
+    symmetric ndarray s that include every positive eigenpair, from LAPACK
+    (in single precision when `single`); None where a binding is missing or
+    a call fails. The inertia count k picks the routine: for
+    k <= n // _FEW_POSITIVE, `dsyevr` alone for the top k by index (none at
+    all for k = 0); for more, the full `dsyevd`."""
+    k = _positive_count(s, single)
     if k is None:
         return None
     n = s.shape[0]
     if k > n // _FEW_POSITIVE:
-        return _dsyevd_eigh(s)
-    pairs = _dsyevr_rows(s, n - k + 1, n) if k else (np.empty(0), np.empty((0, n)))
+        return _dsyevd_eigh(s, single)
+    pairs = _dsyevr_rows(s, n - k + 1, n, single) if k else (np.empty(0), np.empty((0, n)))
     return None if pairs is None else (pairs[0], pairs[1].T)
+
+
+def _over_positive(w, v):
+    """The positive ones of the ascending eigenvalues w, and
+    V+ diag(w+) V+^T over the columns of v that hold them."""
+    cut = int(np.searchsorted(w, 0.0, side="right"))
+    side = v[:, cut:]
+    return w[cut:], (side * w[cut:]) @ side.T
 
 
 def _positive_part(s) -> tuple[np.ndarray, np.ndarray]:
@@ -364,10 +414,43 @@ def _positive_part(s) -> tuple[np.ndarray, np.ndarray]:
     block, or one where that fails, from one `eigh`. P+ is exactly 0 when
     no eigenvalue is positive."""
     pairs = _eigenpairs_above_zero(s) if s.shape[0] >= _LAPACKE_MIN_DIM else None
-    w, v = np.linalg.eigh(s) if pairs is None else pairs
-    cut = int(np.searchsorted(w, 0.0, side="right"))
-    side = v[:, cut:]
-    return w[cut:], (side * w[cut:]) @ side.T
+    return _over_positive(*(np.linalg.eigh(s) if pairs is None else pairs))
+
+
+def _block_top_bound(s):
+    """`_block_top`'s pair below size _LAPACKE_MIN_DIM. From it, the Rayleigh
+    quotient v^T s v <= lambda_max(s) of the unit v from one `ssyevr` call's
+    top eigenvector, and a function returning v; None when the binding is
+    missing, the call fails or the quotient is not finite."""
+    n = s.shape[0]
+    if n < _LAPACKE_MIN_DIM:
+        return _block_top(s)
+    pair = _dsyevr_rows(s, n, n, True)
+    if pair is None:
+        return None
+    v = pair[1][0]
+    v = v / np.linalg.norm(v)
+    top = float(v @ s @ v)
+    return (top, lambda: v) if math.isfinite(top) else None
+
+
+def _positive_part_bound(s):
+    """`_positive_part`'s pair below size _LAPACKE_MIN_DIM. From it,
+    h = <s, Z> <= ||P+(s)||, Z = P / ||P||_F PSD of unit norm, P the positive
+    part over the float32 eigenpairs: ([h], h Z), whose h^2 and h Z take the
+    places of ||P+||^2 and P+ (no eigenvalue and 0 where h <= 0); None when
+    a binding is missing, a call fails or h is not finite."""
+    if s.shape[0] < _LAPACKE_MIN_DIM:
+        return _positive_part(s)
+    pairs = _eigenpairs_above_zero(s, True)
+    if pairs is None:
+        return None
+    part = _over_positive(*pairs)[1]
+    size = float(np.linalg.norm(part))
+    h = float(np.vdot(s, part)) / size if size > 0.0 else 0.0
+    if not math.isfinite(h):
+        return None
+    return (np.array([h]), part * (h / size)) if h > 0.0 else (np.empty(0), np.zeros_like(s))
 
 
 def _scaled_norm(a) -> float:

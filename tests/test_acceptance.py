@@ -57,9 +57,9 @@ def report(num, label, violations):
     assert ok, f"criterion {num} ({label}): {len(violations)} violations, first {violations[:3]}"
 
 
-@pytest.fixture(scope="module")
-def lmi_suite():
-    t0 = time.perf_counter()
+def build_lmi_suite():
+    """The battery's 50 certified LMI instances, each with its mu and a
+    start point where the non-smooth f is at least 1e-2."""
     entries = []
     for i in range(50):
         n, m, sigma = COMBOS[i % len(COMBOS)]
@@ -82,15 +82,13 @@ def lmi_suite():
                 f0_sm=eval_smooth(inst.problem, x0).value,
             )
         )
-    TIMINGS["lmi_gen"] = time.perf_counter() - t0
     return entries
 
 
-@pytest.fixture(scope="module")
-def lmi_runs(lmi_suite):
-    t0 = time.perf_counter()
+def run_lmi_suite(entries):
+    """Every LMI solve of the battery, keyed by (index, driver)."""
     runs = {}
-    for e in lmi_suite:
+    for e in entries:
         p = e.inst.problem
         bundle_policy = HARMONIC if e.index % 2 == 0 else RECURSIVE
         other_policy = RECURSIVE if e.index % 2 == 0 else HARMONIC
@@ -98,6 +96,21 @@ def lmi_runs(lmi_suite):
         runs[(e.index, "sm")] = solve_smooth(p, e.mu, EPS, x0=e.x0)
         runs[(e.index, "bns")] = solve_bundle(nonsmooth_oracle(p), e.x0, EPS, bundle_policy)
         runs[(e.index, "bsm")] = solve_bundle(smooth_oracle(p), e.x0, EPS, other_policy)
+    return runs
+
+
+@pytest.fixture(scope="module")
+def lmi_suite():
+    t0 = time.perf_counter()
+    entries = build_lmi_suite()
+    TIMINGS["lmi_gen"] = time.perf_counter() - t0
+    return entries
+
+
+@pytest.fixture(scope="module")
+def lmi_runs(lmi_suite):
+    t0 = time.perf_counter()
+    runs = run_lmi_suite(lmi_suite)
     TIMINGS["lmi_solve"] = time.perf_counter() - t0
     return runs
 

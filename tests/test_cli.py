@@ -407,8 +407,26 @@ class TestCheckCommand:
         path = tmp_path / "latin.lmi"
         path.write_bytes(b"lmi 1 1\nB\n\xff\n")
         assert main(["check", str(path)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and "utf-8" in err[0]
+        assert capsys.readouterr().err == f"error: {path}: line 3: not valid UTF-8\n"
+
+    @pytest.mark.parametrize("data, line", [
+        (b"\xfflmi 1 1\nB\n1\n", 1),
+        (b"lmi 1 1\r\nB\r\n1\r\nA 1\r\n\xc3\n", 5),  # a UTF-8 sequence cut short
+        (b"lmi 1 1\n\nB\n\n1\n# \xe9\n", 6),  # blank lines count
+    ])
+    def test_file_not_utf8_names_its_line(self, tmp_path, capsys, data, line):
+        path = tmp_path / "bad.lmi"
+        path.write_bytes(data)
+        assert main(["solve", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: line {line}: not valid UTF-8\n"
+
+    def test_crlf_file_parses(self, tmp_path, capsys):
+        path = tmp_path / "crlf.lmi"
+        path.write_bytes(FAR_LMI.replace("\n", "\r\n").encode())
+        assert main(["check", str(path)]) == 0
+        assert "kind=lmi" in capsys.readouterr().out
 
     def test_linsys_file(self, tmp_path, capsys):
         sys_, _ = gen_linsys(3, 5, 8, kinds="mixed")

@@ -444,3 +444,89 @@ class TestLargeBlocks:
         ev = eval_smooth(inst.problem, inst.witness)
         assert ev.value == 0.0
         np.testing.assert_array_equal(ev.gradient, np.zeros(4))
+
+
+def screened_cases():
+    """(problem, points) pairs with blocks of size >= 32, where the oracles
+    built here get a screen: one 48 block, and a stack of a 40 block, a 60
+    block, a 10 block and two scalar rows, each at points above f = 0."""
+    rng = np.random.default_rng(95)
+    inst = gen_lmi(48, 4, 0.5, 91)
+    yield inst.problem, [3.0 * inst.witness + rng.uniform(-1.0, 1.0, 4) for _ in range(3)]
+    rows = [LmiProblem([[[c]] for c in rng.uniform(-1.0, 1.0, 4)], [[0.5]]) for _ in range(2)]
+    p = stack([gen_lmi(40, 4, 0.5, 96).problem, gen_lmi(60, 4, 0.5, 97).problem,
+               gen_lmi(10, 4, 0.5, 98).problem, *rows])
+    points = (rng.uniform(-6.0, 6.0, 4) for _ in range(100))
+    yield p, [x for x in points if eval_nonsmooth(p, x).value > 1e-3][:3]
+
+
+class TestScreen:
+    """The private screened evaluation that `nonsmooth_oracle` and
+    `smooth_oracle` attach for blocks of size >= 32: float32 eigenvectors,
+    and a float64 pair built from them that lies below f."""
+
+    @pytest.mark.parametrize("make, exact", [(nonsmooth_oracle, eval_nonsmooth),
+                                             (smooth_oracle, eval_smooth)],
+                             ids=["nonsmooth", "smooth"])
+    def test_screened_pairs_are_minorants(self, make, exact):
+        rng = np.random.default_rng(99)
+        for p, points in screened_cases():
+            orc = make(p)
+            if not symlinalg._single_precision():
+                assert orc._screen is None
+                continue
+            for x in points:
+                ev, want = orc._screen(x, 0.0), exact(p, x)
+                assert ev is not None and 0.0 < ev.value
+                # a lower bound, and a tight one: float32 vectors enter the
+                # value only to second order
+                assert ev.value <= want.value * (1.0 + 1e-12)
+                assert ev.value == pytest.approx(want.value, rel=1e-8)
+                np.testing.assert_allclose(ev.gradient, want.gradient,
+                                           atol=1e-4 * np.abs(want.gradient).max())
+                for y in x + rng.standard_normal((8, p.num_vars)):
+                    cut = ev.value + float(ev.gradient @ (y - x))
+                    fy = exact(p, y).value
+                    roundoff = 1e-12 * (1.0 + abs(fy) + np.abs(ev.gradient) @ np.abs(y - x))
+                    assert cut <= fy + roundoff
+
+    @pytest.mark.parametrize("make", [nonsmooth_oracle, smooth_oracle],
+                             ids=["nonsmooth", "smooth"])
+    def test_floor_screens_out(self, make):
+        # a pair is kept only above the floor; a point where f = 0 gets none
+        p, points = next(screened_cases())
+        orc = make(p)
+        if orc._screen is None:
+            return
+        x = points[0]
+        value = orc._screen(x, 0.0).value
+        assert orc._screen(x, 0.5 * value) is not None
+        assert orc._screen(x, value) is None
+        assert orc._screen(gen_lmi(48, 4, 0.5, 91).witness, 0.0) is None
+
+    def test_attached_only_for_large_blocks(self, monkeypatch):
+        small = gen_lmi(20, 4, 0.5, 91).problem
+        large = gen_lmi(48, 4, 0.5, 91).problem
+        for make in (nonsmooth_oracle, smooth_oracle):
+            assert make(small)._screen is None
+            assert (make(large)._screen is not None) == symlinalg._single_precision()
+        # each single-precision lookup is needed; the double ones keep working
+        for name in ("_ssyevr", "_ssytrf", "_ssyevd"):
+            with monkeypatch.context() as m:
+                m.setattr(symlinalg, name, lambda: None)
+                assert nonsmooth_oracle(large)._screen is None
+                assert smooth_oracle(large)._screen is None
+
+    def test_public_evaluations_unscreened(self, monkeypatch):
+        # eval_* never run a single-precision routine
+        def refuse():
+            raise AssertionError("a single-precision routine was looked up")
+
+        p, points = next(screened_cases())
+        want = [(eval_nonsmooth(p, x), eval_smooth(p, x)) for x in points]
+        for name in ("_ssyevr", "_ssytrf", "_ssyevd"):
+            monkeypatch.setattr(symlinalg, name, refuse)
+        for x, (ns, sm) in zip(points, want):
+            for got, ev in ((eval_nonsmooth(p, x), ns), (eval_smooth(p, x), sm)):
+                assert got.value == ev.value
+                assert got.gradient.tobytes() == ev.gradient.tobytes()

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmisolve import objectives
+from lmisolve import model, objectives, symlinalg
 from lmisolve import (
+    DEFAULT_CAP,
     HARMONIC,
     RECURSIVE,
     DimensionMismatch,
@@ -25,6 +26,8 @@ from lmisolve import (
     SymMatrix,
     accelerated_phase,
     constants,
+    eval_nonsmooth,
+    eval_smooth,
     gap_reduction,
     gen_linsys,
     gen_lmi,
@@ -799,3 +802,144 @@ class TestOracleCalls:
         # would mean the solve went around objectives.eval_*
         assert len(points) >= res.phases
         assert all(a != b for a, b in zip(points, points[1:]))
+
+
+def unscreened(p, make):
+    """The oracle `make(p)` builds, as a user would build it: no screen."""
+    built = make(p)
+    ev = eval_nonsmooth if make is nonsmooth_oracle else eval_smooth
+    return Oracle(lambda x: ev(p, x), built.dim, built.grad_lipschitz, built.subgrad_bound)
+
+
+def full_bytes(res):
+    """outcome_bytes of a solve, with its f column and its phases."""
+    phases = tuple((ph.f_start, ph.f_end, ph.iterations, ph.completed, ph.start_point.tobytes())
+                   for ph in res.trace.phases)
+    return outcome_bytes(res), res.trace.f_values.tobytes(), phases
+
+
+LMI_DRIVERS = ("nonsmooth", "smooth", "bundle-nonsmooth", "bundle-smooth")
+
+
+def lmi_solve(inst, label, cap=DEFAULT_CAP):
+    """The solve of driver `label` on inst from 3 times its witness, to eps = 1e-8."""
+    p, mu, x0 = inst.problem, mu_of(inst.certificate), 3.0 * inst.witness
+    if label == "nonsmooth":
+        return solve_nonsmooth(p, mu, 1e-8, cap, x0=x0)
+    if label == "smooth":
+        return solve_smooth(p, mu, 1e-8, cap, x0=x0)
+    make = nonsmooth_oracle if label == "bundle-nonsmooth" else smooth_oracle
+    return solve_bundle(make(p), x0, 1e-8, HARMONIC, cap)
+
+
+def hazard_point(p, witness, kind):
+    """A point x of the one-block problem p where f(x), from the float64
+    oracle, lies above the value that float32 eigenvalues give, with both
+    values: the float32 value is the top eigenvalue (non-smooth), or the sum
+    of the squared positive eigenvalues (smooth), of A(x) - B in float32.
+    x lies on a segment from the witness to an infeasible point, where
+    lambda_max(A(x) - B) is 4e-9 (non-smooth) or 1e-4 (smooth); the sign of
+    the float32 error varies from segment to segment."""
+    rng = np.random.default_rng(7)
+    target = 4e-9 if kind == "nonsmooth" else 1e-4
+    for _ in range(20):
+        u = 2.0 * witness + rng.uniform(-1.0, 1.0, witness.size)
+        lo, hi = 0.0, 1.0
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            if eval_nonsmooth(p, witness + mid * u).value < target:
+                lo = mid
+            else:
+                hi = mid
+        x = witness + hi * u
+        w = np.linalg.eigvalsh(model._residuals(p, x)[0][0].astype(np.float32)).astype(float)
+        if kind == "nonsmooth":
+            f32, f64 = w[-1], eval_nonsmooth(p, x).value
+        else:
+            f32, f64 = float(np.sum(w[w > 0.0] ** 2)), eval_smooth(p, x).value
+        if f32 < f64:
+            return x, f32, f64
+    raise AssertionError("no point where float32 reads below float64")
+
+
+class TestScreenedSolves:
+    """The restarted drivers evaluate through the oracle's screen first: a
+    float64 pair, built from float32 eigenvectors, that lies below f and
+    reads above eps. Every value <= eps, and every reported value, is the
+    float64 oracle's."""
+
+    @pytest.mark.parametrize("kind", ["nonsmooth", "smooth"])
+    def test_float32_value_below_eps_is_not_solved(self, kind):
+        inst = gen_lmi(48, 4, 0.5, 91)
+        p, mu = inst.problem, mu_of(inst.certificate)
+        x, f32, f64 = hazard_point(p, inst.witness, kind)
+        eps = 0.5 * (max(f32, 0.0) + f64)
+        assert f32 <= eps < f64
+        if kind == "nonsmooth":
+            exact = eval_nonsmooth
+            solves = [solve_nonsmooth(p, mu, eps, 20, x0=x),
+                      solve_bundle(nonsmooth_oracle(p), x, eps, HARMONIC, 20)]
+        else:
+            exact = eval_smooth
+            solves = [solve_smooth(p, mu, eps, 20, x0=x),
+                      solve_bundle(smooth_oracle(p), x, eps, HARMONIC, 20)]
+        for res in solves:
+            # a phase starts at x, from a value above eps
+            assert res.phases >= 1 and res.trace.phases[0].f_start > eps
+            assert res.value == exact(p, res.solution).value
+            if res.status is SolveStatus.SOLVED:
+                assert res.value <= eps and not np.array_equal(res.solution, x)
+
+    @pytest.mark.parametrize("label", LMI_DRIVERS)
+    def test_reported_values_are_float64(self, label):
+        # a solve cut by its cap reports f at its point, not a screened bound
+        inst = gen_lmi(60, 8, 1.0, 3)
+        exact = eval_nonsmooth if label.endswith("nonsmooth") else eval_smooth
+        for cap, status in ((2, SolveStatus.ITERATION_CAP), (DEFAULT_CAP, SolveStatus.SOLVED)):
+            res = lmi_solve(inst, label, cap)
+            assert res.status is status
+            assert res.value == exact(inst.problem, res.solution).value
+
+    @pytest.mark.parametrize("label", LMI_DRIVERS)
+    def test_without_single_precision_unscreened_bits(self, monkeypatch, label):
+        # with only the single-precision lookups missing, each solve on
+        # blocks of size >= 32 is the unscreened solve, bit for bit; the
+        # screen itself keeps every status
+        cases = [gen_lmi(48, 4, 0.5, 91), gen_lmi(60, 8, 1.0, 3)]
+        screened = [lmi_solve(inst, label).status for inst in cases]
+        for name in ("_ssyevr", "_ssytrf", "_ssyevd"):
+            monkeypatch.setattr(symlinalg, name, lambda: None)
+        got = [full_bytes(lmi_solve(inst, label)) for inst in cases]
+        monkeypatch.setattr(objectives, "_screened", lambda oracle, *args: oracle)
+        want = [full_bytes(lmi_solve(inst, label)) for inst in cases]
+        assert got == want
+        assert screened == [SolveStatus.SOLVED] * 2
+
+    @pytest.mark.parametrize("make", [nonsmooth_oracle, smooth_oracle],
+                             ids=["nonsmooth", "smooth"])
+    def test_small_blocks_match_user_built_oracle(self, make):
+        # below size 32 no screen is attached: a solve through the oracle
+        # built here is the solve through a user's Oracle, bit for bit
+        inst = gen_lmi(20, 4, 1.0, 5)
+        p, x0 = inst.problem, 3.0 * inst.witness
+        assert make(p)._screen is None
+        for policy in (HARMONIC, RECURSIVE):
+            got = solve_bundle(make(p), x0, 1e-8, policy)
+            want = solve_bundle(unscreened(p, make), x0, 1e-8, policy)
+            assert got.iterations > 0
+            assert full_bytes(got) == full_bytes(want)
+
+    @pytest.mark.parametrize("make", [nonsmooth_oracle, smooth_oracle],
+                             ids=["nonsmooth", "smooth"])
+    def test_single_phase_operations_unscreened(self, make):
+        # subgradient_phase, accelerated_phase and gap_reduction take
+        # `evaluate` alone, whatever the block size
+        inst = gen_lmi(48, 4, 0.5, 91)
+        p, x0 = inst.problem, 3.0 * inst.witness
+
+        def outcomes(orc):
+            return [outcome_bytes(subgradient_phase(orc, x0, 5, 0.1)),
+                    outcome_bytes(accelerated_phase(orc, 10.0, x0, 5)),
+                    outcome_bytes(gap_reduction(orc, x0, 0.0, HARMONIC))]
+
+        assert outcomes(make(p)) == outcomes(unscreened(p, make))
