@@ -36,9 +36,9 @@ import numpy as np
 from .model import (LinIneqSystem, LmiProblem, _adjoint, _as_vector, _block_adjoint, _clip,
                     _finite, _operator_norm, _residuals, constants)
 # eig_sym, lambda_max and project_neg_semidef stay importable here for perfbench's tracer
-from .symlinalg import (_LAPACKE_MIN_DIM, _block_top, _block_top_bound,  # noqa: F401
-                        _no_overflow, _positive_part, _positive_part_bound, _single_precision,
-                        _spectral_norm, eig_sym, lambda_max, project_neg_semidef)
+from .symlinalg import (_block_top, _block_top_bound, _no_overflow,  # noqa: F401
+                        _positive_part, _positive_part_bound, _screened_dim, _spectral_norm,
+                        eig_sym, lambda_max, project_neg_semidef)
 
 __all__ = [
     "OracleEval",
@@ -182,10 +182,10 @@ def eval_linsys(sys: LinIneqSystem, x) -> OracleEval:
 
 def _screened(oracle, p, core, kernel):
     """oracle, with a `_screen` running core(p, x, kernel) where p has a
-    block of size _LAPACKE_MIN_DIM or more and the single-precision bindings
-    resolve. Each large block's bound term is linear in x and lies below its
-    term of f, and every other block and row keeps its exact pair."""
-    if any(blk.rhs.shape[0] >= _LAPACKE_MIN_DIM for blk in p._blocks) and _single_precision():
+    block that `symlinalg._screened_dim` admits. Each large block's bound
+    term is linear in x and lies below its term of f, and every other block
+    and row keeps its exact pair."""
+    if any(_screened_dim(blk.rhs.shape[0]) for blk in p._blocks):
         def screen(x, floor):
             ev = core(p, _finite(_as_vector(x, p.num_vars, "point")), kernel)
             # an overflowing value is left to `evaluate`, which reports it

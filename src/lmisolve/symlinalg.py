@@ -13,12 +13,18 @@ makes each public kernel raise NonFiniteInput, with no RuntimeWarning.
 
 The oracles call the private ndarray kernels directly, on blocks of
 A(x) - B that are exactly symmetric and finite, and compute only the
-spectrum they need, with LAPACKE routines of the OpenBLAS that numpy's own
-wheels bundle and have loaded: `dsyevr`, `dsytrf` and `dsyevd` (the
-`scipy_LAPACKE_*64_` symbols), bound with ctypes through the handle of
-`numpy.linalg._umath_linalg` (`_lapacke`), so no library is loaded. Each
-works on a copy; where its symbol is missing or a call fails, the kernel
-takes numpy's own routine on the intact block, as blocks below size 32 do.
+spectrum they need, with three LAPACKE routines of the OpenBLAS that
+numpy's own wheels bundle and have loaded, each in double and single
+precision: `syevr`, `sytrf` and `syevd`. `_lapacke(name)` binds one of
+the six `scipy_LAPACKE_*64_` symbols ("dsyevr", "ssytrf", ...) with
+ctypes through the handle of `numpy.linalg._umath_linalg`, so no library
+is loaded; its argument types come from one table, `_ARGTYPES`, whose
+real arguments the name's first letter makes c_double or c_float.
+`_syevr_rows`, `_positive_count`, `_syevd_in_place` and
+`_eigenpairs_above_zero` run the routine of their array's dtype in place
+on a C-order array their caller owns, and return float64. Each kernel
+gives them a copy; where a symbol is missing or a call fails, it takes
+numpy's own routine on the intact block, as blocks below size 32 do.
 
 `_block_top` gives the non-smooth oracle the top eigenvalue of a block and
 a vector only for the block that needs one: from size 32, both from one
@@ -35,12 +41,13 @@ These results are deterministic but not canonical; `lambda_max` takes its
 pair as `_block_top` does, and `project_neg_semidef` is built on
 `_positive_part`.
 
-The oracles' screened evaluations take lower bounds from `ssyevr`,
-`ssytrf` and `ssyevd`, which `_dsyevr_rows`, `_positive_count` and
-`_dsyevd_eigh` run on a float32 copy when `single`: from size 32,
-`_block_top_bound` gives the Rayleigh quotient of the float32 top vector,
-and `_positive_part_bound` h = <S, P / ||P||_F> for the positive part P over
-the float32 eigenpairs. Both are float64 and bounds whatever float32's error.
+The oracles' screened evaluations, on the blocks `_screened_dim` admits,
+take lower bounds from the same helpers on one float32 copy of each block
+(none where a block overflows float32), so from `ssyevr`, `ssytrf` and
+`ssyevd`: `_block_top_bound` gives the Rayleigh quotient of the float32
+top vector, and `_positive_part_bound` h = <S, P / ||P||_F> for the
+positive part P over the float32 eigenpairs. Both are float64 and bounds
+whatever float32's error.
 
 `_spectral_norms`, behind M, is the one spectral-norm kernel: `dsyevd` for
 eigenvalues alone (jobz "N", as `eigvalsh` runs it) on two threads, the one
@@ -163,88 +170,67 @@ def _eigh_top(s) -> tuple[float, np.ndarray]:
     return float(full[-1]), v[:, int(np.argmax(full == full[-1]))]
 
 
-def _lapacke(name, *argtypes):
-    """LAPACKE's `name` with 64-bit integers, from the OpenBLAS that numpy's
-    wheels bundle, or None where numpy links another LAPACK. It is looked
-    up through the handle of `numpy.linalg._umath_linalg`, which is mapped
-    already, so the lookup loads no library."""
+_I64, _PTR, _CHAR = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
+_REAL = None  # c_double in a `d` routine, c_float in an `s` one
+# the arguments after the layout, of each routine in both precisions
+_ARGTYPES = {
+    # jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz
+    "syevr": (_CHAR, _CHAR, _CHAR, _I64, _PTR, _I64, _REAL, _REAL, _I64, _I64, _REAL,
+              _PTR, _PTR, _PTR, _I64, _PTR),
+    # uplo, n, a, lda, ipiv
+    "sytrf": (_CHAR, _I64, _PTR, _I64, _PTR),
+    # jobz, uplo, n, a, lda, w
+    "syevd": (_CHAR, _CHAR, _I64, _PTR, _I64, _PTR),
+}
+
+
+@functools.cache
+def _lapacke(name):
+    """LAPACKE's `name`, a routine of `_ARGTYPES` behind its precision's
+    letter ("dsyevr", "ssytrf", ...), with 64-bit integers, from the
+    OpenBLAS that numpy's wheels bundle, or None where numpy links another
+    LAPACK. It is looked up through the handle of
+    `numpy.linalg._umath_linalg`, which is mapped already, so the lookup
+    loads no library."""
     from numpy.linalg import _umath_linalg
     try:
         fn = getattr(ctypes.CDLL(_umath_linalg.__file__), f"scipy_LAPACKE_{name}64_")
     except (OSError, AttributeError):
         return None
-    fn.argtypes = [ctypes.c_int, *argtypes]  # the layout first
+    real = ctypes.c_float if name[0] == "s" else ctypes.c_double
+    # the layout first
+    fn.argtypes = [ctypes.c_int, *(real if t is _REAL else t for t in _ARGTYPES[name[1:]])]
     fn.restype = ctypes.c_int64
     return fn
 
 
-_I64, _PTR, _CHAR = ctypes.c_int64, ctypes.c_void_p, ctypes.c_char
-_DBL, _FLT = ctypes.c_double, ctypes.c_float
+def _routine(a, name):
+    """`_lapacke`'s routine `name` ("syevr", ...) in the precision of the
+    ndarray a, float64 or float32 (a KeyError for any other dtype)."""
+    return _lapacke({np.float64: "d", np.float32: "s"}[a.dtype.type] + name)
 
 
-@functools.cache
-def _dsyevr():
-    # jobz, range, uplo, n, a, lda, vl, vu, il, iu, abstol, m, w, z, ldz, isuppz
-    return _lapacke("dsyevr", _CHAR, _CHAR, _CHAR, _I64, _PTR, _I64, _DBL, _DBL, _I64, _I64,
-                    _DBL, _PTR, _PTR, _PTR, _I64, _PTR)
+def _screened_dim(n) -> bool:
+    """Whether the oracles' screened evaluations take a block of size n in
+    single precision: from size _LAPACKE_MIN_DIM, where `ssyevr`, `ssytrf`
+    and `ssyevd` all resolve."""
+    return n >= _LAPACKE_MIN_DIM and None not in [_lapacke("s" + r) for r in _ARGTYPES]
 
 
-@functools.cache
-def _dsytrf():
-    # uplo, n, a, lda, ipiv
-    return _lapacke("dsytrf", _CHAR, _I64, _PTR, _I64, _PTR)
-
-
-@functools.cache
-def _dsyevd():
-    # jobz, uplo, n, a, lda, w
-    return _lapacke("dsyevd", _CHAR, _CHAR, _I64, _PTR, _I64, _PTR)
-
-
-# single precision, for the screened evaluations; ssyevr's vl, vu and abstol are floats
-@functools.cache
-def _ssyevr():
-    return _lapacke("ssyevr", _CHAR, _CHAR, _CHAR, _I64, _PTR, _I64, _FLT, _FLT, _I64, _I64,
-                    _FLT, _PTR, _PTR, _PTR, _I64, _PTR)
-
-
-@functools.cache
-def _ssytrf():
-    return _lapacke("ssytrf", _CHAR, _I64, _PTR, _I64, _PTR)
-
-
-@functools.cache
-def _ssyevd():
-    return _lapacke("ssyevd", _CHAR, _CHAR, _I64, _PTR, _I64, _PTR)
-
-
-def _single_precision() -> bool:
-    """Whether `ssyevr`, `ssytrf` and `ssyevd` all resolve."""
-    return None not in (_ssyevr(), _ssytrf(), _ssyevd())
-
-
-def _dsyevr_rows(s, il, iu, single=False):
-    """Eigenvalues il..iu (1-based, ascending) of the symmetric ndarray s
-    and their unit eigenvectors as rows, from one `dsyevr` call over that
-    index range (`ssyevr` on a float32 copy when `single`; the results are
-    float64 either way); None when the binding is missing or the call fails.
-
-    `dsyevr` overwrites its input, so it works on a copy and s stays intact
-    for a fallback."""
-    fn = _ssyevr() if single else _dsyevr()
+def _syevr_rows(a, il, iu):
+    """Eigenvalues il..iu (1-based, ascending) of the symmetric C-order
+    ndarray a and their unit eigenvectors as rows, in float64, from one
+    `syevr` call in a's precision over that index range, which overwrites
+    a; None when the binding is missing or the call fails."""
+    fn = _routine(a, "syevr")
     if fn is None:
         return None
-    dtype = np.float32 if single else np.float64
-    n, most = s.shape[0], iu - il + 1
-    # a C-order copy read column-major (layout 102) is s^T = s, and LAPACKE
-    # then works on it in place
-    a = np.array(s, dtype=dtype, order="C")
-    if single and not np.isfinite(a).all():  # s overflows float32
-        return None
+    n, most = a.shape[0], iu - il + 1
     found = np.zeros(1, dtype=np.int64)
-    w = np.empty(n, dtype)  # dsyevr uses all n entries as workspace
-    z = np.empty((most, n), dtype)  # column-major n x most
+    w = np.empty(n, a.dtype)  # syevr uses all n entries as workspace
+    z = np.empty((most, n), a.dtype)  # column-major n x most
     isuppz = np.empty(2 * most, dtype=np.int64)
+    # a C-order array read column-major (layout 102) is a^T = a
     info = fn(102, b"V", b"I", b"L", n, a.ctypes.data, n, 0.0, 0.0, il, iu, 0.0,
               found.ctypes.data, w.ctypes.data, z.ctypes.data, n, isuppz.ctypes.data)
     # for the index range, found[0] is always iu - il + 1
@@ -256,11 +242,12 @@ def _dsyevr_rows(s, il, iu, single=False):
 def _dsyevr_top(s):
     """Largest eigenvalue of the symmetric ndarray s (of size 2 or more) and
     a unit eigenvector for it, from one `dsyevr` call for the top two
-    eigenvalues; None when the binding is missing or the call fails. On an
-    exact tie `dsyevr` returns the last of the tied columns, so a tie takes
-    the first one from `_eigh_top` instead."""
+    eigenvalues on a copy, so s stays intact for a fallback; None when the
+    binding is missing or the call fails. On an exact tie `dsyevr` returns
+    the last of the tied columns, so a tie takes the first one from
+    `_eigh_top` instead."""
     n = s.shape[0]
-    pairs = _dsyevr_rows(s, n - 1, n)
+    pairs = _syevr_rows(np.array(s, dtype=np.float64, order="C"), n - 1, n)
     if pairs is None:
         return None
     w, z = pairs
@@ -282,20 +269,19 @@ def _block_top(s):
     return float(w[-1]), lambda: _eigh_top(s)[1]
 
 
-def _positive_count(s, single=False):
-    """Number of positive eigenvalues of the symmetric ndarray s, by
+def _positive_count(a):
+    """Number of positive eigenvalues of the symmetric C-order ndarray a, by
     Sylvester's law of inertia on one Bunch-Kaufman factorization
-    P S P^T = L D L^T (`dsytrf`, or `ssytrf` on a float32 copy when
-    `single`); None when the binding is missing, the
-    call fails (info < 0; info > 0 is an exactly zero pivot, and D is
-    complete), or D's diagonal holds NaN or Inf (from s or an overflow). A
-    1 x 1 pivot counts when it is positive; a 2 x 2 pivot has a negative
-    determinant, so it holds exactly one positive eigenvalue."""
-    fn = _ssytrf() if single else _dsytrf()
+    P A P^T = L D L^T, which one `sytrf` call in a's precision writes over
+    a; None when the binding is missing, the call fails (info < 0; info > 0
+    is an exactly zero pivot, and D is complete), or D's diagonal holds NaN
+    or Inf (from a or an overflow). A 1 x 1 pivot counts when it is
+    positive; a 2 x 2 pivot has a negative determinant, so it holds exactly
+    one positive eigenvalue."""
+    fn = _routine(a, "sytrf")
     if fn is None:
         return None
-    n = s.shape[0]
-    a = np.array(s, dtype=np.float32 if single else np.float64, order="C")  # factored in place
+    n = a.shape[0]
     ipiv = np.empty(n, dtype=np.int64)
     d = a.diagonal()
     if fn(102, b"L", n, a.ctypes.data, n, ipiv.ctypes.data) < 0 or not np.isfinite(d).all():
@@ -306,31 +292,20 @@ def _positive_count(s, single=False):
     return int(np.count_nonzero(d[alone] > 0.0)) + pairs
 
 
-def _dsyevd_in_place(a, jobz):
-    """Eigenvalues (ascending) of the symmetric C-order ndarray a from one
-    `dsyevd` call in place (`ssyevd` for a float32 a), as `eigh` (jobz b"V",
+def _syevd_in_place(a, jobz):
+    """Eigenvalues (ascending, float64) of the symmetric C-order ndarray a
+    from one `syevd` call in a's precision, in place, as `eigh` (jobz b"V",
     leaving the eigenvectors as the rows of a) or `eigvalsh` (b"N") runs it;
     None where the binding is missing or the call fails."""
-    fn = _ssyevd() if a.dtype == np.float32 else _dsyevd()
+    fn = _routine(a, "syevd")
     if fn is None:
         return None
     n = a.shape[0]
     w = np.empty(n, a.dtype)
     # a C-order array read column-major (layout 102) is a^T = a
-    return w if fn(102, jobz, b"L", n, a.ctypes.data, n, w.ctypes.data) == 0 else None
-
-
-def _dsyevd_eigh(s, single=False):
-    """`np.linalg.eigh(s)` bit for bit, from one direct `dsyevd` call on a
-    copy (`ssyevd` on a float32 copy when `single`, returned as float64);
-    None when the binding is missing or the call fails."""
-    a = np.array(s, dtype=np.float32 if single else np.float64, order="C")
-    w = _dsyevd_in_place(a, b"V")
-    # numpy returns the eigenvectors C-contiguous, and the product that
-    # forms P+ keeps its bits only in that layout
-    if w is None:
+    if fn(102, jobz, b"L", n, a.ctypes.data, n, w.ctypes.data) != 0:
         return None
-    return np.asarray(w, dtype=np.float64), np.ascontiguousarray(a.T, dtype=np.float64)
+    return np.asarray(w, dtype=np.float64)
 
 
 def _spectral_norms(n, k, unpack):
@@ -346,11 +321,11 @@ def _spectral_norms(n, k, unpack):
         a = np.empty((n, n))
         for i in range(lo, hi):
             unpack(i, a)
-            w = _dsyevd_in_place(a, b"N")
+            w = _syevd_in_place(a, b"N")
             if w is not None:
                 out[i] = np.abs(w).max()
 
-    if k > 1 and _dsyevd() is not None:
+    if k > 1 and _lapacke("dsyevd") is not None:
         worker = threading.Thread(target=run, args=(k // 2, k))
         worker.start()
         try:
@@ -382,20 +357,24 @@ def _eigenvalues_below(s, level) -> bool:
     return True
 
 
-def _eigenpairs_above_zero(s, single=False):
-    """Eigenvalues (ascending) and eigenvectors, as columns, of the
-    symmetric ndarray s that include every positive eigenpair, from LAPACK
-    (in single precision when `single`); None where a binding is missing or
-    a call fails. The inertia count k picks the routine: for
-    k <= n // _FEW_POSITIVE, `dsyevr` alone for the top k by index (none at
-    all for k = 0); for more, the full `dsyevd`."""
-    k = _positive_count(s, single)
+def _eigenpairs_above_zero(a):
+    """Eigenvalues (ascending) and eigenvectors, as columns, in float64, of
+    the symmetric C-order ndarray a that include every positive eigenpair,
+    from LAPACK in a's precision, which overwrites a; None where a binding
+    is missing or a call fails. The inertia count k of a copy picks the
+    routine: for k <= n // _FEW_POSITIVE, `syevr` alone for the top k by
+    index (none at all for k = 0); for more, the full `syevd`, which in
+    double precision gives `eigh`'s eigenpairs bit for bit."""
+    k = _positive_count(a.copy())
     if k is None:
         return None
-    n = s.shape[0]
+    n = a.shape[0]
     if k > n // _FEW_POSITIVE:
-        return _dsyevd_eigh(s, single)
-    pairs = _dsyevr_rows(s, n - k + 1, n, single) if k else (np.empty(0), np.empty((0, n)))
+        w = _syevd_in_place(a, b"V")
+        # numpy returns the eigenvectors C-contiguous, and the product that
+        # forms P+ keeps its bits only in that layout
+        return None if w is None else (w, np.ascontiguousarray(a.T, dtype=np.float64))
+    pairs = _syevr_rows(a, n - k + 1, n) if k else (np.empty(0), np.empty((0, n)))
     return None if pairs is None else (pairs[0], pairs[1].T)
 
 
@@ -413,19 +392,22 @@ def _positive_part(s) -> tuple[np.ndarray, np.ndarray]:
     >= _LAPACKE_MIN_DIM takes them from `_eigenpairs_above_zero`; a smaller
     block, or one where that fails, from one `eigh`. P+ is exactly 0 when
     no eigenvalue is positive."""
-    pairs = _eigenpairs_above_zero(s) if s.shape[0] >= _LAPACKE_MIN_DIM else None
+    big = s.shape[0] >= _LAPACKE_MIN_DIM
+    pairs = _eigenpairs_above_zero(np.array(s, dtype=np.float64, order="C")) if big else None
     return _over_positive(*(np.linalg.eigh(s) if pairs is None else pairs))
 
 
 def _block_top_bound(s):
     """`_block_top`'s pair below size _LAPACKE_MIN_DIM. From it, the Rayleigh
     quotient v^T s v <= lambda_max(s) of the unit v from one `ssyevr` call's
-    top eigenvector, and a function returning v; None when the binding is
-    missing, the call fails or the quotient is not finite."""
+    top eigenvector on a float32 copy, and a function returning v; None
+    when s overflows float32, the binding is missing, the call fails or the
+    quotient is not finite."""
     n = s.shape[0]
     if n < _LAPACKE_MIN_DIM:
         return _block_top(s)
-    pair = _dsyevr_rows(s, n, n, True)
+    a = np.array(s, dtype=np.float32, order="C")
+    pair = _syevr_rows(a, n, n) if np.isfinite(a).all() else None
     if pair is None:
         return None
     v = pair[1][0]
@@ -437,12 +419,14 @@ def _block_top_bound(s):
 def _positive_part_bound(s):
     """`_positive_part`'s pair below size _LAPACKE_MIN_DIM. From it,
     h = <s, Z> <= ||P+(s)||, Z = P / ||P||_F PSD of unit norm, P the positive
-    part over the float32 eigenpairs: ([h], h Z), whose h^2 and h Z take the
-    places of ||P+||^2 and P+ (no eigenvalue and 0 where h <= 0); None when
-    a binding is missing, a call fails or h is not finite."""
+    part over the eigenpairs of a float32 copy: ([h], h Z), whose h^2 and
+    h Z take the places of ||P+||^2 and P+ (no eigenvalue and 0 where
+    h <= 0); None when s overflows float32, a binding is missing, a call
+    fails or h is not finite."""
     if s.shape[0] < _LAPACKE_MIN_DIM:
         return _positive_part(s)
-    pairs = _eigenpairs_above_zero(s, True)
+    a = np.array(s, dtype=np.float32, order="C")
+    pairs = _eigenpairs_above_zero(a) if np.isfinite(a).all() else None
     if pairs is None:
         return None
     part = _over_positive(*pairs)[1]

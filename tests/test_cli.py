@@ -194,6 +194,15 @@ class TestGenCommand:
         assert captured.err.splitlines() == [
             "error: sigma 1e+160 is too large: the generated instance overflows"]
 
+    @pytest.mark.parametrize("n, m, seed", [(40, 5, 7), (60, 8, 3)])
+    def test_large_blocks_check_valid(self, tmp_path, capsys, n, m, seed):
+        # a generated file with a 40 x 40 or 60 x 60 block parses and its
+        # certificate holds
+        assert main(["gen", "--n", str(n), "--m", str(m), "--seed", str(seed)]) == 0
+        path = write(tmp_path, "g.lmi", capsys.readouterr().out)
+        assert main(["check", path]) == 0
+        assert "certificate=valid" in capsys.readouterr().out.splitlines()
+
 
 class TestSolveCommand:
     def test_certified_file_smooth(self, tmp_path, capsys):
@@ -238,6 +247,15 @@ class TestSolveCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: A^T A contains NaN or Inf\n"
+
+    def test_overflowing_operator_norm_exit_one(self, tmp_path, capsys):
+        # the coefficient is finite; ||A||^2 = 1e400 is not: one error line,
+        # not a LinAlgError from the Gram matrix's eigenvalues
+        path = write(tmp_path, "big.lmi", "lmi 2 1\nB\n0 0\n0 0\nA 1\n1e200 0\n0 1\n")
+        assert main(["solve", "--method", "smooth", "--mu", "1", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: operator constants overflow\n"
 
     @pytest.mark.parametrize("flags", [["--method", "smooth"],
                                        ["--method", "nonsmooth", "--mu", "1e300"],

@@ -408,7 +408,7 @@ class TestSpectralNormThreads:
         monkeypatch.setattr(symlinalg, "threading", SimpleNamespace(Thread=Recorded))
         return started
 
-    def bounds(self, monkeypatch, build):
+    def bounds(self, monkeypatch, lapacke, build):
         """M of a fresh build() with two threads, on the calling thread
         alone, and with the dsyevd binding missing, and the number of
         threads each started."""
@@ -416,31 +416,31 @@ class TestSpectralNormThreads:
         for inline, binding in ((False, True), (True, True), (False, False)):
             started = self.started_threads(monkeypatch, inline)
             if not binding:
-                monkeypatch.setattr(symlinalg, "_dsyevd", lambda: None)
+                lapacke(dsyevd=None)
             out.append((constants(build()).subgrad_bound, len(started)))
         return out
 
-    def test_odd_count_same_bits(self, monkeypatch):
+    def test_odd_count_same_bits(self, monkeypatch, lapacke):
         # m = 7 splits 3 + 4
         def build():
             return random_problem(np.random.default_rng(7), 40, 7)
 
-        have = int(symlinalg._dsyevd() is not None)
-        (two, started), (one, inlined), (fallback, none) = self.bounds(monkeypatch, build)
+        have = int(symlinalg._lapacke("dsyevd") is not None)
+        (two, started), (one, inlined), (fallback, none) = self.bounds(monkeypatch, lapacke, build)
         assert (started, inlined, none) == (have, have, 0)
         assert two == one == fallback == dense_bound(build())
         # the bound is below the cap ||A||, so it is the sum itself
         assert two < constants(build()).opnorm
 
-    def test_stacked_blocks_and_rows_same_bits(self, monkeypatch):
+    def test_stacked_blocks_and_rows_same_bits(self, monkeypatch, lapacke):
         def build():
             rng = np.random.default_rng(8)
             rows = LmiProblem([[[v]] for v in rng.standard_normal(5)], [[0.0]])
             return stack([random_problem(rng, 40, 5), rows, random_problem(rng, 33, 5),
                           random_problem(rng, 3, 5)])
 
-        have = int(symlinalg._dsyevd() is not None)
-        (two, started), (one, inlined), (fallback, none) = self.bounds(monkeypatch, build)
+        have = int(symlinalg._lapacke("dsyevd") is not None)
+        (two, started), (one, inlined), (fallback, none) = self.bounds(monkeypatch, lapacke, build)
         assert (started, inlined, none) == (3 * have, 3 * have, 0)
         assert two == one == fallback == dense_bound(build())
 
@@ -460,7 +460,7 @@ class TestSpectralNormThreads:
         with pytest.raises(NonFiniteInput, match="operator constants overflow"):
             model._spectral_bound(p)
         assert threading.active_count() == before
-        assert len(started) == 3 * int(symlinalg._dsyevd() is not None)
+        assert len(started) == 3 * int(symlinalg._lapacke("dsyevd") is not None)
         assert not any(t.is_alive() for t in started)
 
     def test_concurrent_callers_same_bits(self):

@@ -279,13 +279,13 @@ class TestFiniteDifferences:
             assert rel <= 1e-4
 
 
-def count_eigen_work(monkeypatch):
+def count_eigen_work(monkeypatch, lapacke):
     """A list that gains "dsyevd" for each call to LAPACK's dsyevd for
     eigenvalues alone (jobz "N", as M's kernel makes; the smooth oracle's
     calls with vectors are not counted), and "eigvalsh" for each
     `np.linalg.eigvalsh` call."""
     done = []
-    dsyevd, eigvalsh = symlinalg._dsyevd(), np.linalg.eigvalsh
+    dsyevd, eigvalsh = symlinalg._lapacke("dsyevd"), np.linalg.eigvalsh
 
     def counted_dsyevd(layout, jobz, *args):
         if jobz == b"N":
@@ -296,19 +296,19 @@ def count_eigen_work(monkeypatch):
         done.append("eigvalsh")
         return eigvalsh(a, *args, **kwargs)
 
-    monkeypatch.setattr(symlinalg, "_dsyevd", lambda: None if dsyevd is None else counted_dsyevd)
+    lapacke(dsyevd=None if dsyevd is None else counted_dsyevd)
     monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
     return done
 
 
 class TestConstantsOnce:
-    def test_computed_once_per_problem(self, monkeypatch):
+    def test_computed_once_per_problem(self, monkeypatch, lapacke):
         # the work is counted, not the calls: every oracle factory and
         # solve_smooth read the constants, and only the first call computes:
         # one dsyevd per coefficient (eigvalsh where the binding is
         # missing), then one eigvalsh of the Gram matrix for ||A||
-        per_coeff = "eigvalsh" if symlinalg._dsyevd() is None else "dsyevd"
-        done = count_eigen_work(monkeypatch)
+        per_coeff = "eigvalsh" if symlinalg._lapacke("dsyevd") is None else "dsyevd"
+        done = count_eigen_work(monkeypatch, lapacke)
         for n in (6, 40):
             inst = gen_lmi(n, 3, 1.0, 21)
             p = inst.problem
@@ -323,14 +323,14 @@ class TestConstantsOnce:
             assert ns.subgrad_bound == expected.subgrad_bound
             assert sm.grad_lipschitz == expected.grad_lipschitz
 
-    def test_smooth_solve_computes_no_spectral_norm(self, monkeypatch):
+    def test_smooth_solve_computes_no_spectral_norm(self, monkeypatch, lapacke):
         # solve_smooth reads ||A|| and L alone: its one eigvalsh is the
         # Gram matrix's, and M's per-coefficient eigenvalues are computed
         # only when constants(p) asks
-        per_coeff = "eigvalsh" if symlinalg._dsyevd() is None else "dsyevd"
+        per_coeff = "eigvalsh" if symlinalg._lapacke("dsyevd") is None else "dsyevd"
         inst = gen_lmi(40, 3, 1.0, 22)
         p = inst.problem
-        done = count_eigen_work(monkeypatch)
+        done = count_eigen_work(monkeypatch, lapacke)
         res = solve_smooth(p, mu_of(inst.certificate), 1e-6, x0=3.0 * inst.witness)
         assert res.iterations > 0
         assert done == ["eigvalsh"]
@@ -339,11 +339,11 @@ class TestConstantsOnce:
         assert c.grad_lipschitz == smooth_oracle(p).grad_lipschitz
 
 
-def eigen_paths(monkeypatch):
+def eigen_paths(lapacke):
     """Run a loop body on both paths that blocks of size >= 32 take: with
     the dsyevr binding, then with it missing (eigvalsh and one eigh)."""
     yield
-    monkeypatch.setattr(symlinalg, "_dsyevr", lambda: None)
+    lapacke(dsyevr=None)
     yield
 
 
@@ -361,8 +361,8 @@ class TestLargeBlocks:
     one eigh) takes over, both oracles agree with values and gradients
     built from one `np.linalg.eigh` of A(x) - B."""
 
-    def test_match_eigh_reference(self, monkeypatch):
-        for _ in eigen_paths(monkeypatch):
+    def test_match_eigh_reference(self, lapacke):
+        for _ in eigen_paths(lapacke):
             self.check_against_eigh()
 
     def check_against_eigh(self):
@@ -387,19 +387,19 @@ class TestLargeBlocks:
             np.testing.assert_allclose(sm.gradient, 2.0 * np.tensordot(coeffs, part, axes=2),
                                        atol=1e-10 * scale)
 
-    def test_two_blocks_top_in_second(self, monkeypatch):
+    def test_two_blocks_top_in_second(self, lapacke):
         first, second = gen_lmi(32, 3, 0.5, 92).problem, gen_lmi(40, 3, 0.5, 93).problem
         p = stack([first, second])
         x = np.array([2.0, -1.5, 1.0])
         top1 = block_reference(first, x)[0]
         top2, grad2, scale = block_reference(second, x)
         assert top2 > top1 + 1e-3 and top2 > 1e-3
-        for _ in eigen_paths(monkeypatch):
+        for _ in eigen_paths(lapacke):
             ev = eval_nonsmooth(p, x)
             assert ev.value == pytest.approx(top2, rel=1e-13)
             np.testing.assert_allclose(ev.gradient, grad2, atol=1e-9 * scale)
 
-    def test_exact_tie_across_blocks_goes_to_first(self, monkeypatch):
+    def test_exact_tie_across_blocks_goes_to_first(self, lapacke):
         # at x = 0 both blocks hold the same residual -B, so their tops are
         # equal bit for bit on either path; their coefficients differ
         rng = np.random.default_rng(94)
@@ -414,15 +414,15 @@ class TestLargeBlocks:
         grad2 = block_reference(second, x)[1]
         assert top > 1e-3
         assert np.abs(grad1 - grad2).max() > 1e-3 * scale
-        for _ in eigen_paths(monkeypatch):
+        for _ in eigen_paths(lapacke):
             ev = eval_nonsmooth(p, x)
             assert ev.value == pytest.approx(top, rel=1e-13)
             np.testing.assert_allclose(ev.gradient, grad1, atol=1e-9 * scale)
 
-    def test_failed_dsyevr_call_falls_back_to_intact_block(self, monkeypatch):
+    def test_failed_dsyevr_call_falls_back_to_intact_block(self, lapacke):
         # the binding overwrites its copy of the block and then reports
         # info > 0: the result is the fallback's, bit for bit
-        binding = symlinalg._dsyevr()
+        binding = symlinalg._lapacke("dsyevr")
 
         def failing(*args):
             if binding is not None:
@@ -431,10 +431,10 @@ class TestLargeBlocks:
 
         inst = gen_lmi(48, 4, 0.5, 91)
         x = 3.0 * inst.witness + 0.5
-        monkeypatch.setattr(symlinalg, "_dsyevr", lambda: None)
+        lapacke(dsyevr=None)
         want = eval_nonsmooth(inst.problem, x)
         assert want.value > 1e-3
-        monkeypatch.setattr(symlinalg, "_dsyevr", lambda: failing)
+        lapacke(dsyevr=failing)
         got = eval_nonsmooth(inst.problem, x)
         assert got.value == want.value
         assert got.gradient.tobytes() == want.gradient.tobytes()
@@ -444,6 +444,14 @@ class TestLargeBlocks:
         ev = eval_smooth(inst.problem, inst.witness)
         assert ev.value == 0.0
         np.testing.assert_array_equal(ev.gradient, np.zeros(4))
+
+
+SINGLE = ("ssyevr", "ssytrf", "ssyevd")
+
+
+def single_precision():
+    """Whether every single-precision routine resolves."""
+    return None not in [symlinalg._lapacke(name) for name in SINGLE]
 
 
 def screened_cases():
@@ -472,7 +480,7 @@ class TestScreen:
         rng = np.random.default_rng(99)
         for p, points in screened_cases():
             orc = make(p)
-            if not symlinalg._single_precision():
+            if not single_precision():
                 assert orc._screen is None
                 continue
             for x in points:
@@ -504,29 +512,25 @@ class TestScreen:
         assert orc._screen(x, value) is None
         assert orc._screen(gen_lmi(48, 4, 0.5, 91).witness, 0.0) is None
 
-    def test_attached_only_for_large_blocks(self, monkeypatch):
+    def test_attached_only_for_large_blocks(self, lapacke):
         small = gen_lmi(20, 4, 0.5, 91).problem
         large = gen_lmi(48, 4, 0.5, 91).problem
         for make in (nonsmooth_oracle, smooth_oracle):
             assert make(small)._screen is None
-            assert (make(large)._screen is not None) == symlinalg._single_precision()
-        # each single-precision lookup is needed; the double ones keep working
-        for name in ("_ssyevr", "_ssytrf", "_ssyevd"):
-            with monkeypatch.context() as m:
-                m.setattr(symlinalg, name, lambda: None)
-                assert nonsmooth_oracle(large)._screen is None
-                assert smooth_oracle(large)._screen is None
+            assert (make(large)._screen is not None) == single_precision()
+        # each single-precision routine is needed; the double ones keep working
+        for name in SINGLE:
+            lapacke(**{name: None})
+            assert nonsmooth_oracle(large)._screen is None
+            assert smooth_oracle(large)._screen is None
 
-    def test_public_evaluations_unscreened(self, monkeypatch):
-        # eval_* never run a single-precision routine
-        def refuse():
-            raise AssertionError("a single-precision routine was looked up")
-
+    def test_public_evaluations_unscreened(self, lapacke):
+        # eval_* never look up, so never run, a single-precision routine
         p, points = next(screened_cases())
         want = [(eval_nonsmooth(p, x), eval_smooth(p, x)) for x in points]
-        for name in ("_ssyevr", "_ssytrf", "_ssyevd"):
-            monkeypatch.setattr(symlinalg, name, refuse)
+        looked = lapacke()
         for x, (ns, sm) in zip(points, want):
             for got, ev in ((eval_nonsmooth(p, x), ns), (eval_smooth(p, x), sm)):
                 assert got.value == ev.value
                 assert got.gradient.tobytes() == ev.gradient.tobytes()
+        assert [name for name in looked if name in SINGLE] == []

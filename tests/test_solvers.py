@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmisolve import model, objectives, symlinalg
+from lmisolve import model, objectives
 from lmisolve import (
     DEFAULT_CAP,
     HARMONIC,
@@ -901,14 +901,13 @@ class TestScreenedSolves:
             assert res.value == exact(inst.problem, res.solution).value
 
     @pytest.mark.parametrize("label", LMI_DRIVERS)
-    def test_without_single_precision_unscreened_bits(self, monkeypatch, label):
+    def test_without_single_precision_unscreened_bits(self, monkeypatch, lapacke, label):
         # with only the single-precision lookups missing, each solve on
         # blocks of size >= 32 is the unscreened solve, bit for bit; the
         # screen itself keeps every status
         cases = [gen_lmi(48, 4, 0.5, 91), gen_lmi(60, 8, 1.0, 3)]
         screened = [lmi_solve(inst, label).status for inst in cases]
-        for name in ("_ssyevr", "_ssytrf", "_ssyevd"):
-            monkeypatch.setattr(symlinalg, name, lambda: None)
+        lapacke(ssyevr=None, ssytrf=None, ssyevd=None)
         got = [full_bytes(lmi_solve(inst, label)) for inst in cases]
         monkeypatch.setattr(objectives, "_screened", lambda oracle, *args: oracle)
         want = [full_bytes(lmi_solve(inst, label)) for inst in cases]

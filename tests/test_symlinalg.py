@@ -23,10 +23,10 @@ from lmisolve import symlinalg
 RT2 = math.sqrt(2.0)
 
 
-DSYEVR = symlinalg._dsyevr()
+DSYEVR = symlinalg._lapacke("dsyevr")
 needs_binding = pytest.mark.skipif(DSYEVR is None, reason="this numpy has no scipy_LAPACKE_dsyevr64_")
 needs_lapack = pytest.mark.skipif(
-    None in (DSYEVR, symlinalg._dsytrf(), symlinalg._dsyevd()),
+    None in [symlinalg._lapacke(name) for name in ("dsyevr", "dsytrf", "dsyevd")],
     reason="this numpy lacks one of scipy_LAPACKE_{dsyevr,dsytrf,dsyevd}64_")
 
 
@@ -256,11 +256,10 @@ class TestNorms:
             assert norms(s)[1] == float(np.abs(np.linalg.eigvalsh(s.mat)).max())
 
 
-    def test_lone_matrix_takes_eigvalsh_alone(self, monkeypatch):
+    def test_lone_matrix_takes_eigvalsh_alone(self, monkeypatch, lapacke):
         # one matrix, as in norms, a single-coefficient block's M and both
-        # Gram norms, makes no dsyevd call and starts no thread
-        calls = []
-        monkeypatch.setattr(symlinalg, "_dsyevd", lambda: calls.append("dsyevd"))
+        # Gram norms, looks up no LAPACKE routine and starts no thread
+        looked = lapacke(dsyevd=None)
         monkeypatch.setattr(symlinalg, "threading", None)
         s = rand_sym(np.random.default_rng(35), 40)
         want = float(np.abs(np.linalg.eigvalsh(s.mat)).max())
@@ -268,7 +267,7 @@ class TestNorms:
         assert symlinalg._spectral_norms(40, 1, lambda i, a: np.copyto(a, s.mat))[0] == want
         constants(LmiProblem([s.mat], np.zeros((40, 40))))
         linsys_oracle(LinIneqSystem(s.mat, np.zeros(40), ["eq"] * 40))
-        assert calls == []
+        assert looked == []
 
 
 class TestOverflowingSpectrum:
@@ -405,11 +404,11 @@ class TestTopEigpair:
 
     @pytest.mark.parametrize("binding", [None, failing_binding],
                              ids=["binding-missing", "binding-fails"])
-    def test_dsyevr_unavailable_takes_eigh(self, monkeypatch, binding):
+    def test_dsyevr_unavailable_takes_eigh(self, lapacke, binding):
         # a missing symbol, or info != 0 from a call that has overwritten its
         # matrix, leaves the intact block to eigvalsh for the top and one
         # eigh for the vector; lambda_max takes that eigh's pair
-        monkeypatch.setattr(symlinalg, "_dsyevr", lambda: binding)
+        lapacke(dsyevr=binding)
         rng = np.random.default_rng(19)
         for n in (symlinalg._LAPACKE_MIN_DIM, 60, 150):
             s = rand_sym(rng, n).mat
@@ -480,7 +479,7 @@ class TestPositivePart:
     `dsyevd` for more."""
 
     # each binding, and the positive counts at n = 60 whose branch calls it
-    BINDINGS = {"_dsytrf": (2, 30), "_dsyevr": (2,), "_dsyevd": (30,)}
+    BINDINGS = {"dsytrf": (2, 30), "dsyevr": (2,), "dsyevd": (30,)}
 
     def check(self, s):
         w_ref, v_ref = np.linalg.eigh(s)
@@ -499,9 +498,9 @@ class TestPositivePart:
         return w[cut:], (side * w[cut:]) @ side.T
 
     def spied(self, monkeypatch):
-        """The names of the LAPACK routines each `_positive_part` call runs."""
+        """The names of the LAPACK helpers each `_positive_part` call runs."""
         calls = []
-        for name in ("_dsyevr_rows", "_dsyevd_eigh"):
+        for name in ("_syevr_rows", "_syevd_in_place"):
             real = getattr(symlinalg, name)
 
             def spy(s, *args, real=real, name=name):
@@ -553,8 +552,8 @@ class TestPositivePart:
             s = np.kron(np.eye(pairs), [[0.0, 1.0], [1.0, 0.0]]) + shift * np.eye(2 * pairs)
             a = s.copy()
             ipiv = np.empty(2 * pairs, dtype=np.int64)
-            assert symlinalg._dsytrf()(102, b"L", 2 * pairs, a.ctypes.data, 2 * pairs,
-                                      ipiv.ctypes.data) == 0
+            assert symlinalg._lapacke("dsytrf")(102, b"L", 2 * pairs, a.ctypes.data, 2 * pairs,
+                                                ipiv.ctypes.data) == 0
             assert (ipiv < 0).all()
             assert symlinalg._positive_count(s) == pairs
 
@@ -566,7 +565,7 @@ class TestPositivePart:
         calls = self.spied(monkeypatch)
         rng = np.random.default_rng(26 + n)
         few = n // symlinalg._FEW_POSITIVE
-        for k, routines in ((0, []), (few, ["_dsyevr_rows"]), (few + 1, ["_dsyevd_eigh"])):
+        for k, routines in ((0, []), (few, ["_syevr_rows"]), (few + 1, ["_syevd_in_place"])):
             w = np.concatenate([rng.uniform(0.1, 2.0, k), -rng.uniform(0.1, 2.0, n - k)])
             del calls[:]
             pos, _ = self.check(with_spectrum(rng, w))
@@ -582,22 +581,22 @@ class TestPositivePart:
         for c in (1.0, 3.0, 1e150):
             s = np.diag(np.concatenate([[c], -np.ones(n - 1)]))
             pos, part = symlinalg._positive_part(s)
-            assert calls.pop() == "_dsyevr_rows"
+            assert calls.pop() == "_syevr_rows"
             assert pos == pytest.approx([c], rel=1e-15)
             np.testing.assert_allclose(part, c * np.outer(np.eye(n)[0], np.eye(n)[0]),
                                        atol=1e-15 * c)
 
-    @pytest.mark.parametrize("name", BINDINGS)
+    # the ids keep the underscore of the per-routine getters these cases had
+    @pytest.mark.parametrize("name", BINDINGS, ids=lambda name: f"_{name}")
     @pytest.mark.parametrize("broken", ["missing", "fails"])
-    def test_unavailable_binding_falls_back_to_eigh(self, monkeypatch, name, broken):
+    def test_unavailable_binding_falls_back_to_eigh(self, lapacke, name, broken):
         # a missing symbol, or info != 0 from a call that has overwritten its
         # copy, leaves the intact block to eigh, bit for bit
         rng = np.random.default_rng(27)
         # dsytrf reports a failure with info < 0: info > 0, an exactly zero
         # pivot, still ends a complete factorization
-        info = -1 if name == "_dsytrf" else 1
-        binding = None if broken == "missing" else failing(getattr(symlinalg, name)(), info)
-        monkeypatch.setattr(symlinalg, name, lambda: binding)
+        info = -1 if name == "dsytrf" else 1
+        lapacke(**{name: None if broken == "missing" else failing(symlinalg._lapacke(name), info)})
         for k in self.BINDINGS[name]:
             s = with_spectrum(rng, np.concatenate([rng.uniform(0.1, 2.0, k),
                                                    -rng.uniform(0.1, 2.0, 60 - k)]))
@@ -607,22 +606,26 @@ class TestPositivePart:
             assert got[0].tobytes() == want[0].tobytes()
             assert got[1].tobytes() == want[1].tobytes()
 
-    def test_nonfinite_block_skips_lapack(self, monkeypatch):
+    def test_nonfinite_block_skips_lapack(self, lapacke):
         # NaN or Inf, or an LDL^T whose D overflows, never reaches the
         # eigenvalue routines: the inertia count gives up on a non-finite
         # D, and eigh decides the outcome, as below size 32
         calls = []
-        for name in ("_dsyevr", "_dsyevd"):
-            monkeypatch.setattr(symlinalg, name, lambda: lambda *args: calls.append(args) or 0)
+
+        def record(*args):
+            calls.append(args)
+            return 0
+
+        lapacke(dsyevr=record, dsyevd=record)
         s = np.zeros((40, 40))
         for entry in (np.inf, np.nan):
             s[0, 0] = entry
-            assert symlinalg._positive_count(s) is None
-            assert symlinalg._eigenpairs_above_zero(s) is None
+            assert symlinalg._positive_count(s.copy()) is None
+            assert symlinalg._eigenpairs_above_zero(s.copy()) is None
         # the first pivot 1e308 leaves -1e308 - 1e308 = -inf in D
         s[0, 0], s[1, 1], s[0, 1], s[1, 0] = 1e308, -1e308, 1e308, 1e308
-        assert symlinalg._positive_count(s) is None
-        assert symlinalg._eigenpairs_above_zero(s) is None
+        assert symlinalg._positive_count(s.copy()) is None
+        assert symlinalg._eigenpairs_above_zero(s.copy()) is None
         assert calls == []
 
     @needs_lapack
@@ -637,11 +640,12 @@ class TestPositivePart:
         monkeypatch.setattr(np.linalg, "eigh", None)
         for (s, k), (w_want, part_want) in zip(cases, wants):
             a, ipiv = s.copy(), np.empty(n, dtype=np.int64)
-            assert symlinalg._dsytrf()(102, b"L", n, a.ctypes.data, n, ipiv.ctypes.data) == 1
-            assert symlinalg._positive_count(s) == k
+            assert symlinalg._lapacke("dsytrf")(102, b"L", n, a.ctypes.data, n,
+                                                ipiv.ctypes.data) == 1
+            assert symlinalg._positive_count(s.copy()) == k
             del calls[:]
             pos, part = symlinalg._positive_part(s)
-            assert calls == (["_dsyevr_rows"] if k else [])
+            assert calls == (["_syevr_rows"] if k else [])
             np.testing.assert_allclose(pos, w_want, rtol=1e-15)
             np.testing.assert_allclose(part, part_want, atol=1e-15)
 
@@ -655,7 +659,7 @@ class TestPositivePart:
             w = np.concatenate([rng.uniform(0.1, 2.0, k), -rng.uniform(0.1, 2.0, n - k)])
             for s in (rand_sym(rng, n).mat, with_spectrum(rng, w)):
                 got, want = symlinalg._positive_part(s), self.eigh_formula(s)
-                assert calls.pop() == "_dsyevd_eigh"
+                assert calls.pop() == "_syevd_in_place"
                 assert got[0].tobytes() == want[0].tobytes()
                 assert got[1].tobytes() == want[1].tobytes()
 
@@ -668,3 +672,104 @@ class TestPositivePart:
                 a, b = symlinalg._positive_part(s), symlinalg._positive_part(s.copy())
                 assert a[0].tobytes() == b[0].tobytes()
                 assert a[1].tobytes() == b[1].tobytes()
+
+
+PRECISIONS = pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["float64", "float32"])
+
+
+def binding(dtype, routine):
+    """The LAPACKE binding of routine ("syevr", ...) in dtype's precision;
+    the test skips where it is missing."""
+    name = ("s" if dtype == np.float32 else "d") + routine
+    fn = symlinalg._lapacke(name)
+    if fn is None:
+        pytest.skip(f"this numpy has no scipy_LAPACKE_{name}64_")
+    return fn
+
+
+class TestLapackeTable:
+    """Each routine of `symlinalg._ARGTYPES` in both precisions, through the
+    helper that runs it in its array's dtype, on diagonal matrices."""
+
+    @PRECISIONS
+    def test_syevr(self, dtype):
+        fn = binding(dtype, "syevr")
+        w, z = symlinalg._syevr_rows(np.diag(np.array([1.0, 3.0, 2.0], dtype)), 3, 3)
+        assert w.dtype == z.dtype == np.float64
+        assert abs(w[0] - 3.0) <= 1e-6 and abs(abs(z[0, 1]) - 1.0) <= 1e-6
+        # the helpers pass vl = vu = abstol = 0, which a real argument of the
+        # wrong C type also passes as 0 on x86-64; a value range finds 3 in
+        # (2.5, 3.5] only where vl and vu arrive as the routine's reals
+        a = np.diag(np.array([1.0, 3.0, 2.0], dtype))
+        found, w = np.zeros(1, dtype=np.int64), np.zeros(3, dtype)
+        z, isuppz = np.zeros((3, 3), dtype), np.zeros(6, dtype=np.int64)
+        info = fn(102, b"V", b"V", b"L", 3, a.ctypes.data, 3, 2.5, 3.5, 0, 0, 0.0,
+                  found.ctypes.data, w.ctypes.data, z.ctypes.data, 3, isuppz.ctypes.data)
+        assert (info, found[0], w[0]) == (0, 1, 3.0)
+
+    @PRECISIONS
+    def test_sytrf(self, dtype):
+        binding(dtype, "sytrf")
+        assert symlinalg._positive_count(np.diag(np.array([1.0, -2.0, 3.0], dtype))) == 2
+
+    @PRECISIONS
+    def test_syevd(self, dtype):
+        binding(dtype, "syevd")
+        a = np.diag(np.array([1.0, 3.0, 2.0], dtype))
+        w = symlinalg._syevd_in_place(a, b"V")
+        assert w.dtype == np.float64
+        assert np.abs(w - [1.0, 2.0, 3.0]).max() <= 1e-6
+        np.testing.assert_allclose(np.abs(a), np.eye(3)[[0, 2, 1]], atol=1e-6)
+
+
+class TestSinglePrecisionBounds:
+    """`_block_top_bound` and `_positive_part_bound` from size 32: None, so
+    a screened evaluation gives way to the float64 one, where a
+    single-precision routine is missing or fails or the block overflows
+    float32."""
+
+    # each routine, and the positive counts at n = 60 whose branch calls it
+    ROUTINES = {"ssytrf": (2, 30), "ssyevr": (2,), "ssyevd": (30,)}
+
+    def block(self, k):
+        rng = np.random.default_rng(40 + k)
+        return with_spectrum(rng, np.concatenate([rng.uniform(0.1, 2.0, k),
+                                                  -rng.uniform(0.1, 2.0, 60 - k)]))
+
+    def test_bounds_where_the_routines_resolve(self):
+        if not symlinalg._screened_dim(60):
+            pytest.skip("this numpy lacks one of scipy_LAPACKE_{ssyevr,ssytrf,ssyevd}64_")
+        for k in (2, 30):
+            s = self.block(k)
+            assert symlinalg._block_top_bound(s) is not None
+            assert symlinalg._positive_part_bound(s) is not None
+
+    @pytest.mark.parametrize("name", ROUTINES)
+    @pytest.mark.parametrize("broken", ["missing", "fails"])
+    def test_unavailable_routine_gives_no_bound(self, lapacke, name, broken):
+        # ssytrf reports a failure with info < 0, as dsytrf does
+        info = -1 if name == "ssytrf" else 1
+        lapacke(**{name: None if broken == "missing" else failing(symlinalg._lapacke(name), info)})
+        for k in self.ROUTINES[name]:
+            s = self.block(k)
+            kept = s.copy()
+            assert symlinalg._positive_part_bound(s) is None
+            if name == "ssyevr":
+                assert symlinalg._block_top_bound(s) is None
+            assert s.tobytes() == kept.tobytes()
+
+    def test_block_beyond_float32_gives_no_bound(self, lapacke):
+        # 1e39 is finite in float64 and inf in float32: no routine runs
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            return 0
+
+        lapacke(ssyevr=record, ssytrf=record, ssyevd=record)
+        s = self.block(2)
+        s[0, 0] = 1e39
+        with np.errstate(over="ignore"):  # the cast to float32, as in the oracles
+            assert symlinalg._block_top_bound(s) is None
+            assert symlinalg._positive_part_bound(s) is None
+        assert calls == []
