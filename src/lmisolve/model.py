@@ -302,8 +302,8 @@ def _block_adjoint(blk: _Block, z) -> np.ndarray:
 def _residuals(p: LmiProblem, x) -> tuple[list, np.ndarray]:
     """A(x) - B at a point x of length num_vars, block by block: an exactly
     symmetric ndarray per block of size > 1 in row order, and the values of
-    the 1 x 1 rows. x is finite (each caller has checked it); any NaN or Inf
-    entry raises NonFiniteInput. Callers hold `np.errstate(over="ignore",
+    the 1 x 1 rows; x is checked by every caller but the screen. Any NaN or
+    Inf entry raises NonFiniteInput. Callers hold `np.errstate(over="ignore",
     invalid="ignore")`, so an overflow is reported here and nowhere else."""
     mats = [_block_apply(blk, x) - blk.rhs for blk in p._blocks]
     vals = x @ p._scalars.coeffs - p._scalars.rhs

@@ -21,13 +21,12 @@ from its spectral-norm kernel, with no eigenvector computed.
 On problems with a block of size 32 or more, `nonsmooth_oracle` and
 `smooth_oracle` attach a private screen (`Oracle._screen`): `_nonsmooth` or
 `_smooth` with each large block's term a float64 lower bound built from
-float32 eigenvectors, so the pair lies below f. `eval_*` and `evaluate`
-stay float64.
+float32 eigenvectors (its exact term where float32 fails that block), so
+the pair lies below f. `eval_*` and `evaluate` stay float64.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -79,15 +78,17 @@ class Oracle:
     `evaluate` must be a deterministic function of x: a solve never repeats
     a call at the point it has just evaluated, and reuses that result.
 
-    The private `_screen(x, floor)`, set by `_screened` alone, is a cheaper
-    pair below f (value + <g, y - x> <= f(y) for all y, up to roundoff)
-    whose value is above floor, or None; a constructed Oracle has none."""
+    The private `_screen(x)`, set by `_screened` alone, is a cheaper pair
+    below f (value + <g, y - x> <= f(y) for all y, up to roundoff) at a
+    point of a solve, which it does not check; a constructed Oracle has
+    none. Its value may be at or below eps, or inf: `solvers._Run` decides
+    which pairs to keep."""
 
     evaluate: Callable[[np.ndarray], OracleEval]
     dim: int
     grad_lipschitz: float
     subgrad_bound: float
-    _screen: Callable[[np.ndarray, float], OracleEval | None] | None = field(
+    _screen: Callable[[np.ndarray], OracleEval] | None = field(
         default=None, init=False, repr=False, compare=False)
 
 
@@ -110,17 +111,14 @@ def eval_nonsmooth(p: LmiProblem, x) -> OracleEval:
 
 def _nonsmooth(p, x, block_top):
     """eval_nonsmooth at the checked point x, with block_top(s) giving each
-    block's (top, function returning its unit vector), or None, which makes
-    this return None."""
+    block's (top, function returning its unit vector)."""
     grad = np.zeros(p.num_vars)
     with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteInput
         mats, scalars = _residuals(p, x)
         found = []
         for s, blk in zip(mats, p._blocks):
-            pair = block_top(s)
-            if pair is None:
-                return None
-            found.append((pair[0], blk.at.start, blk, pair[1]))
+            top, vector = block_top(s)
+            found.append((top, blk.at.start, blk, vector))
         if scalars.size:
             k = int(np.argmax(scalars))  # the first of equal rows, since rows ascend
             found.append((float(scalars[k]), int(p._scalars.rows[k]), None, k))
@@ -149,19 +147,16 @@ def eval_smooth(p: LmiProblem, x) -> OracleEval:
 
 def _smooth(p, x, positive_part):
     """eval_smooth at the checked point x, with positive_part(s) giving each
-    block's (eigenvalues to square, matrix to take the adjoint of), or
-    None, which makes this return None."""
+    block's (eigenvalues to square, matrix to take the adjoint of)."""
     with np.errstate(over="ignore", invalid="ignore"):  # reported as NonFiniteInput
         mats, scalars = _residuals(p, x)
         pos = np.maximum(scalars, 0.0)
         parts = []
         value = 0.0
         for s in mats:
-            pair = positive_part(s)
-            if pair is None:
-                return None
-            parts.append(pair[1])
-            for e in pair[0].tolist():
+            w, part = positive_part(s)
+            parts.append(part)
+            for e in w.tolist():
                 value += e * e
         for e in pos.tolist():
             value += e * e
@@ -182,16 +177,12 @@ def eval_linsys(sys: LinIneqSystem, x) -> OracleEval:
 
 def _screened(oracle, p, core, kernel):
     """oracle, with a `_screen` running core(p, x, kernel) where p has a
-    block that `symlinalg._screened_dim` admits. Each large block's bound
-    term is linear in x and lies below its term of f, and every other block
-    and row keeps its exact pair."""
+    block that `symlinalg._screened_dim` admits. kernel gives each large
+    block a bound term, linear in x and below its term of f, or the exact
+    term where float32 fails that block; every other block and row keeps
+    its exact pair."""
     if any(_screened_dim(blk.rhs.shape[0]) for blk in p._blocks):
-        def screen(x, floor):
-            ev = core(p, _finite(_as_vector(x, p.num_vars, "point")), kernel)
-            # an overflowing value is left to `evaluate`, which reports it
-            return ev if ev is not None and floor < ev.value < math.inf else None
-
-        object.__setattr__(oracle, "_screen", screen)
+        object.__setattr__(oracle, "_screen", lambda x: core(p, x, kernel))
     return oracle
 
 

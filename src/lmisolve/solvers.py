@@ -26,11 +26,11 @@ ms in two float64 columns, and builds its TraceRows from them on read.
 A solve calls the oracle once per new point: the restart loop evaluates
 each phase's start point, and the phase reuses that evaluation for its
 first probe instead of calling the oracle there again. The restart loop
-asks the oracle's screen first (objectives.Oracle): a pair below f whose
-value is above eps, or else `evaluate`. So trace values may be lower bounds
-of f, but every value <= eps, and so every Solved, is `evaluate`'s, and a
-solve that ends otherwise reports `evaluate`'s value at its point. The
-single-phase operations never screen.
+asks the oracle's screen first (objectives.Oracle): a pair below f, kept
+when eps < value < inf, or else `evaluate`. So trace values may be lower
+bounds of f, but every value <= eps, and so every Solved, is `evaluate`'s,
+and a solve that ends otherwise reports `evaluate`'s value at its point.
+The single-phase operations never screen.
 
 Each driver is one `_restart` call. An engine runs one phase from (x, f(x))
 and returns (point, f(point) or None, completed); the bundle engine appends
@@ -63,8 +63,8 @@ from .errors import (
     NonFiniteInput,
 )
 # constants stays importable here for perfbench's tracer
-from .model import (LinIneqSystem, LmiProblem, _count, _finite, _operator_norm,  # noqa: F401
-                    _positive, _vector, constants)
+from .model import (LinIneqSystem, LmiProblem, _count, _finite, _positive,  # noqa: F401
+                    _vector, constants)
 from .objectives import Oracle, linsys_oracle, nonsmooth_oracle, smooth_oracle
 from .symlinalg import _freeze
 
@@ -219,8 +219,11 @@ class _Run:
     """One solve's oracle, stopping tolerance eps, and each inner iteration's
     f and elapsed ms in two growing float64 columns, held against a cap.
 
-    A `screened` run (the restart loop's) asks the oracle's `_screen` first,
-    with floor eps, and runs `evaluate` only where that gives no pair."""
+    A `screened` run (the restart loop's) asks the oracle's `_screen` first
+    and keeps its pair only when eps < value < inf, else runs `evaluate`.
+    Its points need no check: `_point` checks the start, and every variable
+    enters A(x) - B, so a NaN or Inf that a step brings in makes the
+    screen's `_residuals` raise NonFiniteInput (naming A(x) - B, not x)."""
 
     __slots__ = ("_evaluate", "_screen", "_last_key", "_last_eval", "eps", "cap", "f_values",
                  "elapsed_ms", "t0")
@@ -243,8 +246,8 @@ class _Run:
         key = x.tobytes()
         if key == self._last_key:
             return self._last_eval
-        ev = None if self._screen is None else self._screen(x, self.eps)
-        if ev is None:
+        ev = None if self._screen is None else self._screen(x)
+        if ev is None or not self.eps < ev.value < math.inf:
             ev = self._evaluate(x)
             if not math.isfinite(ev.value):
                 raise NonFiniteInput(f"oracle returned the non-finite value {ev.value}")
@@ -485,12 +488,12 @@ def solve_smooth(p: LmiProblem, mu: float, eps: float, cap: int = DEFAULT_CAP,
     Each phase runs K = ceil(4 mu ||A||) accelerated steps with
     L = 2 ||A||^2 and restarts from the final point. ||A|| is the exact
     operator norm (see constants), the least value the accelerated bound
-    admits, so phases are as short and steps 1/L as long as it allows.
-    The subgradient bound M is not computed.
+    admits, so phases are as short and steps 1/L as long as it allows;
+    it is sqrt(L / 2), bit for bit. M is not computed.
     """
     _positive("mu", mu)
     oracle = smooth_oracle(p)
-    K = _budget(4.0 * mu * _operator_norm(p)[0])
+    K = _budget(4.0 * mu * math.sqrt(oracle.grad_lipschitz / 2.0))
     return _restart(oracle, x0, eps, cap, _accelerated_steps, oracle.grad_lipschitz, K)
 
 

@@ -37,17 +37,18 @@ them, k, by Sylvester's law of inertia on one Bunch-Kaufman LDL^T
 `dsyevr` call computes only the top k eigenpairs, by index, k = 0 needs
 none, and more take one direct `dsyevd` call, `eigh`'s eigenpairs bit for
 bit for less overhead. Else, also for a D with NaN or Inf, one `eigh`.
-These results are deterministic but not canonical; `lambda_max` takes its
-pair as `_block_top` does, and `project_neg_semidef` is built on
-`_positive_part`.
+These results are deterministic but not canonical. From size 32
+`lambda_max` takes `_dsyevr_top`'s pair, as `_block_top` does, and else
+`_eigh_top`'s, value and all, where `_block_top` takes `eigvalsh`'s
+value; `project_neg_semidef` is built on `_positive_part`.
 
 The oracles' screened evaluations, on the blocks `_screened_dim` admits,
-take lower bounds from the same helpers on one float32 copy of each block
-(none where a block overflows float32), so from `ssyevr`, `ssytrf` and
-`ssyevd`: `_block_top_bound` gives the Rayleigh quotient of the float32
-top vector, and `_positive_part_bound` h = <S, P / ||P||_F> for the
-positive part P over the float32 eigenpairs. Both are float64 and bounds
-whatever float32's error.
+take lower bounds from the same helpers on one float32 copy of each block,
+so from `ssyevr`, `ssytrf` and `ssyevd`: `_block_top_bound` gives the
+Rayleigh quotient of the float32 top vector, and `_positive_part_bound`
+h = <S, P / ||P||_F> for the positive part P over the float32 eigenpairs.
+Both are float64 and bounds whatever float32's error; a block that
+overflows float32 or fails a call takes its exact pair instead.
 
 `_spectral_norms`, behind M, is the one spectral-norm kernel: `dsyevd` for
 eigenvalues alone (jobz "N", as `eigvalsh` runs it) on two threads, the one
@@ -398,43 +399,43 @@ def _positive_part(s) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _block_top_bound(s):
-    """`_block_top`'s pair below size _LAPACKE_MIN_DIM. From it, the Rayleigh
-    quotient v^T s v <= lambda_max(s) of the unit v from one `ssyevr` call's
-    top eigenvector on a float32 copy, and a function returning v; None
-    when s overflows float32, the binding is missing, the call fails or the
-    quotient is not finite."""
+    """`_block_top`'s pair, but from size _LAPACKE_MIN_DIM the Rayleigh
+    quotient v^T s v <= lambda_max(s) of the unit v from one `ssyevr`
+    call's top eigenvector on a float32 copy, and a function returning v;
+    `_block_top`'s exact pair where s overflows float32, the binding is
+    missing, the call fails or the quotient is not finite."""
     n = s.shape[0]
-    if n < _LAPACKE_MIN_DIM:
-        return _block_top(s)
-    a = np.array(s, dtype=np.float32, order="C")
-    pair = _syevr_rows(a, n, n) if np.isfinite(a).all() else None
-    if pair is None:
-        return None
-    v = pair[1][0]
-    v = v / np.linalg.norm(v)
-    top = float(v @ s @ v)
-    return (top, lambda: v) if math.isfinite(top) else None
+    if n >= _LAPACKE_MIN_DIM:
+        a = np.array(s, dtype=np.float32, order="C")
+        pair = _syevr_rows(a, n, n) if np.isfinite(a).all() else None
+        if pair is not None:
+            v = pair[1][0]
+            v = v / np.linalg.norm(v)
+            top = float(v @ s @ v)
+            if math.isfinite(top):
+                return top, lambda: v
+    return _block_top(s)
 
 
 def _positive_part_bound(s):
-    """`_positive_part`'s pair below size _LAPACKE_MIN_DIM. From it,
+    """`_positive_part`'s pair, but from size _LAPACKE_MIN_DIM
     h = <s, Z> <= ||P+(s)||, Z = P / ||P||_F PSD of unit norm, P the positive
     part over the eigenpairs of a float32 copy: ([h], h Z), whose h^2 and
     h Z take the places of ||P+||^2 and P+ (no eigenvalue and 0 where
-    h <= 0); None when s overflows float32, a binding is missing, a call
-    fails or h is not finite."""
-    if s.shape[0] < _LAPACKE_MIN_DIM:
-        return _positive_part(s)
-    a = np.array(s, dtype=np.float32, order="C")
-    pairs = _eigenpairs_above_zero(a) if np.isfinite(a).all() else None
-    if pairs is None:
-        return None
-    part = _over_positive(*pairs)[1]
-    size = float(np.linalg.norm(part))
-    h = float(np.vdot(s, part)) / size if size > 0.0 else 0.0
-    if not math.isfinite(h):
-        return None
-    return (np.array([h]), part * (h / size)) if h > 0.0 else (np.empty(0), np.zeros_like(s))
+    h <= 0); `_positive_part`'s exact pair where s overflows float32, a
+    binding is missing, a call fails or h is not finite."""
+    if s.shape[0] >= _LAPACKE_MIN_DIM:
+        a = np.array(s, dtype=np.float32, order="C")
+        pairs = _eigenpairs_above_zero(a) if np.isfinite(a).all() else None
+        if pairs is not None:
+            part = _over_positive(*pairs)[1]
+            size = float(np.linalg.norm(part))
+            h = float(np.vdot(s, part)) / size if size > 0.0 else 0.0
+            if h <= 0.0:
+                return np.empty(0), np.zeros_like(s)
+            if math.isfinite(h):
+                return np.array([h]), part * (h / size)
+    return _positive_part(s)
 
 
 def _scaled_norm(a) -> float:

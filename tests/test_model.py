@@ -410,14 +410,22 @@ class TestSpectralNormThreads:
 
     def bounds(self, monkeypatch, lapacke, build):
         """M of a fresh build() with two threads, on the calling thread
-        alone, and with the dsyevd binding missing, and the number of
-        threads each started."""
+        alone, and with the dsyevd binding missing, with the number of
+        threads each started and of `dsyevd` calls that succeeded."""
+        real = symlinalg._lapacke("dsyevd")
         out = []
         for inline, binding in ((False, True), (True, True), (False, False)):
             started = self.started_threads(monkeypatch, inline)
-            if not binding:
-                lapacke(dsyevd=None)
-            out.append((constants(build()).subgrad_bound, len(started)))
+            done = []
+
+            def counted(*args):
+                info = real(*args)
+                if info == 0:
+                    done.append(info)
+                return info
+
+            lapacke(dsyevd=counted if binding and real is not None else None)
+            out.append((constants(build()).subgrad_bound, len(started), len(done)))
         return out
 
     def test_odd_count_same_bits(self, monkeypatch, lapacke):
@@ -426,8 +434,12 @@ class TestSpectralNormThreads:
             return random_problem(np.random.default_rng(7), 40, 7)
 
         have = int(symlinalg._lapacke("dsyevd") is not None)
-        (two, started), (one, inlined), (fallback, none) = self.bounds(monkeypatch, lapacke, build)
+        (two, started, calls), (one, inlined, inline_calls), (fallback, none, no_calls) = (
+            self.bounds(monkeypatch, lapacke, build))
         assert (started, inlined, none) == (have, have, 0)
+        # every norm comes from dsyevd where it resolves, not from the
+        # fallback, which has the same bits
+        assert (calls, inline_calls, no_calls) == (7 * have, 7 * have, 0)
         assert two == one == fallback == dense_bound(build())
         # the bound is below the cap ||A||, so it is the sum itself
         assert two < constants(build()).opnorm
@@ -440,8 +452,10 @@ class TestSpectralNormThreads:
                           random_problem(rng, 3, 5)])
 
         have = int(symlinalg._lapacke("dsyevd") is not None)
-        (two, started), (one, inlined), (fallback, none) = self.bounds(monkeypatch, lapacke, build)
+        (two, started, calls), (one, inlined, inline_calls), (fallback, none, no_calls) = (
+            self.bounds(monkeypatch, lapacke, build))
         assert (started, inlined, none) == (3 * have, 3 * have, 0)
+        assert (calls, inline_calls, no_calls) == (15 * have, 15 * have, 0)
         assert two == one == fallback == dense_bound(build())
 
     def test_no_thread_outlives_constants(self, monkeypatch):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lmisolve import symlinalg
+from lmisolve import solvers, symlinalg
 from lmisolve import (
     DimensionMismatch,
     LinIneqSystem,
@@ -468,10 +468,24 @@ def screened_cases():
     yield p, [x for x in points if eval_nonsmooth(p, x).value > 1e-3][:3]
 
 
+def beyond_float32(shift):
+    """An LMI in 4 variables on one 40 x 40 block whose A(x) - B is -1e39,
+    beyond float32, at its corner and 0 on the rest of its first row and
+    column, and a fixed random matrix less shift I on the rest."""
+    rng = np.random.default_rng(7)
+    coeffs = rng.standard_normal((4, 40, 40))
+    coeffs[:, 0, :] = coeffs[:, :, 0] = 0.0
+    b = rng.standard_normal((40, 40)) + shift * np.eye(40)
+    b[0, :] = b[:, 0] = 0.0
+    b[0, 0] = 1e39
+    return LmiProblem(list(coeffs), b)
+
+
 class TestScreen:
     """The private screened evaluation that `nonsmooth_oracle` and
     `smooth_oracle` attach for blocks of size >= 32: float32 eigenvectors,
-    and a float64 pair built from them that lies below f."""
+    and a float64 pair built from them that lies below f. A solve keeps
+    its pair only when the value is above eps."""
 
     @pytest.mark.parametrize("make, exact", [(nonsmooth_oracle, eval_nonsmooth),
                                              (smooth_oracle, eval_smooth)],
@@ -484,8 +498,8 @@ class TestScreen:
                 assert orc._screen is None
                 continue
             for x in points:
-                ev, want = orc._screen(x, 0.0), exact(p, x)
-                assert ev is not None and 0.0 < ev.value
+                ev, want = orc._screen(x), exact(p, x)
+                assert 0.0 < ev.value
                 # a lower bound, and a tight one: float32 vectors enter the
                 # value only to second order
                 assert ev.value <= want.value * (1.0 + 1e-12)
@@ -501,16 +515,63 @@ class TestScreen:
     @pytest.mark.parametrize("make", [nonsmooth_oracle, smooth_oracle],
                              ids=["nonsmooth", "smooth"])
     def test_floor_screens_out(self, make):
-        # a pair is kept only above the floor; a point where f = 0 gets none
+        # a solve keeps a screened pair only when eps < value: at eps equal
+        # to the screened value, and at a point where f = 0, `evaluate` runs
         p, points = next(screened_cases())
         orc = make(p)
         if orc._screen is None:
             return
+
+        def evaluated(x, eps):
+            """Whether a screened run with tolerance eps calls `evaluate` at x,
+            and the pair it returns."""
+            calls = []
+            run = solvers._Run(orc, eps, 1, screened=True)
+            run._evaluate = lambda y: calls.append(y) or orc.evaluate(y)
+            ev = run.evaluate(x)
+            return bool(calls), ev
+
         x = points[0]
-        value = orc._screen(x, 0.0).value
-        assert orc._screen(x, 0.5 * value) is not None
-        assert orc._screen(x, value) is None
-        assert orc._screen(gen_lmi(48, 4, 0.5, 91).witness, 0.0) is None
+        value = orc._screen(x).value
+        assert evaluated(x, 0.5 * value)[0] is False
+        called, ev = evaluated(x, value)
+        assert called and ev.value == orc.evaluate(x).value
+        witness = gen_lmi(48, 4, 0.5, 91).witness
+        assert orc._screen(witness).value <= 0.0
+        assert evaluated(witness, 0.0)[0] is True
+
+    def test_block_beyond_float32_exact_beside_a_bound(self):
+        # a stack of a 40 block whose A(x) - B holds -1e39, beyond float32,
+        # alone in its first row and column, and gen_lmi's 48 block: the
+        # screen takes the first block's exact term and the second's bound
+        ordinary = gen_lmi(48, 4, 0.5, 91)
+        if not single_precision():
+            pytest.skip("this numpy lacks one of scipy_LAPACKE_{ssyevr,ssytrf,ssyevd}64_")
+        rng = np.random.default_rng(7)
+        x = 3.0 * ordinary.witness + rng.uniform(-1.0, 1.0, 4)
+        alone = nonsmooth_oracle(ordinary.problem)._screen(x)
+        top = eval_nonsmooth(ordinary.problem, x).value
+        assert alone.value < top
+        for above in (1.0, -1.0):
+            # shifted so that the first block's top is the second's plus `above`
+            first = beyond_float32(eval_nonsmooth(beyond_float32(0.0), x).value - top - above)
+            p = stack([first, ordinary.problem])
+            ns, want = nonsmooth_oracle(p)._screen(x), eval_nonsmooth(p, x)
+            if above > 0.0:
+                assert (ns.value, ns.gradient.tobytes()) == (want.value, want.gradient.tobytes())
+            else:
+                assert (ns.value, ns.gradient.tobytes()) == (alone.value, alone.gradient.tobytes())
+            # the smooth terms add up: the first block's exact one, the second's bound
+            sm = smooth_oracle(p)._screen(x)
+            exact, bound = eval_smooth(first, x), smooth_oracle(ordinary.problem)._screen(x)
+            assert bound.value < eval_smooth(ordinary.problem, x).value
+            assert sm.value == exact.value + bound.value
+            assert sm.gradient.tobytes() == (exact.gradient + bound.gradient).tobytes()
+            for ev, f in ((ns, eval_nonsmooth), (sm, eval_smooth)):
+                for y in x + rng.standard_normal((8, 4)):
+                    fy = f(p, y).value
+                    roundoff = 1e-12 * (1.0 + abs(fy) + np.abs(ev.gradient) @ np.abs(y - x))
+                    assert ev.value + float(ev.gradient @ (y - x)) <= fy + roundoff
 
     def test_attached_only_for_large_blocks(self, lapacke):
         small = gen_lmi(20, 4, 0.5, 91).problem

@@ -643,11 +643,32 @@ class TestSolveExits:
         with pytest.raises(NonFiniteInput):
             solve_bundle(orc, [1.0, 1.0], 1e-8)
 
-    def test_overflowing_start_raises(self):
+    def test_overflowing_start_raises(self, monkeypatch):
         inst = gen_lmi(10, 4, 1.0, 3)
         with pytest.raises(NonFiniteInput):
             solve_smooth(inst.problem, mu_of(inst.certificate), 1e-8, cap=200,
                          x0=1e200 * np.ones(4))
+        # on a block of size 48 the screen makes the first evaluation, on a
+        # point it does not check: every LMI driver raises what it raises
+        # with the screen off, message and all. From -1e308 A(x0) - B
+        # overflows; from -1e200 the smooth value alone does
+        inst = gen_lmi(48, 4, 0.5, 91)
+        cases = [(label, -1e308) for label in LMI_DRIVERS]
+        cases += [(label, -1e200) for label in ("smooth", "bundle-smooth")]
+
+        def raised():
+            out = []
+            for label, scale in cases:
+                with pytest.raises(NonFiniteInput) as err:
+                    lmi_solve(inst, label, 200, x0=scale * np.ones(4))
+                out.append(str(err.value))
+            return out
+
+        screened = raised()
+        monkeypatch.setattr(objectives, "_screened", lambda oracle, *args: oracle)
+        assert raised() == screened
+        assert screened == (["A(x) - B contains NaN or Inf entries"] * 4
+                            + ["oracle returned the non-finite value inf"] * 2)
 
     def test_overflowing_linsys_raises(self):
         # the data are finite, but ||A||^2 = 1e600 overflows
@@ -821,9 +842,11 @@ def full_bytes(res):
 LMI_DRIVERS = ("nonsmooth", "smooth", "bundle-nonsmooth", "bundle-smooth")
 
 
-def lmi_solve(inst, label, cap=DEFAULT_CAP):
-    """The solve of driver `label` on inst from 3 times its witness, to eps = 1e-8."""
-    p, mu, x0 = inst.problem, mu_of(inst.certificate), 3.0 * inst.witness
+def lmi_solve(inst, label, cap=DEFAULT_CAP, x0=None):
+    """The solve of driver `label` on inst from x0, 3 times its witness by
+    default, to eps = 1e-8."""
+    p, mu = inst.problem, mu_of(inst.certificate)
+    x0 = 3.0 * inst.witness if x0 is None else x0
     if label == "nonsmooth":
         return solve_nonsmooth(p, mu, 1e-8, cap, x0=x0)
     if label == "smooth":

@@ -721,12 +721,39 @@ class TestLapackeTable:
         assert np.abs(w - [1.0, 2.0, 3.0]).max() <= 1e-6
         np.testing.assert_allclose(np.abs(a), np.eye(3)[[0, 2, 1]], atol=1e-6)
 
+    def test_dsyevd_eigenvalues_are_eigvalshs(self):
+        # jobz "N", as `_spectral_norms` runs it, is the call behind eigvalsh
+        binding(np.float64, "syevd")
+        g = np.random.default_rng(0).standard_normal((40, 40))
+        s = g + g.T
+        w = symlinalg._syevd_in_place(s.copy(), b"N")
+        assert w is not None and w.tobytes() == np.linalg.eigvalsh(s).tobytes()
+
+    def test_missing_symbol_binds_nothing(self):
+        assert symlinalg._lapacke("dnosuch") is None
+
+
+def exact_pairs(s):
+    """`_block_top`'s and `_positive_part`'s pairs on s, the vector function
+    called, as (top, bytes of the vector, of w, of P+)."""
+    top, vector = symlinalg._block_top(s)
+    w, part = symlinalg._positive_part(s)
+    return top, vector().tobytes(), w.tobytes(), part.tobytes()
+
+
+def bound_pairs(s):
+    """`_block_top_bound`'s and `_positive_part_bound`'s pairs on s, in the
+    form of `exact_pairs`."""
+    top, vector = symlinalg._block_top_bound(s)
+    w, part = symlinalg._positive_part_bound(s)
+    return top, vector().tobytes(), w.tobytes(), part.tobytes()
+
 
 class TestSinglePrecisionBounds:
-    """`_block_top_bound` and `_positive_part_bound` from size 32: None, so
-    a screened evaluation gives way to the float64 one, where a
-    single-precision routine is missing or fails or the block overflows
-    float32."""
+    """`_block_top_bound` and `_positive_part_bound` from size 32: float64
+    bounds from float32 eigenvectors, and no bound, but that block's exact
+    pair bit for bit, where a single-precision routine is missing or fails
+    or the block overflows float32."""
 
     # each routine, and the positive counts at n = 60 whose branch calls it
     ROUTINES = {"ssytrf": (2, 30), "ssyevr": (2,), "ssyevd": (30,)}
@@ -736,13 +763,17 @@ class TestSinglePrecisionBounds:
         return with_spectrum(rng, np.concatenate([rng.uniform(0.1, 2.0, k),
                                                   -rng.uniform(0.1, 2.0, 60 - k)]))
 
-    def test_bounds_where_the_routines_resolve(self):
+    def test_bounds_where_the_routines_resolve(self, lapacke):
         if not symlinalg._screened_dim(60):
             pytest.skip("this numpy lacks one of scipy_LAPACKE_{ssyevr,ssytrf,ssyevd}64_")
         for k in (2, 30):
             s = self.block(k)
-            assert symlinalg._block_top_bound(s) is not None
-            assert symlinalg._positive_part_bound(s) is not None
+            looked = lapacke()
+            top, (h,) = symlinalg._block_top_bound(s)[0], symlinalg._positive_part_bound(s)[0]
+            assert {"ssyevr", "ssytrf"} <= set(looked)
+            # bounds, and not the exact values
+            assert top < symlinalg._block_top(s)[0]
+            assert 0.0 < h * h < float(np.sum(symlinalg._positive_part(s)[0] ** 2))
 
     @pytest.mark.parametrize("name", ROUTINES)
     @pytest.mark.parametrize("broken", ["missing", "fails"])
@@ -753,9 +784,11 @@ class TestSinglePrecisionBounds:
         for k in self.ROUTINES[name]:
             s = self.block(k)
             kept = s.copy()
-            assert symlinalg._positive_part_bound(s) is None
+            want = exact_pairs(s)
+            got = bound_pairs(s)
+            assert got[2:] == want[2:]
             if name == "ssyevr":
-                assert symlinalg._block_top_bound(s) is None
+                assert got[:2] == want[:2]
             assert s.tobytes() == kept.tobytes()
 
     def test_block_beyond_float32_gives_no_bound(self, lapacke):
@@ -770,6 +803,16 @@ class TestSinglePrecisionBounds:
         s = self.block(2)
         s[0, 0] = 1e39
         with np.errstate(over="ignore"):  # the cast to float32, as in the oracles
-            assert symlinalg._block_top_bound(s) is None
-            assert symlinalg._positive_part_bound(s) is None
+            assert bound_pairs(s) == exact_pairs(s)
         assert calls == []
+
+    def test_float32_eigenvalue_overflow_gives_no_bound(self):
+        # entries of 1e37 fit in float32, but the top eigenvalue, near 4e38,
+        # does not: float32's P is not finite, and the block takes its exact
+        # pair; the top vector keeps a finite quotient, and a bound
+        if not symlinalg._screened_dim(40):
+            pytest.skip("this numpy lacks one of scipy_LAPACKE_{ssyevr,ssytrf,ssyevd}64_")
+        s = 1e37 * (np.ones((40, 40)) - np.diag(np.linspace(0.0, 1.0, 40)))
+        with np.errstate(over="ignore", invalid="ignore"):  # as in the oracles
+            assert bound_pairs(s)[2:] == exact_pairs(s)[2:]
+            assert symlinalg._block_top_bound(s)[0] < symlinalg._block_top(s)[0]
